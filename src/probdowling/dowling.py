@@ -332,38 +332,10 @@ def dobinski_eval(model: MomentModel, params: Params, n: int,
 
 def dowling_derivative(model: MomentModel, params: Params, n: int,
                        k: int) -> PolyX:
-    """k-th derivative in x of the Dowling polynomial of degree n.
-
-    Computed twice: by formal term-wise differentiation, and through the
-    probabilistic degenerate Stirling numbers at lam/m,
-
-        k! sum_j C(n,j) D(j, x) S_{Y,lam/m}(n-j, k) m^(n-k-j).
-
-    The two must agree exactly; disagreement means an internal bug, not
-    bad input.  Returns the formal derivative; k > n yields the zero
-    polynomial.
-    """
-    if k < 0:
-        raise ValueError(f"derivative order must be nonnegative, got {k}")
-    if k == 0:
-        return dowling_poly(model, params, n)
-    if k > n:
-        return POLY_ZERO
-    formal = dowling_poly(model, params, n).derivative(k)
-    mu = params.lam / params.m
-    acc = POLY_ZERO
-    for j in range(n - k + 1):
-        s = stirling2_prob(model, n - j, k, mu)
-        if not s:
-            continue
-        scale = binom(n, j) * s * Fraction(params.m) ** (n - k - j)
-        acc = acc + scale * dowling_poly(model, params, j)
-    acc = math.factorial(k) * acc
-    if formal != acc:
-        raise RuntimeError(
-            f"derivative routes disagree at n={n}, k={k}: formal {formal!r} "
-            f"vs moment form {acc!r}")
-    return formal
+    """k-th derivative in x of the Dowling polynomial of degree n, taken
+    formally (zero for k > n); ``identities.check_derivative`` checks it
+    against the Stirling-number form."""
+    return dowling_poly(model, params, n).derivative(k)
 
 
 def clear_caches() -> None:

@@ -7,8 +7,7 @@ two exact values, so a failure is diagnosable without re-running.  Scalar
 identities in the polynomial argument x hold as polynomial identities
 once they hold at degree+1 distinct points; callers batch the x values.
 
-Check functions are pure and independent; a runner may execute them in
-parallel.
+Check functions are pure and independent of one another.
 """
 
 from __future__ import annotations

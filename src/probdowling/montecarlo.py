@@ -3,9 +3,10 @@
 Samplers exist for every built-in distribution (not for custom moment
 lists, which do not determine one).  Estimates carry the exact target
 value alongside the empirical mean and standard error, so acceptance is
-a 5-sigma comparison against an independently computed rational.  All
-randomness flows from an explicit 64-bit seed through numpy's seedable,
-splittable PCG64 generator; a run is reproducible bit for bit.
+a 5-sigma comparison, plus a float-rounding allowance, against an
+independently computed rational.  All randomness flows from an explicit
+64-bit seed through numpy's seedable, splittable PCG64 generator; a run
+is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -34,12 +35,23 @@ class McEstimate:
     samples: int
     target: Fraction
 
+    @property
+    def gap(self) -> float:
+        """Absolute distance between the float mean and the exact target."""
+        return abs(self.mean - float(self.target))
+
     def within(self, sigmas: float) -> bool:
         """Gap within `sigmas` standard errors (exact match when sigma=0)."""
-        gap = abs(self.mean - float(self.target))
         if self.std_error == 0.0:
-            return gap == 0.0
-        return gap <= sigmas * self.std_error
+            return self.gap == 0.0
+        return self.gap <= sigmas * self.std_error
+
+    def passes(self) -> bool:
+        """The acceptance rule: gap <= 5 std_error + 1e-12 max(1, |target|).
+        The relative term absorbs float rounding, which the standard error
+        of a deterministic model (zero or noise) does not cover."""
+        target = float(self.target)
+        return self.gap <= 5.0 * self.std_error + 1e-12 * max(1.0, abs(target))
 
 
 def _draw(model: MomentModel, rng: np.random.Generator,

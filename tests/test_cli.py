@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from probdowling import rat
 from probdowling.cli import main
@@ -185,3 +188,69 @@ def test_threaded_output_matches_sequential(capsys, monkeypatch):
     code2, par_out, _ = run(capsys, *args)
     assert code == code2 == 0
     assert seq_out == par_out
+
+
+GOLDEN_STDOUT = [
+    (("--command", "table", "--model", BERNOULLI, "--m", "2",
+      "--lambda", "1/3", "--max-n", "6"),
+     0, "312be25bc894ba1928cf38d84785e3e8649449deed2edbd625870f3aedb836f3"),
+    (("--command", "table", "--model", '{"kind": "poisson", "rate": "1"}',
+      "--m", "3", "--lambda=-1/3", "--r", "2", "--max-n", "7",
+      "--max-k", "4", "--format", "csv"),
+     0, "87c70c2bf9145128081e926f857ac67586e735ea7e644e2395e21de79ceb0fb4"),
+    (("--command", "eval", "--model", '{"kind": "poisson", "rate": "1"}',
+      "--m", "2", "--lambda=-1/3", "--max-n", "6", "--x", "3/2"),
+     0, "71182eb88d26860c14dbeb5c01dcb3b472168e1367f8d331ab570ffd8c5d7bdd"),
+    (("--command", "check", "--model", '{"kind": "geometric", "p": "1/2"}',
+      "--m", "3", "--lambda", "1/2", "--max-n", "5"),
+     0, "e860bbe68b4c2b66e631e32be9a7f2cd3759e3e176641ac3fd6849cb236d29af"),
+    (("--command", "check", "--model", BERNOULLI, "--max-n", "2",
+      "--corrupt"),
+     1, "d372ff272dc1d8d4a6a82bc98a13328ef6afc0ac4a317c83f15ff037b2aebe7d"),
+    (("--command", "dobinski",
+      "--model", '{"kind": "binomial", "trials": 3, "p": "1/3"}',
+      "--m", "2", "--lambda", "1/3", "--max-n", "4", "--x", "1"),
+     0, "17e39b1e2c2cc8d79f5ed0f02c1233876c90621d1c7452e8fd954658ca7569bc"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", GOLDEN_STDOUT,
+                         ids=["table-json", "table-csv-maxk", "eval",
+                              "check", "check-corrupt", "dobinski"])
+def test_golden_stdout_bytes(capsys, argv, code, digest):
+    # Digests of stdout as first released; any refactor must keep them.
+    got_code, out, _ = run(capsys, *argv)
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_mc_point_mass_rounding_noise_passes(capsys):
+    # The float mean carries ~1e-15 rounding error while the standard
+    # error is ~1e-18 of noise rather than 0; the verdict must still pass.
+    code, out, _ = run(capsys, "--command", "mc",
+                       "--model", '{"kind": "pointmass", "c": "1/3"}',
+                       "--m", "2", "--lambda=1/2", "--max-n", "3",
+                       "--max-k", "2")
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
+def test_unreadable_model_file_exits_2(tmp_path, capsys):
+    code, out, err = run(capsys, "--command", "table",
+                         "--model", str(tmp_path / "missing.json"))
+    assert code == 2 and out == ""
+    assert "configuration error" in err
+
+
+def test_negative_max_k_exits_2(capsys):
+    code, out, err = run(capsys, "--command", "table", "--model", BERNOULLI,
+                         "--max-k", "-3")
+    assert code == 2 and out == ""
+    assert "configuration error" in err
+
+
+def test_negative_N_exits_2(capsys):
+    code, out, err = run(capsys, "--command", "check", "--model", BERNOULLI,
+                         "--N", "-2")
+    assert code == 2 and out == ""
+    assert "configuration error" in err
