@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .dowling import PolyX, dobinski_eval, dowling_poly_r, whitney_prob_r
+from .dowling import PolyX, dobinski_eval, dowling_poly_r
 from .identities import (IdentityReport, check_bell_expansion,
                          check_bell_rwhitney, check_binom_bell,
                          check_binomial_inversion, check_convolution,
@@ -119,8 +119,11 @@ def parse_config(argv: Optional[Sequence[str]]) -> RunConfig:
 def _emit(cfg: RunConfig, text: str) -> None:
     if cfg.out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(cfg.out).write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write output file: {exc}") from exc
 
 
 def _encode(value: object) -> object:
@@ -148,12 +151,10 @@ def _json_dump(cfg: RunConfig, body: dict) -> str:
 def cmd_table(cfg: RunConfig) -> int:
     """Emit the r-Whitney triangle (equivalently the Dowling coefficient
     rows) for n <= max_n."""
-    rows = []
-    for n in range(cfg.max_n + 1):
-        top = n if cfg.max_k is None else min(n, cfg.max_k)
-        rows.append([
-            format_rational(whitney_prob_r(cfg.model, cfg.params, n, k))
-            for k in range(top + 1)])
+    cap = None if cfg.max_k is None else cfg.max_k + 1
+    rows = [[format_rational(c)
+             for c in dowling_poly_r(cfg.model, cfg.params, n).coeffs[:cap]]
+            for n in range(cfg.max_n + 1)]
     if cfg.fmt == "csv":
         _emit(cfg, "".join(",".join(r) + "\n" for r in rows))
     else:

@@ -27,8 +27,8 @@ from .bell import bell_partial, bell_partial_series
 from .moments import (MomentModel, degen_moment, egf_mgf_degen,
                       sum_degen_moment, sum_plain_falling_moment)
 from .ratcore import Params, RationalLike, binom, degen_falling, rat
-from .series import (EgfSeries, egf_coeff, egf_const, egf_degen_exp, egf_mul,
-                     egf_sub)
+from .series import (egf_coeff, egf_const, egf_degen_exp, egf_mul_coeff,
+                     egf_scale, egf_sub)
 
 WHITNEY_ROUTES = ("egf", "alt_sum", "stirling_expand", "bell_form")
 WHITNEY_R_ROUTES = ("egf", "alt_sum")
@@ -151,29 +151,13 @@ def stirling2_prob(model: MomentModel, n: int, k: int,
     return egf_coeff(bell_partial_series(k, inner), n)
 
 
-@lru_cache(maxsize=None)
-def _centered_kernel(model: MomentModel, m: int, lam: Fraction,
-                     order: int) -> EgfSeries:
-    """(E[e_lam^(mY)(t)] - 1) / m, the generating kernel of the W triangle."""
-    mgf = egf_mgf_degen(model, m, lam, order)
-    return EgfSeries(tuple(c / m for c in egf_sub(mgf, egf_const(1, order)).coeffs))
-
-
-@lru_cache(maxsize=None)
-def _whitney_series(model: MomentModel, m: int, lam: Fraction, r: int,
-                    k: int, order: int) -> EgfSeries:
-    """(1/k!) ((E[e_lam^(mY)] - 1)/m)^k e_lam^r(t), truncated."""
-    powers = bell_partial_series(k, _centered_kernel(model, m, lam, order))
-    return egf_mul(powers, egf_degen_exp(r, lam, order))
-
-
 def whitney_prob(model: MomentModel, params: Params, n: int, k: int,
                  route: str = "egf") -> Fraction:
     """Probabilistic degenerate Whitney number W(n, k) (the r = 1 family).
 
     All four routes return the same rational:
 
-    - "egf": coefficient extraction from the generating kernel (production
+    - "egf": entry k of the memoized row ``dowling_poly_r`` (production
       path);
     - "alt_sum": (1/(m^k k!)) sum_j C(k,j) (-1)^(k-j) E[(m S_j + 1)_{n,lam}];
     - "stirling_expand": the same alternating sum pushed through the
@@ -220,9 +204,9 @@ def whitney_prob_r(model: MomentModel, params: Params, n: int, k: int,
                    route: str = "egf") -> Fraction:
     """Probabilistic degenerate r-Whitney number W(n, k) with shift params.r.
 
-    Routes: "egf" extracts coefficient n of the generating product with
-    e_lam^r(t); "alt_sum" averages (m S_j + r) falling factorials with
-    alternating binomial weights.  r = 1 recovers whitney_prob.
+    Routes: "egf" reads entry k of the memoized row ``dowling_poly_r``;
+    "alt_sum" averages (m S_j + r) falling factorials with alternating
+    binomial weights.  r = 1 recovers whitney_prob.
     """
     m, lam, r = params.m, params.lam, params.r
     if k < 0 or n < 0:
@@ -230,7 +214,7 @@ def whitney_prob_r(model: MomentModel, params: Params, n: int, k: int,
     if k > n:
         return Fraction(0)
     if route == "egf":
-        return egf_coeff(_whitney_series(model, m, lam, r, k, n), n)
+        return dowling_poly_r(model, params, n).coeff(k)
     if route == "alt_sum":
         total = Fraction(0)
         for j in range(k + 1):
@@ -256,11 +240,8 @@ class WhitneyTriangle:
     @classmethod
     def build(cls, model: MomentModel, params: Params,
               max_n: int) -> "WhitneyTriangle":
-        rows = []
-        for n in range(max_n + 1):
-            rows.append(tuple(whitney_prob_r(model, params, n, k)
-                              for k in range(n + 1)))
-        return cls(model, params, max_n, tuple(rows))
+        return cls(model, params, max_n, tuple(
+            dowling_poly_r(model, params, n).coeffs for n in range(max_n + 1)))
 
     def entry(self, n: int, k: int) -> Fraction:
         if not 0 <= n <= self.max_n:
@@ -275,11 +256,21 @@ def dowling_poly(model: MomentModel, params: Params, n: int) -> PolyX:
     return dowling_poly_r(model, Params(params.m, params.lam, r=1), n)
 
 
+@lru_cache(maxsize=None)
 def dowling_poly_r(model: MomentModel, params: Params, n: int) -> PolyX:
-    """r-Dowling polynomial: coefficient k is the r-Whitney number W(n, k)."""
+    """r-Dowling polynomial: coefficient k is the r-Whitney number W(n, k).
+
+    The one memoized producer of exact Whitney rows: with the kernel
+    K = (E[e_lam^(mY)(t)] - 1)/m at order n, W(n, k) is coefficient n of
+    ``bell_partial_series(k, K)`` (that is, K^k/k!) times e_lam^r(t).
+    """
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
-    return PolyX(tuple(whitney_prob_r(model, params, n, k)
+    m, lam = params.m, params.lam
+    mgf = egf_mgf_degen(model, m, lam, n)
+    kernel = egf_scale(Fraction(1, m), egf_sub(mgf, egf_const(1, n)))
+    shift = egf_degen_exp(params.r, lam, n)
+    return PolyX(tuple(egf_mul_coeff(bell_partial_series(k, kernel), shift, n)
                        for k in range(n + 1)))
 
 
@@ -294,11 +285,12 @@ def dobinski_eval(model: MomentModel, params: Params, n: int,
     """Evaluate the r-Dowling polynomial at x >= 0 by its moment series.
 
     Sums e^(-x/m) sum_k x^k / (m^k k!) E[(m S_k + r)_{n,lam}] with exact
-    rational terms, stopping once the current term is below rel_tol times
-    the running partial sum in absolute value for three consecutive terms
-    and k exceeds n.  The exact polynomial evaluation is the correctness
-    oracle for this number; the truncation rule only serves standalone
-    numeric use.
+    rational terms from ``sum_degen_moment``, stopping once the current
+    term is below rel_tol times the running partial sum in absolute value
+    for three consecutive terms and k exceeds n.  The exact polynomial
+    evaluation is the correctness oracle for this number; the truncation
+    rule only serves standalone numeric use.  ValueError if the series
+    leaves float range.
     """
     x = rat(x)
     if x < 0:
@@ -307,24 +299,24 @@ def dobinski_eval(model: MomentModel, params: Params, n: int,
         raise ValueError(f"rel_tol must be positive, got {rel_tol}")
     m, lam, r = params.m, params.lam, params.r
 
-    shift_series = egf_degen_exp(r, lam, n)
-    power = egf_const(1, n)
-    mgf = egf_mgf_degen(model, m, lam, n)
     partial = Fraction(0)
     weight = Fraction(1)         # x^k / (m^k k!)
     small_streak = 0
-    for k in range(max_terms + 1):
-        if k > 0:
-            power = egf_mul(power, mgf)
-            weight = weight * x / (m * k)
-        term = weight * egf_coeff(egf_mul(power, shift_series), n)
-        partial += term
-        if abs(float(term)) <= rel_tol * abs(float(partial)):
-            small_streak += 1
-        else:
-            small_streak = 0
-        if small_streak >= 3 and k > n:
-            return math.exp(-float(x) / m) * float(partial)
+    try:
+        for k in range(max_terms + 1):
+            if k > 0:
+                weight = weight * x / (m * k)
+            term = weight * sum_degen_moment(model, k, m, r, n, lam)
+            partial += term
+            if abs(float(term)) <= rel_tol * abs(float(partial)):
+                small_streak += 1
+            else:
+                small_streak = 0
+            if small_streak >= 3 and k > n:
+                return math.exp(-float(x) / m) * float(partial)
+    except OverflowError as exc:
+        raise ValueError(f"moment series at x = {x} leaves float range "
+                         f"at term {k}") from exc
     raise RuntimeError(
         f"moment series did not settle within {max_terms} terms; "
         f"last term magnitude {abs(float(term)):.3e}")
@@ -340,5 +332,4 @@ def dowling_derivative(model: MomentModel, params: Params, n: int,
 
 def clear_caches() -> None:
     stirling2.cache_clear()
-    _centered_kernel.cache_clear()
-    _whitney_series.cache_clear()
+    dowling_poly_r.cache_clear()

@@ -17,14 +17,15 @@ supported on {0, 1, 2, ...}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from typing import Mapping, Sequence, Union
 
 from .ratcore import RationalLike, rat
-from .series import EgfSeries, egf_coeff, egf_const, egf_degen_exp, egf_mul
+from .series import (EgfSeries, egf_const, egf_degen_exp, egf_mul,
+                     egf_mul_coeff)
 
 
 class MomentOrderError(ValueError):
@@ -68,7 +69,7 @@ class Binomial:
     p: Fraction
 
     def __post_init__(self) -> None:
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if type(self.trials) is not int or self.trials < 1:
             raise ValueError(f"trials must be a positive integer, got {self.trials!r}")
         object.__setattr__(self, "p", rat(self.p))
         if not 0 <= self.p <= 1:
@@ -82,7 +83,7 @@ class DiscreteUniform:
     max: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.max, int) or self.max < 0:
+        if type(self.max) is not int or self.max < 0:
             raise ValueError(f"max must be a nonnegative integer, got {self.max!r}")
 
 
@@ -242,9 +243,8 @@ def sum_degen_moment(model: MomentModel, k: int, scale: int, shift: int,
 @lru_cache(maxsize=None)
 def _sum_degen_moment_cached(model: MomentModel, k: int, scale: int,
                              shift: int, n: int, lam: Fraction) -> Fraction:
-    series = egf_mul(_mgf_power(model, scale, lam, n, k),
-                     egf_degen_exp(shift, lam, n))
-    return egf_coeff(series, n)
+    return egf_mul_coeff(_mgf_power(model, scale, lam, n, k),
+                         egf_degen_exp(shift, lam, n), n)
 
 
 def sum_plain_falling_moment(model: MomentModel, k: int, scale: int,
@@ -269,35 +269,32 @@ def model_from_config(config: Mapping[str, object]) -> MomentModel:
 
     Rationals are "num/den" strings (plain "num" for integers), e.g.
     {"kind": "bernoulli", "p": "1/2"} or
-    {"kind": "custom", "moments": ["1", "1/2", "1/2"]}.
+    {"kind": "custom", "moments": ["1", "1/2", "1/2"]}.  The fields are
+    those of the model's dataclass, no more and no fewer; the counts
+    "trials" and "max" must be JSON integers.
     """
     if not isinstance(config, Mapping):
         raise ValueError(f"model config must be a JSON object, got {config!r}")
     kind = config.get("kind")
-    if kind not in _KIND_TO_CLS:
+    if not isinstance(kind, str) or kind not in _KIND_TO_CLS:
         raise ValueError(f"unknown model kind {kind!r}; "
                          f"expected one of {sorted(_KIND_TO_CLS)}")
-    fields = {k: v for k, v in config.items() if k != "kind"}
-    try:
-        if kind == "pointmass":
-            return PointMass(rat(_str_or_int(fields.pop("c"))))
-        if kind == "bernoulli":
-            return Bernoulli(rat(_str_or_int(fields.pop("p"))))
-        if kind == "binomial":
-            return Binomial(int(fields.pop("trials")),
-                            rat(_str_or_int(fields.pop("p"))))
-        if kind == "discreteuniform":
-            return DiscreteUniform(int(fields.pop("max")))
-        if kind == "poisson":
-            return Poisson(rat(_str_or_int(fields.pop("rate"))))
-        if kind == "geometric":
-            return Geometric(rat(_str_or_int(fields.pop("p"))))
-        moments = fields.pop("moments")
+    cls = _KIND_TO_CLS[kind]
+    names = [f.name for f in fields(cls)]
+    unknown = sorted(set(config) - set(names) - {"kind"})
+    if unknown:
+        raise ValueError(f"model config for {kind!r} has unknown fields {unknown}")
+    missing = [name for name in names if name not in config]
+    if missing:
+        raise ValueError(f"model config for {kind!r} is missing fields {missing}")
+    if cls is Custom:
+        moments = config["moments"]
         if not isinstance(moments, Sequence) or isinstance(moments, str):
             raise ValueError("custom moments must be a list of rational strings")
         return Custom(tuple(rat(_str_or_int(v)) for v in moments))
-    except KeyError as exc:
-        raise ValueError(f"model config for {kind!r} is missing field {exc}") from exc
+    # Counts go to the dataclass checks as given; the rest are rationals.
+    return cls(*(config[name] if name in ("trials", "max")
+                 else rat(_str_or_int(config[name])) for name in names))
 
 
 def model_to_config(model: MomentModel) -> dict:

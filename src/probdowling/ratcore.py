@@ -20,11 +20,17 @@ RationalLike = Union[Fraction, int, str]
 
 
 def rat(value: RationalLike) -> Fraction:
-    """Coerce an int, Fraction, or "num/den" string to an exact Fraction."""
+    """Coerce an int, Fraction, or "num/den" string to an exact Fraction;
+    a string with a zero denominator raises ValueError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"{value!r} has a zero denominator") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 

@@ -71,14 +71,18 @@ def egf_scale(c: RationalLike, a: EgfSeries) -> EgfSeries:
 
 
 def egf_mul(a: EgfSeries, b: EgfSeries) -> EgfSeries:
-    """Product series: coefficient n is sum_j C(n,j) a_j b_{n-j}."""
+    """Product series, one ``egf_mul_coeff`` per coefficient; the operands
+    must share one order, checked once here."""
     _require_same_order(a, b, "egf_mul")
+    return EgfSeries(tuple(egf_mul_coeff(a, b, n) for n in range(len(a.coeffs))))
+
+
+def egf_mul_coeff(a: EgfSeries, b: EgfSeries, n: int) -> Fraction:
+    """Coefficient n of the product a*b, sum_j C(n,j) a_j b_{n-j}.  Reads
+    only a_0..a_n and b_0..b_n and forms no other coefficient."""
     ac, bc = a.coeffs, b.coeffs
-    out = []
-    for n in range(len(ac)):
-        out.append(sum((binom(n, j) * ac[j] * bc[n - j] for j in range(n + 1)),
-                       Fraction(0)))
-    return EgfSeries(tuple(out))
+    return sum((binom(n, j) * ac[j] * bc[n - j] for j in range(n + 1)),
+               Fraction(0))
 
 
 def egf_pow(a: EgfSeries, k: int) -> EgfSeries:

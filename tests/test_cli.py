@@ -1,10 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from probdowling import rat
-from probdowling.cli import main
+from probdowling.cli import COMMANDS, main
 
 
 def run(capsys, *argv):
@@ -211,12 +216,20 @@ GOLDEN_STDOUT = [
       "--model", '{"kind": "binomial", "trials": 3, "p": "1/3"}',
       "--m", "2", "--lambda", "1/3", "--max-n", "4", "--x", "1"),
      0, "17e39b1e2c2cc8d79f5ed0f02c1233876c90621d1c7452e8fd954658ca7569bc"),
+    (("--command", "table", "--model", '{"kind": "geometric", "p": "1/3"}',
+      "--m", "3", "--lambda=-1/2", "--r", "3", "--max-n", "16",
+      "--format", "csv"),
+     0, "977daae69a3d52ee9ff17e42bbc11716a977b7599c44fddf550befad17798259"),
+    (("--command", "dobinski", "--model", '{"kind": "poisson", "rate": "2"}',
+      "--m", "1", "--lambda=1/3", "--r", "0", "--max-n", "8", "--x", "5"),
+     0, "af8a34030b9d38812fcb43c57402d4e2cb669855d48f15911a580e17d18d6309"),
 ]
 
 
 @pytest.mark.parametrize("argv,code,digest", GOLDEN_STDOUT,
                          ids=["table-json", "table-csv-maxk", "eval",
-                              "check", "check-corrupt", "dobinski"])
+                              "check", "check-corrupt", "dobinski",
+                              "table-csv-r3-n16", "dobinski-r0"])
 def test_golden_stdout_bytes(capsys, argv, code, digest):
     # Digests of stdout as first released; any refactor must keep them.
     got_code, out, _ = run(capsys, *argv)
@@ -254,3 +267,113 @@ def test_negative_N_exits_2(capsys):
                          "--N", "-2")
     assert code == 2 and out == ""
     assert "configuration error" in err
+
+
+def test_fractional_binomial_trials_exits_2(capsys):
+    code, out, err = run(capsys, "--command", "table", "--model",
+                         '{"kind": "binomial", "trials": 3.5, "p": "1/2"}')
+    assert code == 2 and out == ""
+    assert "trials" in err
+
+
+def test_boolean_uniform_max_exits_2(capsys):
+    code, out, err = run(capsys, "--command", "table", "--model",
+                         '{"kind": "discreteuniform", "max": true}')
+    assert code == 2 and out == ""
+    assert "max" in err
+
+
+def test_unknown_model_field_exits_2(capsys):
+    code, out, err = run(capsys, "--command", "table", "--model",
+                         '{"kind": "poisson", "rate": "1", "q": "7"}')
+    assert code == 2 and out == ""
+    assert "'q'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--command", "eval", "--lambda=1/0"),
+    ("--command", "eval", "--x=1/0"),
+    ("--command", "table", "--model", '{"kind": "bernoulli", "p": "1/0"}'),
+], ids=["lambda", "x", "model-p"])
+def test_zero_denominator_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "zero denominator" in err
+
+
+def test_unwritable_out_path_exits_2(capsys):
+    code, out, err = run(capsys, "--command", "table", "--model", BERNOULLI,
+                         "--out", os.path.join(os.devnull, "table.json"))
+    assert code == 2 and out == ""
+    assert "cannot write output file" in err
+
+
+def test_dobinski_beyond_float_range_exits_2(capsys):
+    code, out, err = run(capsys, "--command", "dobinski",
+                         "--model", '{"kind": "poisson", "rate": "1"}',
+                         "--lambda=1/2", "--max-n", "2", "--x", "1000")
+    assert code == 2 and out == ""
+    assert "float range" in err
+
+
+# Each argv is built from good values, then up to two bad ones are appended
+# (argparse keeps the last).  --max-n and --samples stay small, and --out
+# only ever names a path that cannot be written.
+FUZZ_GOOD = {
+    "--model": (BERNOULLI, '{"kind": "poisson", "rate": "1"}',
+                '{"kind": "geometric", "p": "1/3"}',
+                '{"kind": "pointmass", "c": "-1/2"}',
+                '{"kind": "binomial", "trials": 2, "p": "1/3"}',
+                '{"kind": "discreteuniform", "max": 2}',
+                '{"kind": "custom", "moments": ["1", "1/2", "1/2", "1/2"]}'),
+    "--m": ("1", "2", "3"),
+    "--lambda": ("0", "1/2", "-1/3", "1", "3.5"),
+    "--r": ("0", "1", "2"),
+    "--max-k": ("0", "1", "2"),
+    "--N": ("0", "2"),
+    "--x": ("0", "1", "3/2", "5"),
+    "--format": ("csv", "json"),
+    "--seed": ("0", "7"),
+    "--tol": ("1e-10", "1e-6"),
+}
+FUZZ_BAD = (
+    "--command=bogus", "--max-n=-1", "--max-n=abc", "--max-n=3.5",
+    "--samples=1", "--samples=-5", "--samples=abc",
+    "--m=0", "--m=-1", "--m=abc", "--m=3.5", "--r=-1", "--r=abc",
+    "--lambda=1/0", "--lambda=abc", "--x=-1", "--x=1000", "--x=1/0",
+    "--x=abc", "--max-k=-3", "--max-k=abc", "--N=-2", "--format=xml",
+    "--seed=abc", "--tol=0", "--tol=-1", "--tol=abc",
+    f"--out={os.path.join(os.devnull, 'out')}",
+    '--model={"kind": "binomial", "trials": 3.5, "p": "1/2"}',
+    '--model={"kind": "discreteuniform", "max": true}',
+    '--model={"kind": "poisson", "rate": "1", "q": "7"}',
+    '--model={"kind": "bernoulli", "p": "1/0"}',
+    '--model={"kind": "bernoulli", "p": 0.5}',
+    '--model={"kind": "custom", "moments": ["1", "1/2"]}',
+    '--model={"kind": ["poisson"]}', '--model={"kind":', "--model=abc",
+)
+
+
+@settings(max_examples=400)
+@given(command=st.sampled_from(COMMANDS),
+       max_n=st.sampled_from(("0", "1", "2", "3")),
+       samples=st.sampled_from(("2", "50", "200")),
+       options=st.fixed_dictionaries({}, optional={
+           flag: st.sampled_from(values)
+           for flag, values in FUZZ_GOOD.items()}),
+       corrupt=st.booleans(),
+       bad=st.lists(st.sampled_from(FUZZ_BAD), max_size=2))
+def test_fuzzed_argv_keeps_the_exit_code_contract(command, max_n, samples,
+                                                  options, corrupt, bad):
+    argv = [f"--command={command}", f"--max-n={max_n}",
+            f"--samples={samples}"]
+    argv += [f"{flag}={value}" for flag, value in options.items()]
+    argv += ["--corrupt"] * corrupt + bad
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:     # argparse rejects the argv itself
+            assert exc.code == 2
+            return
+    assert code in (0, 1, 2, 3)

@@ -9,6 +9,7 @@ from probdowling import (Bernoulli, Params, PointMass, Poisson, PolyX,
                          egf_exp, egf_mul, egf_scale, egf_sub, egf_mgf_degen,
                          falling, raw_moment, stirling2, stirling2_degen,
                          stirling2_prob, whitney_prob, whitney_prob_r)
+from probdowling import dowling as dowling_mod
 from probdowling.dowling import WHITNEY_ROUTES, POLY_ZERO
 
 from oracles import stirling2_brute
@@ -203,3 +204,14 @@ def test_dowling_derivative():
                 got = dowling_derivative(Poisson(Fraction(1)), params, n, k)
                 assert got == dowling_poly(
                     Poisson(Fraction(1)), params, n).derivative(k)
+
+
+def test_rows_are_memoized_until_caches_clear():
+    params = Params(3, Fraction(-1, 2), 2)
+    row = dowling_poly_r(BE, params, 7)
+    assert dowling_poly_r(BE, params, 7) is row
+    assert [whitney_prob_r(BE, params, 7, k) for k in range(8)] == \
+        list(row.coeffs)
+    dowling_mod.clear_caches()
+    again = dowling_poly_r(BE, params, 7)
+    assert again is not row and again == row

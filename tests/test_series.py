@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from probdowling import (EgfSeries, degen_falling, egf_add, egf_coeff,
                          egf_const, egf_degen_exp, egf_exp, egf_mul, egf_pow,
                          egf_scale, egf_sub)
+from probdowling.series import egf_mul_coeff
 
 from oracles import bell_brute
 
@@ -56,6 +57,14 @@ def test_mul_commutative(a, b):
 @given(a=series_strategy(4), b=series_strategy(4), c=series_strategy(4))
 def test_mul_associative(a, b, c):
     assert egf_mul(egf_mul(a, b), c) == egf_mul(a, egf_mul(b, c))
+
+
+@given(a=series_strategy(5), b=series_strategy(3))
+def test_mul_coeff_is_one_product_coefficient(a, b):
+    # The operands may differ in order; coefficients up to the lower
+    # order match the product of the truncated operands.
+    product = egf_mul(EgfSeries(a.coeffs[:4]), b)
+    assert [egf_mul_coeff(a, b, n) for n in range(4)] == list(product.coeffs)
 
 
 def test_pow_conventions():
