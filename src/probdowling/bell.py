@@ -84,6 +84,10 @@ def bell_partial_series(k: int, inner: EgfSeries) -> EgfSeries:
             f"inner series must have zero constant term, got {inner.coeffs[0]}")
     if k == 0:
         return egf_const(1, inner.order)
+    # Fill the lower powers upward first, so the call for k - 1 is a memo
+    # hit (or one frame deep) however large k is.
+    for j in range(k - 1):
+        bell_partial_series(j, inner)
     prev = bell_partial_series(k - 1, inner)
     return egf_scale(Fraction(1, k), egf_mul(prev, inner))
 

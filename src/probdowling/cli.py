@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass, replace
@@ -105,8 +106,8 @@ def parse_config(argv: Optional[Sequence[str]]) -> RunConfig:
         raise ValueError(f"--max-k must be nonnegative, got {args.max_k}")
     if args.N is not None and args.N < 0:
         raise ValueError(f"--N must be nonnegative, got {args.N}")
-    if args.tol <= 0:
-        raise ValueError(f"--tol must be positive, got {args.tol}")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be positive and finite, got {args.tol}")
     if args.samples < 2:
         raise ValueError(f"--samples must be at least 2, got {args.samples}")
     return RunConfig(command=args.command, model=model, params=params,

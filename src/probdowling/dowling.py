@@ -3,12 +3,15 @@
 The central object is the triangle W(n, k) of probabilistic degenerate
 Whitney numbers attached to a moment model Y: coefficient n of
 (1/k!) ((E[e_lam^(mY)(t)] - 1)/m)^k e_lam^r(t), with r = 1 for the plain
-family.  The same numbers fall out of three other computations (an
-alternating binomial sum over sums of copies, an expansion through
-degenerate Stirling numbers, and a partial-Bell-polynomial form), which
-are kept as first-class routes: agreement of the routes is the library's
-correctness argument, so none of them is allowed to decay into a wrapper
-around another.
+family.  The production route ("egf", the default) does not expand that
+generating function: ``dowling_poly_r`` builds each row from the earlier
+rows by the paper's degree-raising recurrence, and the generating
+function itself is a test oracle.  The same numbers fall out of three
+other computations (an alternating binomial sum over sums of copies, an
+expansion through degenerate Stirling numbers, and a partial-Bell-
+polynomial form), which are kept as first-class routes: agreement of the
+routes is the library's correctness argument, so none of them is allowed
+to decay into a wrapper around another.
 
 Dowling polynomials are the row polynomials sum_k W(n, k) x^k; their
 value at x = 1 is a Dowling number.  ``dobinski_eval`` sums the
@@ -27,8 +30,7 @@ from .bell import bell_partial, bell_partial_series
 from .moments import (MomentModel, degen_moment, egf_mgf_degen,
                       sum_degen_moment, sum_plain_falling_moment)
 from .ratcore import Params, RationalLike, binom, degen_falling, rat
-from .series import (egf_coeff, egf_const, egf_degen_exp, egf_mul_coeff,
-                     egf_scale, egf_sub)
+from .series import egf_coeff, egf_const, egf_degen_exp, egf_sub
 
 WHITNEY_ROUTES = ("egf", "alt_sum", "stirling_expand", "bell_form")
 WHITNEY_R_ROUTES = ("egf", "alt_sum")
@@ -113,14 +115,14 @@ POLY_ONE = PolyX((Fraction(1),))
 
 @lru_cache(maxsize=None)
 def stirling2(n: int, k: int) -> Fraction:
-    """Stirling number of the second kind, by the triangle recurrence."""
+    """Stirling number of the second kind, by the explicit alternating sum
+    (1/k!) sum_j (-1)^(k-j) C(k, j) j^n, so no call recurses."""
     if n < 0 or k < 0:
         raise ValueError(f"indices must be nonnegative, got ({n}, {k})")
-    if n == 0 and k == 0:
-        return Fraction(1)
-    if k > n or k == 0:
+    if k > n:
         return Fraction(0)
-    return stirling2(n - 1, k - 1) + k * stirling2(n - 1, k)
+    return Fraction(sum((-1) ** (k - j) * math.comb(k, j) * j ** n
+                        for j in range(k + 1)) // math.factorial(k))
 
 
 def stirling2_degen(n: int, k: int, lam: RationalLike) -> Fraction:
@@ -157,8 +159,9 @@ def whitney_prob(model: MomentModel, params: Params, n: int, k: int,
 
     All four routes return the same rational:
 
-    - "egf": entry k of the memoized row ``dowling_poly_r`` (production
-      path);
+    - "egf": entry k of the memoized row ``dowling_poly_r``, which the
+      degree-raising recurrence builds from the earlier rows (production
+      path; the name is kept because every caller passes it);
     - "alt_sum": (1/(m^k k!)) sum_j C(k,j) (-1)^(k-j) E[(m S_j + 1)_{n,lam}];
     - "stirling_expand": the same alternating sum pushed through the
       degenerate Stirling expansion of the falling factorial, so only
@@ -204,9 +207,10 @@ def whitney_prob_r(model: MomentModel, params: Params, n: int, k: int,
                    route: str = "egf") -> Fraction:
     """Probabilistic degenerate r-Whitney number W(n, k) with shift params.r.
 
-    Routes: "egf" reads entry k of the memoized row ``dowling_poly_r``;
-    "alt_sum" averages (m S_j + r) falling factorials with alternating
-    binomial weights.  r = 1 recovers whitney_prob.
+    Routes: "egf" reads entry k of the memoized row ``dowling_poly_r``,
+    built by the degree-raising recurrence; "alt_sum" averages
+    (m S_j + r) falling factorials with alternating binomial weights.
+    r = 1 recovers whitney_prob.
     """
     m, lam, r = params.m, params.lam, params.r
     if k < 0 or n < 0:
@@ -260,18 +264,37 @@ def dowling_poly(model: MomentModel, params: Params, n: int) -> PolyX:
 def dowling_poly_r(model: MomentModel, params: Params, n: int) -> PolyX:
     """r-Dowling polynomial: coefficient k is the r-Whitney number W(n, k).
 
-    The one memoized producer of exact Whitney rows: with the kernel
-    K = (E[e_lam^(mY)(t)] - 1)/m at order n, W(n, k) is coefficient n of
-    ``bell_partial_series(k, K)`` (that is, K^k/k!) times e_lam^r(t).
+    The one memoized producer of exact Whitney rows.  Row n comes from
+    rows 0..n-1 by the degree-raising recurrence, which is (1 + lam t) d/dt
+    applied to (1/k!) K^k e_lam^r(t) with K = (E[e_lam^(mY)(t)] - 1)/m:
+
+        W(n, k) = (r - (n-1) lam) W(n-1, k)
+                  + (1/m) sum_l C(n-1, l) W(l, k-1) g_(n-1-l),
+
+    with g_j = E[mY (mY)_{j,lam}] = c_(j+1) + j lam c_j and
+    c_j = E[(mY)_{j,lam}] = m^j E[(Y)_{j,lam/m}].  A table up to N costs
+    about N^3/6 products.
     """
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
+    if n == 0:
+        return POLY_ONE
     m, lam = params.m, params.lam
-    mgf = egf_mgf_degen(model, m, lam, n)
-    kernel = egf_scale(Fraction(1, m), egf_sub(mgf, egf_const(1, n)))
-    shift = egf_degen_exp(params.r, lam, n)
-    return PolyX(tuple(egf_mul_coeff(bell_partial_series(k, kernel), shift, n)
-                       for k in range(n + 1)))
+    # Ascending calls: each earlier row finds its own predecessors memoized,
+    # so a cold call at large n never nests more than two rows deep.
+    rows = [dowling_poly_r(model, params, l).coeffs for l in range(n)]
+    c = [m ** j * degen_moment(model, j, lam / m) for j in range(n + 1)]
+    # weights[l] = C(n-1, l) g_(n-1-l) / m
+    weights = [binom(n - 1, l) * (c[n - l] + (n - 1 - l) * lam * c[n - 1 - l]) / m
+               for l in range(n)]
+    shift = params.r - (n - 1) * lam
+    prev = rows[n - 1]
+    row = [shift * prev[0]]
+    for k in range(1, n + 1):
+        carried = shift * prev[k] if k < n else Fraction(0)
+        row.append(carried + sum(weights[l] * rows[l][k - 1]
+                                 for l in range(k - 1, n)))
+    return PolyX(tuple(row))
 
 
 def dowling_number(model: MomentModel, params: Params, n: int) -> Fraction:

@@ -222,6 +222,10 @@ def _mgf_power(model: MomentModel, scale: int, lam: Fraction, order: int,
     """k-th power of the scaled degenerate MGF series: the kernel of S_k."""
     if k == 0:
         return egf_const(1, order)
+    # Fill the lower powers upward first, so the call for k - 1 is a memo
+    # hit (or one frame deep) however large k is.
+    for j in range(k - 1):
+        _mgf_power(model, scale, lam, order, j)
     return egf_mul(_mgf_power(model, scale, lam, order, k - 1),
                    egf_mgf_degen(model, scale, lam, order))
 

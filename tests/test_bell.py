@@ -87,3 +87,8 @@ def test_argument_length_errors():
     assert "4 arguments" in str(exc.value)
     with pytest.raises(ValueError):
         bell_complete(3, [1, 1])
+
+
+def test_series_power_far_past_the_recursion_limit():
+    # (t)^k / k! truncated at order 1 vanishes for every k >= 2.
+    assert bell_partial_series(1200, EgfSeries((0, 1))).coeffs == (0, 0)

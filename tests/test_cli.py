@@ -223,13 +223,21 @@ GOLDEN_STDOUT = [
     (("--command", "dobinski", "--model", '{"kind": "poisson", "rate": "2"}',
       "--m", "1", "--lambda=1/3", "--r", "0", "--max-n", "8", "--x", "5"),
      0, "af8a34030b9d38812fcb43c57402d4e2cb669855d48f15911a580e17d18d6309"),
+    (("--command", "table", "--model", '{"kind": "geometric", "p": "2/3"}',
+      "--m", "3", "--lambda=-5/2", "--r", "0", "--max-n", "30",
+      "--format", "csv"),
+     0, "44a6427f25b006f2c2cae4695aa2f90bf9bac945726f7cdfdf14b448c60f411e"),
+    (("--command", "eval", "--model", '{"kind": "poisson", "rate": "7/3"}',
+      "--m", "2", "--lambda=4/3", "--r", "3", "--max-n", "24", "--x=-5/4"),
+     0, "c566925ed9285e4e1aa5b0fb913ecf7cba55461aee5d8d880bfbfd389f58b0e1"),
 ]
 
 
 @pytest.mark.parametrize("argv,code,digest", GOLDEN_STDOUT,
                          ids=["table-json", "table-csv-maxk", "eval",
                               "check", "check-corrupt", "dobinski",
-                              "table-csv-r3-n16", "dobinski-r0"])
+                              "table-csv-r3-n16", "dobinski-r0",
+                              "table-csv-r0-n30", "eval-r3-n24"])
 def test_golden_stdout_bytes(capsys, argv, code, digest):
     # Digests of stdout as first released; any refactor must keep them.
     got_code, out, _ = run(capsys, *argv)
@@ -306,6 +314,15 @@ def test_unwritable_out_path_exits_2(capsys):
                          "--out", os.path.join(os.devnull, "table.json"))
     assert code == 2 and out == ""
     assert "cannot write output file" in err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_non_finite_tol_exits_2(capsys, tol):
+    code, out, err = run(capsys, "--command", "dobinski",
+                         "--model", '{"kind": "poisson", "rate": "1"}',
+                         "--max-n", "2", "--x", "3", "--tol", tol)
+    assert code == 2 and out == ""
+    assert "--tol" in err
 
 
 def test_dobinski_beyond_float_range_exits_2(capsys):

@@ -1,15 +1,18 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
-from probdowling import (Bernoulli, Params, PointMass, Poisson, PolyX,
-                         WhitneyTriangle, degen_falling, dobinski_eval,
+from probdowling import (Bernoulli, Binomial, Custom, Geometric, Params,
+                         PointMass, Poisson, PolyX, WhitneyTriangle,
+                         bell_partial_series, degen_falling, dobinski_eval,
                          dowling_derivative, dowling_number, dowling_poly,
                          dowling_poly_r, egf_coeff, egf_const, egf_degen_exp,
                          egf_exp, egf_mul, egf_scale, egf_sub, egf_mgf_degen,
                          falling, raw_moment, stirling2, stirling2_degen,
                          stirling2_prob, whitney_prob, whitney_prob_r)
 from probdowling import dowling as dowling_mod
+from probdowling import moments as moments_mod
 from probdowling.dowling import WHITNEY_ROUTES, POLY_ZERO
 
 from oracles import stirling2_brute
@@ -215,3 +218,59 @@ def test_rows_are_memoized_until_caches_clear():
     dowling_mod.clear_caches()
     again = dowling_poly_r(BE, params, 7)
     assert again is not row and again == row
+
+
+GF_MODELS = [Poisson(Fraction(7, 3)), Geometric(Fraction(1, 3)),
+             Binomial(3, Fraction(2, 3)),
+             Custom(tuple(Fraction(1, j + 1) for j in range(13)))]
+GF_PARAMS = [Params(1, Fraction(0), 1), Params(2, Fraction(-4, 3), 3),
+             Params(3, Fraction(5, 2), 0)]
+
+
+@pytest.mark.parametrize("params", GF_PARAMS, ids=["m1-lam0-r1",
+                                                   "m2-lam-4/3-r3",
+                                                   "m3-lam5/2-r0"])
+@pytest.mark.parametrize("model", GF_MODELS, ids=["poisson", "geometric",
+                                                  "binomial", "custom"])
+def test_rows_match_the_generating_function(model, params):
+    # The rows come from a recurrence; the definition is the oracle:
+    # W(n, k) is coefficient n of (1/k!) K^k e_lam^r(t) with
+    # K = (E[e_lam^(mY)(t)] - 1)/m.
+    m, lam, order = params.m, params.lam, 12
+    kernel = egf_scale(Fraction(1, m),
+                       egf_sub(egf_mgf_degen(model, m, lam, order),
+                               egf_const(1, order)))
+    shift = egf_degen_exp(params.r, lam, order)
+    for k in range(order + 1):
+        series = egf_mul(bell_partial_series(k, kernel), shift)
+        for n in range(order + 1):
+            assert dowling_poly_r(model, params, n).coeff(k) == \
+                egf_coeff(series, n), (n, k)
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_cold_deep_row_stays_shallow():
+    # A cold row 60 must not recurse row by row down to row 0.
+    dowling_mod.clear_caches()
+    moments_mod.clear_caches()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        row = dowling_poly_r(Geometric(Fraction(1, 2)),
+                             Params(2, Fraction(-1, 3), 2), 60)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert row.coeff(0) == degen_falling(2, 60, Fraction(-1, 3))
+    assert row.coeff(60) == 1   # E[Y]^60 with E[Y] = 1
+
+
+def test_stirling2_far_down_a_column():
+    # S(n, 3) = (3^(n-1) - 2^n + 1)/2; n = 1500 is past the default
+    # recursion limit for a row-by-row recursion.
+    assert stirling2(1500, 3) == (3**1499 - 2**1500 + 1) // 2

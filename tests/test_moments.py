@@ -205,3 +205,10 @@ def test_memo_warm_equals_cold(n):
     warm = degen_moment(Y, n, lam)
     moments_mod.clear_caches()
     assert degen_moment(Y, n, lam) == warm
+
+
+def test_sum_of_many_copies_past_the_recursion_limit():
+    # E[2 S_1200] = 2 * 1200 * E[Y]; the 1200-th power of the kernel
+    # series must not recurse once per copy.
+    assert sum_degen_moment(Bernoulli(Fraction(1, 2)), 1200, 2, 0, 1,
+                            Fraction(1, 3)) == 1200
