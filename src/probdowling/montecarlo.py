@@ -6,7 +6,8 @@ value alongside the empirical mean and standard error, so acceptance is
 a 5-sigma comparison, plus a float-rounding allowance, against an
 independently computed rational.  All randomness flows from an explicit
 64-bit seed through numpy's seedable, splittable PCG64 generator; a run
-is reproducible bit for bit.
+is reproducible bit for bit.  numpy is imported on the first draw, not
+with this module, so the exact commands never load it.
 """
 
 from __future__ import annotations
@@ -14,12 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .moments import (Bernoulli, Binomial, Custom, DiscreteUniform, Geometric,
                       MomentModel, PointMass, Poisson, sum_degen_moment)
 from .ratcore import RationalLike, rat
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class SamplerUnsupportedError(ValueError):
@@ -56,6 +59,8 @@ class McEstimate:
 
 def _draw(model: MomentModel, rng: np.random.Generator,
           count: int) -> np.ndarray:
+    import numpy as np
+
     if isinstance(model, PointMass):
         return np.full(count, float(model.c))
     if isinstance(model, Bernoulli):
@@ -78,6 +83,8 @@ def _draw(model: MomentModel, rng: np.random.Generator,
 
 def sample_Y(model: MomentModel, rng_seed: int, count: int) -> np.ndarray:
     """i.i.d. samples of a built-in model, deterministic given the seed."""
+    import numpy as np
+
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     return _draw(model, np.random.default_rng(rng_seed), count)
@@ -96,18 +103,23 @@ def estimate_sum_degen_moment(model: MomentModel, k: int, scale: int,
     if samples < 2:
         raise ValueError(f"need at least 2 samples for a standard error, "
                          f"got {samples}")
+    import numpy as np
+
     lam = rat(lam)
     rng = np.random.default_rng(seed)
-    totals = np.zeros(samples)
-    for _ in range(k):
-        totals += _draw(model, rng, samples)
-    arg = scale * totals + shift
-    values = np.ones(samples)
     lam_f = float(lam)
-    for i in range(n):
-        values = values * (arg - i * lam_f)
-    mean = float(values.mean())
-    std_error = float(values.std(ddof=1) / math.sqrt(samples))
+    try:
+        totals = np.zeros(samples)
+        for _ in range(k):
+            totals += _draw(model, rng, samples)
+        arg = scale * totals + shift
+        values = np.ones(samples)
+        for i in range(n):
+            values = values * (arg - i * lam_f)
+        mean = float(values.mean())
+        std_error = float(values.std(ddof=1) / math.sqrt(samples))
+    except MemoryError as exc:
+        raise ValueError(f"{samples} samples do not fit in memory") from exc
     target = sum_degen_moment(model, k, scale, shift, n, lam)
     return McEstimate(mean=mean, std_error=std_error, samples=samples,
                       target=target)

@@ -27,6 +27,14 @@ class EgfSeries:
             raise ValueError("a series needs at least the constant coefficient")
         object.__setattr__(self, "coeffs", coerced)
 
+    def __hash__(self) -> int:
+        # Memo tables key on series; hash the coefficients once, not per lookup.
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(self.coeffs))
+            return self._hash
+
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1

@@ -3,11 +3,16 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import probdowling
 from probdowling import rat
 from probdowling.cli import COMMANDS, main
 
@@ -230,6 +235,14 @@ GOLDEN_STDOUT = [
     (("--command", "eval", "--model", '{"kind": "poisson", "rate": "7/3"}',
       "--m", "2", "--lambda=4/3", "--r", "3", "--max-n", "24", "--x=-5/4"),
      0, "c566925ed9285e4e1aa5b0fb913ecf7cba55461aee5d8d880bfbfd389f58b0e1"),
+    (("--command", "mc", "--model", '{"kind": "poisson", "rate": "1"}',
+      "--m", "1", "--r", "0", "--lambda", "1/2", "--max-n", "2",
+      "--max-k", "3", "--samples", "100000", "--seed", "7"),
+     0, "3787c493374c787410d40090a5cd292244706e925f0183f27e345e077e5c1b65"),
+    (("--command", "mc", "--model", '{"kind": "geometric", "p": "1/3"}',
+      "--m", "2", "--r", "1", "--lambda=-1/3", "--max-n", "3",
+      "--max-k", "2", "--samples", "20000", "--seed", "11"),
+     0, "ee72a3d4eae3fae014df1ade2d8bb04940afb9381731e6c05f67fdc75eec6100"),
 ]
 
 
@@ -237,7 +250,8 @@ GOLDEN_STDOUT = [
                          ids=["table-json", "table-csv-maxk", "eval",
                               "check", "check-corrupt", "dobinski",
                               "table-csv-r3-n16", "dobinski-r0",
-                              "table-csv-r0-n30", "eval-r3-n24"])
+                              "table-csv-r0-n30", "eval-r3-n24",
+                              "mc-poisson-k3", "mc-geometric-k2"])
 def test_golden_stdout_bytes(capsys, argv, code, digest):
     # Digests of stdout as first released; any refactor must keep them.
     got_code, out, _ = run(capsys, *argv)
@@ -254,6 +268,41 @@ def test_mc_point_mass_rounding_noise_passes(capsys):
                        "--max-k", "2")
     assert code == 0
     assert json.loads(out)["pass"] is True
+
+
+def test_exact_commands_never_load_numpy():
+    # Only the sampler draws, so only `mc` may import numpy.  This pytest
+    # process has numpy loaded already, hence a fresh interpreter.
+    script = textwrap.dedent("""\
+        import contextlib, io, sys
+        import probdowling, probdowling.cli
+        from probdowling.cli import main
+        model = '{"kind": "poisson", "rate": "1"}'
+        with contextlib.redirect_stdout(io.StringIO()):
+            for extra in (["table"], ["eval"], ["check", "--max-n", "2"],
+                          ["dobinski", "--max-n", "2"]):
+                assert main(["--command", *extra, "--model", model]) == 0
+            assert "numpy" not in sys.modules
+            assert main(["--command", "mc", "--model", model,
+                         "--max-n", "2", "--samples", "100"]) == 0
+        assert "numpy" in sys.modules
+    """)
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(probdowling.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_samples_beyond_the_address_space_exit_2(capsys):
+    # 10**15 float64 samples are 8 PB, past any 64-bit address space, so
+    # the allocation fails at once without touching memory.
+    code, out, err = run(capsys, "--command", "mc",
+                         "--model", '{"kind": "poisson", "rate": "1"}',
+                         "--samples", "1000000000000000", "--max-n", "2",
+                         "--max-k", "1")
+    assert code == 2 and out == ""
+    assert "1000000000000000 samples" in err
 
 
 def test_unreadable_model_file_exits_2(tmp_path, capsys):

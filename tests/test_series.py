@@ -113,3 +113,23 @@ def test_coeff_bounds_and_linearity():
         assert egf_coeff(egf_sub(a, b), n) == egf_coeff(a, n) - egf_coeff(b, n)
     assert egf_scale(Fraction(1, 2), a).coeffs == \
         tuple(c / 2 for c in a.coeffs)
+
+
+def test_hash_is_computed_once(monkeypatch):
+    calls = []
+    fraction_hash = Fraction.__hash__
+
+    def counting_hash(self):
+        calls.append(self)
+        return fraction_hash(self)
+
+    s = EgfSeries((1, Fraction(1, 2), Fraction(2, 3)))
+    monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+    first = hash(s)
+    calls.clear()
+    assert hash(s) == first and calls == []
+    monkeypatch.undo()
+    twin = EgfSeries(s.coeffs)
+    assert twin == s and hash(twin) == first
+    assert repr(twin) == repr(s) == \
+        "EgfSeries(coeffs=(Fraction(1, 1), Fraction(1, 2), Fraction(2, 3)))"
