@@ -9,9 +9,10 @@ rows by the paper's degree-raising recurrence, and the generating
 function itself is a test oracle.  The same numbers fall out of three
 other computations (an alternating binomial sum over sums of copies, an
 expansion through degenerate Stirling numbers, and a partial-Bell-
-polynomial form), which are kept as first-class routes: agreement of the
-routes is the library's correctness argument, so none of them is allowed
-to decay into a wrapper around another.
+polynomial form), which are kept as first-class routes of
+``whitney_prob_r`` for every shift r >= 0: agreement of the routes is the
+library's correctness argument, so none of them is allowed to decay into
+a wrapper around another.
 
 Dowling polynomials are the row polynomials sum_k W(n, k) x^k; their
 value at x = 1 is a Dowling number.  ``dobinski_eval`` sums the
@@ -30,10 +31,9 @@ from .bell import bell_partial, bell_partial_series
 from .moments import (MomentModel, degen_moment, egf_mgf_degen,
                       sum_degen_moment, sum_plain_falling_moment)
 from .ratcore import Params, RationalLike, binom, degen_falling, rat
-from .series import egf_coeff, egf_const, egf_degen_exp, egf_sub
+from .series import egf_coeff, egf_const, egf_sub
 
 WHITNEY_ROUTES = ("egf", "alt_sum", "stirling_expand", "bell_form")
-WHITNEY_R_ROUTES = ("egf", "alt_sum")
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,13 +130,30 @@ def stirling2_degen(n: int, k: int, lam: RationalLike) -> Fraction:
 
     Coefficient n of (1/k!) (e_lam(t) - 1)^k; connects the generalized
     falling factorial to the ordinary falling-factorial basis, and
-    reduces to stirling2 at lam = 0.
+    reduces to stirling2 at lam = 0.  Read off a memoized row built by
+    Carlitz's recurrence, so it shares no computation with stirling2_prob.
     """
+    if n < 0 or k < 0:
+        raise ValueError(f"indices must be nonnegative, got ({n}, {k})")
     if k > n:
         return Fraction(0)
-    lam = rat(lam)
-    inner = egf_sub(egf_degen_exp(1, lam, n), egf_const(1, n))
-    return egf_coeff(bell_partial_series(k, inner), n)
+    return _stirling2_degen_row(n, rat(lam))[k]
+
+
+@lru_cache(maxsize=None)
+def _stirling2_degen_row(n: int, lam: Fraction) -> tuple[Fraction, ...]:
+    """Row n of the degenerate Stirling numbers of the second kind, by
+    S(n, k) = S(n-1, k-1) + (k - (n-1) lam) S(n-1, k)."""
+    if n == 0:
+        return (Fraction(1),)
+    # Fill the lower rows upward first, so the call for row n - 1 is a memo
+    # hit (or one frame deep) however large n is.
+    for l in range(n - 1):
+        _stirling2_degen_row(l, lam)
+    prev = _stirling2_degen_row(n - 1, lam) + (Fraction(0),)
+    shift = (n - 1) * lam
+    return (Fraction(0),) + tuple(prev[k - 1] + (k - shift) * prev[k]
+                                  for k in range(1, n + 1))
 
 
 def stirling2_prob(model: MomentModel, n: int, k: int,
@@ -155,63 +172,36 @@ def stirling2_prob(model: MomentModel, n: int, k: int,
 
 def whitney_prob(model: MomentModel, params: Params, n: int, k: int,
                  route: str = "egf") -> Fraction:
-    """Probabilistic degenerate Whitney number W(n, k) (the r = 1 family).
+    """Probabilistic degenerate Whitney number W(n, k): the r = 1 family.
 
-    All four routes return the same rational:
-
-    - "egf": entry k of the memoized row ``dowling_poly_r``, which the
-      degree-raising recurrence builds from the earlier rows (production
-      path; the name is kept because every caller passes it);
-    - "alt_sum": (1/(m^k k!)) sum_j C(k,j) (-1)^(k-j) E[(m S_j + 1)_{n,lam}];
-    - "stirling_expand": the same alternating sum pushed through the
-      degenerate Stirling expansion of the falling factorial, so only
-      ordinary falling-factorial moments of the copy sums appear;
-    - "bell_form": partial Bell polynomials of the scaled moments
-      E[(Y)_{j,lam/m}] m^j, evaluated by partition enumeration.
-
-    k > n returns 0: the generating kernel's series starts at t^k.
+    ``whitney_prob_r`` with shift 1 (params.r is ignored), by any of the
+    same four routes.
     """
-    m, lam = params.m, params.lam
-    if k < 0 or n < 0:
-        raise ValueError(f"indices must be nonnegative, got ({n}, {k})")
-    if k > n:
-        return Fraction(0)
-    if route == "egf" or route == "alt_sum":
-        return whitney_prob_r(model, Params(m, lam, r=1), n, k, route)
-    if route == "stirling_expand":
-        total = Fraction(0)
-        for j in range(n + 1):
-            s = stirling2_degen(n, j, lam)
-            if not s:
-                continue
-            inner = Fraction(0)
-            for l in range(k + 1):
-                term = binom(k, l) * sum_plain_falling_moment(model, l, m, 1, j)
-                inner += term if (k - l) % 2 == 0 else -term
-            total += s * inner
-        return total / (Fraction(m) ** k * math.factorial(k))
-    if route == "bell_form":
-        mu = lam / m
-        args = tuple(degen_moment(model, j, mu) * Fraction(m) ** j
-                     for j in range(1, n - k + 2))
-        total = Fraction(0)
-        for l in range(k, n + 1):
-            b = bell_partial(l, k, args[:l - k + 1])
-            if b:
-                total += binom(n, l) * b * degen_falling(1, n - l, lam)
-        return total / Fraction(m) ** k
-    raise ValueError(f"unknown route {route!r}; expected one of {WHITNEY_ROUTES}")
+    return whitney_prob_r(model, Params(params.m, params.lam, 1), n, k, route)
 
 
 def whitney_prob_r(model: MomentModel, params: Params, n: int, k: int,
                    route: str = "egf") -> Fraction:
     """Probabilistic degenerate r-Whitney number W(n, k) with shift params.r.
 
-    Routes: "egf" reads entry k of the memoized row ``dowling_poly_r``,
-    built by the degree-raising recurrence; "alt_sum" averages
-    (m S_j + r) falling factorials with alternating binomial weights.
-    r = 1 recovers whitney_prob.
+    All four routes return the same rational for every r >= 0:
+
+    - "egf": entry k of the memoized row ``dowling_poly_r``, which the
+      degree-raising recurrence builds from the earlier rows (production
+      path; the name is kept because every caller passes it);
+    - "alt_sum": (1/(m^k k!)) sum_j C(k,j) (-1)^(k-j) E[(m S_j + r)_{n,lam}];
+    - "stirling_expand": the same alternating sum pushed through the
+      degenerate Stirling expansion of the falling factorial, so only
+      ordinary falling-factorial moments of the copy sums appear;
+    - "bell_form": partial Bell polynomials of the scaled moments
+      E[(Y)_{j,lam/m}] m^j, evaluated by partition enumeration and
+      weighted by (r)_{n-l,lam}.
+
+    k > n returns 0: the generating kernel's series starts at t^k.
     """
+    if route not in WHITNEY_ROUTES:
+        raise ValueError(f"unknown route {route!r}; "
+                         f"expected one of {WHITNEY_ROUTES}")
     m, lam, r = params.m, params.lam, params.r
     if k < 0 or n < 0:
         raise ValueError(f"indices must be nonnegative, got ({n}, {k})")
@@ -225,7 +215,28 @@ def whitney_prob_r(model: MomentModel, params: Params, n: int, k: int,
             term = binom(k, j) * sum_degen_moment(model, j, m, r, n, lam)
             total += term if (k - j) % 2 == 0 else -term
         return total / (Fraction(m) ** k * math.factorial(k))
-    raise ValueError(f"unknown route {route!r}; expected one of {WHITNEY_R_ROUTES}")
+    if route == "stirling_expand":
+        total = Fraction(0)
+        for j in range(n + 1):
+            s = stirling2_degen(n, j, lam)
+            if not s:
+                continue
+            inner = Fraction(0)
+            for l in range(k + 1):
+                term = binom(k, l) * sum_plain_falling_moment(model, l, m, r, j)
+                inner += term if (k - l) % 2 == 0 else -term
+            total += s * inner
+        return total / (Fraction(m) ** k * math.factorial(k))
+    # route == "bell_form"
+    mu = lam / m
+    args = tuple(degen_moment(model, j, mu) * Fraction(m) ** j
+                 for j in range(1, n - k + 2))
+    total = Fraction(0)
+    for l in range(k, n + 1):
+        b = bell_partial(l, k, args[:l - k + 1])
+        if b:
+            total += binom(n, l) * b * degen_falling(r, n - l, lam)
+    return total / Fraction(m) ** k
 
 
 @dataclass(frozen=True)
@@ -318,8 +329,8 @@ def dobinski_eval(model: MomentModel, params: Params, n: int,
     x = rat(x)
     if x < 0:
         raise ValueError(f"series argument must be nonnegative, got {x}")
-    if rel_tol <= 0:
-        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
+    if not (math.isfinite(rel_tol) and rel_tol > 0):
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
     m, lam, r = params.m, params.lam, params.r
 
     partial = Fraction(0)
@@ -355,4 +366,5 @@ def dowling_derivative(model: MomentModel, params: Params, n: int,
 
 def clear_caches() -> None:
     stirling2.cache_clear()
+    _stirling2_degen_row.cache_clear()
     dowling_poly_r.cache_clear()

@@ -109,65 +109,31 @@ def check_recurrence(model: MomentModel, params: Params,
     return _report("recurrence", model, params, {"n": n}, lhs, rhs)
 
 
-# Bivariate polynomials in (x, y) as {(i, j): coeff} with zero entries dropped.
-
-def _biv_trim(p: dict) -> dict:
-    return {ij: c for ij, c in p.items() if c}
-
-
-def _biv_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for ij, c in b.items():
-        out[ij] = out.get(ij, Fraction(0)) + c
-    return _biv_trim(out)
-
-
-def _biv_scaled(a: dict, c: Fraction) -> dict:
-    return _biv_trim({ij: c * v for ij, v in a.items()})
-
-
-def _biv_substitute_sum(p: PolyX) -> dict:
-    """p(x + y) expanded over monomials x^i y^(d-i)."""
-    out: dict = {}
-    for d, c in enumerate(p.coeffs):
-        if not c:
-            continue
-        for i in range(d + 1):
-            key = (i, d - i)
-            out[key] = out.get(key, Fraction(0)) + c * binom(d, i)
-    return _biv_trim(out)
-
-
-def _biv_outer(px: PolyX, py: PolyX) -> dict:
-    """Product px(x) * py(y)."""
-    out: dict = {}
-    for i, cx in enumerate(px.coeffs):
-        if not cx:
-            continue
-        for j, cy in enumerate(py.coeffs):
-            if cy:
-                out[(i, j)] = out.get((i, j), Fraction(0)) + cx * cy
-    return _biv_trim(out)
-
-
 def check_convolution(model: MomentModel, params: Params,
                       n: int) -> IdentityReport:
     """The twisted convolution law that replaces the binomial identity.
 
     sum_k C(n,k) (1)_{n-k,lam} D(k, x+y)
         = sum_k C(n,k) D(n-k, x) D(k, y),
-    as an exact bivariate polynomial identity.
+    as an exact bivariate polynomial identity; each side is a dict
+    {(i, j): coefficient of x^i y^j} with zero entries dropped.
     """
     lam = params.lam
     lhs: dict = {}
     rhs: dict = {}
     for k in range(n + 1):
-        dk = dowling_poly(model, params, k)
-        w = binom(n, k) * degen_falling(1, n - k, lam)
-        if w:
-            lhs = _biv_add(lhs, _biv_scaled(_biv_substitute_sum(dk), w))
-        rhs = _biv_add(rhs, _biv_scaled(
-            _biv_outer(dowling_poly(model, params, n - k), dk), binom(n, k)))
+        dk = dowling_poly(model, params, k).coeffs
+        b = binom(n, k)
+        w = b * degen_falling(1, n - k, lam)
+        # D(k, x+y) expanded over monomials x^i y^(d-i)
+        for d, c in enumerate(dk):
+            for i in range(d + 1):
+                lhs[i, d - i] = lhs.get((i, d - i), 0) + w * c * binom(d, i)
+        for i, cx in enumerate(dowling_poly(model, params, n - k).coeffs):
+            for j, cy in enumerate(dk):
+                rhs[i, j] = rhs.get((i, j), 0) + b * cx * cy
+    lhs = {ij: c for ij, c in lhs.items() if c}
+    rhs = {ij: c for ij, c in rhs.items() if c}
     return _report("convolution", model, params, {"n": n}, lhs, rhs)
 
 

@@ -301,24 +301,24 @@ def model_from_config(config: Mapping[str, object]) -> MomentModel:
                  else rat(_str_or_int(config[name])) for name in names))
 
 
+_CLS_TO_KIND = {cls: kind for kind, cls in _KIND_TO_CLS.items()}
+
+
 def model_to_config(model: MomentModel) -> dict:
     """Inverse of model_from_config; rationals become "num/den" strings."""
     from .ratcore import format_rational as fr
-    if isinstance(model, PointMass):
-        return {"kind": "pointmass", "c": fr(model.c)}
-    if isinstance(model, Bernoulli):
-        return {"kind": "bernoulli", "p": fr(model.p)}
-    if isinstance(model, Binomial):
-        return {"kind": "binomial", "trials": model.trials, "p": fr(model.p)}
-    if isinstance(model, DiscreteUniform):
-        return {"kind": "discreteuniform", "max": model.max}
-    if isinstance(model, Poisson):
-        return {"kind": "poisson", "rate": fr(model.rate)}
-    if isinstance(model, Geometric):
-        return {"kind": "geometric", "p": fr(model.p)}
-    if isinstance(model, Custom):
-        return {"kind": "custom", "moments": [fr(v) for v in model.moments]}
-    raise TypeError(f"not a moment model: {model!r}")
+    if type(model) not in _CLS_TO_KIND:
+        raise TypeError(f"not a moment model: {model!r}")
+    config: dict = {"kind": _CLS_TO_KIND[type(model)]}
+    for f in fields(model):
+        value = getattr(model, f.name)
+        if isinstance(value, int):
+            config[f.name] = value
+        elif isinstance(value, tuple):
+            config[f.name] = [fr(v) for v in value]
+        else:
+            config[f.name] = fr(value)
+    return config
 
 
 def _str_or_int(value: object) -> RationalLike:

@@ -11,6 +11,7 @@ from probdowling import (Bernoulli, Binomial, Custom, Geometric, Params,
                          egf_exp, egf_mul, egf_scale, egf_sub, egf_mgf_degen,
                          falling, raw_moment, stirling2, stirling2_degen,
                          stirling2_prob, whitney_prob, whitney_prob_r)
+from probdowling import bell as bell_mod
 from probdowling import dowling as dowling_mod
 from probdowling import moments as moments_mod
 from probdowling.dowling import WHITNEY_ROUTES, POLY_ZERO
@@ -57,6 +58,10 @@ def test_stirling2_degen_frozen():
     for n in range(9):
         for k in range(n + 1):
             assert stirling2_degen(n, k, Fraction(0)) == stirling2(n, k)
+    with pytest.raises(ValueError):
+        stirling2_degen(-1, 0, lam)
+    with pytest.raises(ValueError):
+        stirling2_degen(3, -1, lam)
 
 
 @pytest.mark.parametrize("lam", lam_values)
@@ -77,6 +82,33 @@ def test_stirling2_prob_point_mass_bridge(lam):
                 stirling2_degen(n, k, lam)
 
 
+def test_stirling_bridge_sides_reach_different_memo_tables():
+    # stirling2_degen reads its own recurrence row; only stirling2_prob goes
+    # through the series power, so the bridge compares two computations.
+    lam = Fraction(1, 3)
+    dowling_mod.clear_caches()
+    bell_mod.clear_caches()
+    degen = stirling2_degen(6, 3, lam)
+    assert bell_partial_series.cache_info().misses == 0
+    assert stirling2_prob(PM1, 6, 3, lam) == degen
+    assert bell_partial_series.cache_info().misses > 0
+
+
+def test_cold_deep_stirling2_degen_row_stays_shallow():
+    # A cold row 200 must not recurse row by row down to row 0.
+    lam = Fraction(-1, 3)
+    dowling_mod.clear_caches()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        first = stirling2_degen(200, 1, lam)
+    finally:
+        sys.setrecursionlimit(limit)
+    # S(n, 1) is coefficient n of e_lam(t) - 1, i.e. (1)_{n,lam}.
+    assert first == degen_falling(1, 200, lam)
+    assert stirling2_degen(200, 200, lam) == 1
+
+
 def test_stirling2_prob_examples():
     assert stirling2_prob(BE, 0, 0, Fraction(2, 7)) == 1
     assert stirling2_prob(BE, 1, 1, Fraction(2, 7)) == Fraction(1, 2)
@@ -91,16 +123,26 @@ def test_whitney_frozen_values():
 
 
 def test_whitney_four_route_agreement_small_grid():
-    # Exhaustive coverage at full bounds lives in the acceptance suite.
+    # Exhaustive r = 1 coverage at full bounds lives in the acceptance suite.
     Y = Poisson(Fraction(1))
-    for m in (1, 2):
-        for lam in (Fraction(0), Fraction(-1, 3)):
-            params = Params(m, lam, 1)
-            for n in range(6):
-                for k in range(n + 1):
-                    values = {route: whitney_prob(Y, params, n, k, route)
-                              for route in WHITNEY_ROUTES}
-                    assert len(set(values.values())) == 1, (m, lam, n, k, values)
+    for r in (0, 1, 2, 3):
+        for m in (1, 2):
+            for lam in (Fraction(0), Fraction(-1, 3)):
+                params = Params(m, lam, r)
+                for n in range(6):
+                    for k in range(n + 1):
+                        values = {route: whitney_prob_r(Y, params, n, k, route)
+                                  for route in WHITNEY_ROUTES}
+                        assert len(set(values.values())) == 1, \
+                            (r, m, lam, n, k, values)
+
+
+def test_unknown_route_is_rejected_for_every_index():
+    for k in (1, 5):   # k <= n and k > n
+        with pytest.raises(ValueError, match="unknown route"):
+            whitney_prob(BE, P213, 2, k, "bogus")
+        with pytest.raises(ValueError, match="unknown route"):
+            whitney_prob_r(BE, Params(2, Fraction(1, 3), 2), 2, k, "bogus")
 
 
 def test_whitney_r_boundaries_and_reduction():
@@ -191,6 +233,12 @@ def test_dobinski_domain_and_cap_errors():
         dobinski_eval(BE, P213, 2, Fraction(-1), 1e-10)
     with pytest.raises(ValueError):
         dobinski_eval(BE, P213, 2, 1, 0.0)
+    # An infinite tolerance stops at once (6.56 where the value is 20), and
+    # a NaN one never stops; both are rejected up front.
+    params = Params(1, Fraction(1, 2), 1)
+    for tol in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="rel_tol"):
+            dobinski_eval(Poisson(Fraction(1)), params, 2, 3, tol)
     with pytest.raises(RuntimeError):
         dobinski_eval(BE, P213, 2, 40, 1e-12, max_terms=5)
 

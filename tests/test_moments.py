@@ -186,6 +186,14 @@ def test_config_round_trip():
                               Custom((Fraction(1), Fraction(1, 2)))]
     for Y in models:
         assert model_from_config(model_to_config(Y)) == Y
+    assert model_to_config(Binomial(3, Fraction(1, 3))) == \
+        {"kind": "binomial", "trials": 3, "p": "1/3"}
+    assert model_to_config(DiscreteUniform(4)) == \
+        {"kind": "discreteuniform", "max": 4}
+    assert model_to_config(Custom((Fraction(1), Fraction(-1, 2)))) == \
+        {"kind": "custom", "moments": ["1", "-1/2"]}
+    with pytest.raises(TypeError):
+        model_to_config(Fraction(1, 2))
     assert model_from_config({"kind": "bernoulli", "p": "1/2"}) == \
         Bernoulli(Fraction(1, 2))
     with pytest.raises(ValueError):
