@@ -4,7 +4,8 @@ exact moment sequences; every structural identity of the family is
 checkable by multi-route computation to exact rational equality.
 """
 
-from .bell import bell_complete, bell_partial, bell_partial_series
+from .bell import (bell_complete, bell_partial, bell_partial_row,
+                   bell_partial_series)
 from .dowling import (PolyX, WhitneyTriangle, dobinski_eval, dowling_derivative,
                       dowling_number, dowling_poly, dowling_poly_r, stirling2,
                       stirling2_degen, stirling2_prob, whitney_prob,

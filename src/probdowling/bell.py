@@ -6,20 +6,23 @@ with l_1 + l_2 + ... = k blocks and l_1 + 2*l_2 + ... = n elements, each
 contributing n!/(l_1!...l_j!) * prod (x_i/i!)^{l_i}.  The series route
 ``bell_partial_series`` reads the same numbers off the k-th power of an
 EGF.  The enumeration is the cross-check oracle; the series route is the
-production path used by the higher-level modules.
+production path used by the higher-level modules.  ``bell_partial_row``
+runs the same power chain once for every k of one n, over arguments that
+may be polynomials in x; ``identities`` proves its laws in x with it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
-from typing import Sequence
+from math import comb, factorial
+from typing import Sequence, TypeVar
 
 from .ratcore import RationalLike, rat
 from .series import EgfSeries, egf_const, egf_mul, egf_scale
 
 BellArgs = Sequence[RationalLike]
+Ring = TypeVar("Ring")
 
 
 def bell_partial(n: int, k: int, args: BellArgs) -> Fraction:
@@ -90,6 +93,38 @@ def bell_partial_series(k: int, inner: EgfSeries) -> EgfSeries:
         bell_partial_series(j, inner)
     prev = bell_partial_series(k - 1, inner)
     return egf_scale(Fraction(1, k), egf_mul(prev, inner))
+
+
+def bell_partial_row(n: int, args: Sequence[Ring],
+                     one: Ring) -> tuple[Ring, ...]:
+    """B_{n,k}(x_1, ..., x_{n-k+1}) for k = 0..n, from one power chain.
+
+    The x_i may come from any commutative ring over the rationals, such as
+    polynomials in a second variable; ``one`` is that ring's unit.  `args`
+    holds x_1..x_n in full, so every k reads the same chain: power k of
+    sum_i x_i t^i / i!, over k!, is power k - 1 times that series over k,
+    filled upward as in ``bell_partial_series`` but not memoized.
+    """
+    if n < 0:
+        raise ValueError(f"index must be nonnegative, got {n}")
+    if len(args) < n:
+        raise ValueError(
+            f"B_({n},k) needs {n} arguments x_1..x_{n}, got {len(args)}")
+    zero = 0 * one
+    # weighted[j][i] = C(j, i) x_i, the same for every power.
+    weighted = [[zero] + [comb(j, i) * args[i - 1] for i in range(1, j + 1)]
+                for j in range(n + 1)]
+    power = [one] + [zero] * n          # power 0: the constant series 1
+    row = [power[n]]
+    for k in range(1, n + 1):
+        # Coefficients of power k - 1 below t^(k-1) vanish, so coefficient
+        # j of power k reads x_1..x_(j-k+1) only.
+        power = [zero] * k + [
+            sum((weighted[j][i] * power[j - i] for i in range(1, j - k + 2)),
+                zero) * Fraction(1, k)
+            for j in range(k, n + 1)]
+        row.append(power[n])
+    return tuple(row)
 
 
 def bell_complete(n: int, args: BellArgs) -> Fraction:

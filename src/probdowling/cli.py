@@ -33,7 +33,8 @@ from .ratcore import Params, format_rational, rat
 
 COMMANDS = ("table", "eval", "check", "dobinski", "mc")
 
-# x values used for the scalar polynomial identities in `check`.
+# x values at which `check` prints the sides of the identities in x.  Each
+# verdict is polynomial equality, so the points choose only what is printed.
 CHECK_X_POINTS = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3),
                   Fraction(-1, 2))
 

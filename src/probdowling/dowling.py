@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 from .bell import bell_partial, bell_partial_series
 from .moments import (MomentModel, degen_moment, egf_mgf_degen,
@@ -90,8 +91,17 @@ class PolyX:
             merged[i] += c
         return PolyX(tuple(merged))
 
-    def __mul__(self, scalar: RationalLike) -> "PolyX":
-        c = rat(scalar)
+    def __mul__(self, other: "RationalLike | PolyX") -> "PolyX":
+        """Product with a rational scalar or with another polynomial."""
+        if isinstance(other, PolyX):
+            b = other.coeffs
+            out = [Fraction(0)] * (len(self.coeffs) + len(b) - 1)
+            for i, ca in enumerate(self.coeffs):
+                if ca:
+                    for j, cb in enumerate(b):
+                        out[i + j] += ca * cb
+            return PolyX(tuple(out))
+        c = rat(other)
         return PolyX(tuple(c * v for v in self.coeffs))
 
     __rmul__ = __mul__
@@ -163,6 +173,8 @@ def stirling2_prob(model: MomentModel, n: int, k: int,
     Coefficient n of (1/k!) (E[e_lam^Y(t)] - 1)^k; equals stirling2_degen
     when Y is the point mass at 1.
     """
+    if n < 0 or k < 0:
+        raise ValueError(f"indices must be nonnegative, got ({n}, {k})")
     if k > n:
         return Fraction(0)
     lam = rat(lam)
@@ -331,6 +343,8 @@ def dobinski_eval(model: MomentModel, params: Params, n: int,
         raise ValueError(f"series argument must be nonnegative, got {x}")
     if not (math.isfinite(rel_tol) and rel_tol > 0):
         raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
+    if max_terms < 0:
+        raise ValueError(f"max_terms must be nonnegative, got {max_terms}")
     m, lam, r = params.m, params.lam, params.r
 
     partial = Fraction(0)
@@ -364,7 +378,22 @@ def dowling_derivative(model: MomentModel, params: Params, n: int,
     return dowling_poly(model, params, n).derivative(k)
 
 
+@lru_cache(maxsize=None)
+def polynomial_sides(sides: Callable[[MomentModel, Params, int], object],
+                     model: MomentModel, params: Params, n: int) -> object:
+    """``sides(model, params, n)``, memoized.
+
+    ``identities`` proves each of its identities in the argument x once per
+    degree n: `sides` builds both sides as PolyX polynomials, for every
+    column k at once, and the scalar checks at each x read them from here.
+    The formulas stay in ``identities``; the table lives with the Dowling
+    family's other memo tables, so ``clear_caches`` drops it.
+    """
+    return sides(model, params, n)
+
+
 def clear_caches() -> None:
     stirling2.cache_clear()
     _stirling2_degen_row.cache_clear()
     dowling_poly_r.cache_clear()
+    polynomial_sides.cache_clear()

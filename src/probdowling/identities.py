@@ -3,9 +3,16 @@ verified to exact rational equality at caller-chosen parameter points.
 
 Each check computes both sides of one identity through routes that share
 as little code as possible and returns an ``IdentityReport`` carrying the
-two exact values, so a failure is diagnosable without re-running.  Scalar
-identities in the polynomial argument x hold as polynomial identities
-once they hold at degree+1 distinct points; callers batch the x values.
+two exact values, so a failure is diagnosable without re-running.
+
+The three laws in the polynomial argument x (``check_binom_bell``,
+``check_bell_rwhitney``, ``check_stirling_bell``) are proven, not
+sampled: both sides are built once per degree n as PolyX polynomials in
+x, for every column k at once, and memoized in
+``dowling.polynomial_sides``.  Their Bell sides come from one power chain
+whose arguments are polynomials in x (``bell.bell_partial_row``).  A call
+at one x reports the two sides' values there, and ``passed`` is equality
+of the polynomials, so the verdict is the same at every x.
 
 Check functions are pure and independent of one another.
 """
@@ -17,12 +24,12 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional, Sequence
 
-from .bell import bell_args_series, bell_partial_series
-from .dowling import (PolyX, dowling_number, dowling_poly, stirling2,
-                      stirling2_prob, whitney_prob, whitney_prob_r)
+from .bell import bell_args_series, bell_partial_row, bell_partial_series
+from .dowling import (POLY_ONE, POLY_ZERO, PolyX, dowling_number, dowling_poly,
+                      polynomial_sides, stirling2, stirling2_prob,
+                      whitney_prob, whitney_prob_r)
 from .moments import MomentModel, degen_moment, egf_mgf_degen, sum_degen_moment
-from .ratcore import (Params, RationalLike, binom, binom_general,
-                      degen_falling, rat)
+from .ratcore import Params, RationalLike, binom, degen_falling, rat
 from .series import egf_coeff
 
 
@@ -31,7 +38,9 @@ class IdentityReport:
     """Outcome of checking one identity at one parameter point.
 
     ``lhs`` and ``rhs`` are exact (a Fraction, a PolyX, or a bivariate
-    coefficient dict); ``passed`` is exact equality of the two.
+    coefficient dict); ``passed`` is exact equality of the two, except
+    for the x-identities, whose values at x are reported and whose
+    ``passed`` is equality of the two sides as polynomials in x.
     """
 
     theorem_id: str
@@ -145,17 +154,23 @@ def check_binom_bell(model: MomentModel, params: Params, n: int,
         = sum_k C(x,k) k! B_{n,k}(D(1), ..., D(n-k+1)),
     where D(j) are Dowling numbers (the polynomials at 1).
     """
+    _require_indices(n)
     x = rat(x)
-    lam = params.lam
-    lhs = sum((binom(n, k) * degen_falling(x - 1, n - k, lam)
-               * dowling_poly(model, params, k).evaluate(x)
-               for k in range(n + 1)), Fraction(0))
+    lhs, rhs = polynomial_sides(_binom_bell_sides, model, params, n)
+    return _x_report("binomial_bell", model, params, {"n": n, "x": x},
+                     lhs, rhs, x)
+
+
+def _binom_bell_sides(model: MomentModel, params: Params,
+                      n: int) -> tuple[PolyX, PolyX]:
+    shifted = _falling_polys(-1, n, params.lam)   # (x-1)_{j,lam}
+    plain = _falling_polys(0, n, Fraction(1))     # (x)_j = C(x,j) j!
+    lhs = sum((binom(n, k) * shifted[n - k] * dowling_poly(model, params, k)
+               for k in range(n + 1)), POLY_ZERO)
     numbers = [dowling_number(model, params, j) for j in range(1, n + 1)]
-    inner = bell_args_series(numbers, max(n, 1))
-    rhs = sum((binom_general(x, k) * factorial(k)
-               * egf_coeff(bell_partial_series(k, inner), n)
-               for k in range(n + 1)), Fraction(0))
-    return _report("binomial_bell", model, params, {"n": n, "x": x}, lhs, rhs)
+    bell = bell_partial_row(n, numbers, Fraction(1))
+    rhs = sum((bell[k] * plain[k] for k in range(n + 1)), POLY_ZERO)
+    return lhs, rhs
 
 
 def check_bell_rwhitney(model: MomentModel, params: Params, n: int, k: int,
@@ -166,19 +181,25 @@ def check_bell_rwhitney(model: MomentModel, params: Params, n: int, k: int,
     sum_{j<=n-k} C(n,k) k^j x^j W_(r=k)(n-k, j)
         = B_{n,k}(1*D(0,x), 2*D(1,x), ..., (n-k+1)*D(n-k,x)).
     """
-    if k > n:
-        raise ValueError(f"need k <= n, got k={k}, n={n}")
+    _require_indices(n, k)
     x = rat(x)
-    params_k = Params(params.m, params.lam, r=k)
-    lhs = sum((binom(n, k) * Fraction(k)**j * x**j
-               * whitney_prob_r(model, params_k, n - k, j)
-               for j in range(n - k + 1)), Fraction(0))
-    args = [(i + 1) * dowling_poly(model, params, i).evaluate(x)
-            for i in range(n - k + 1)]
-    inner = bell_args_series(args, max(n, 1))
-    rhs = egf_coeff(bell_partial_series(k, inner), n)
-    return _report("bell_r_whitney", model, params,
-                   {"n": n, "k": k, "x": x}, lhs, rhs)
+    lhs, rhs = polynomial_sides(_bell_rwhitney_sides, model, params, n)[k]
+    return _x_report("bell_r_whitney", model, params,
+                     {"n": n, "k": k, "x": x}, lhs, rhs, x)
+
+
+def _bell_rwhitney_sides(model: MomentModel, params: Params,
+                         n: int) -> tuple[tuple[PolyX, PolyX], ...]:
+    args = [i * dowling_poly(model, params, i - 1) for i in range(1, n + 1)]
+    bell = bell_partial_row(n, args, POLY_ONE)
+    sides = []
+    for k in range(n + 1):
+        params_k = Params(params.m, params.lam, r=k)
+        lhs = PolyX(tuple(binom(n, k) * Fraction(k)**j
+                          * whitney_prob_r(model, params_k, n - k, j)
+                          for j in range(n - k + 1)))
+        sides.append((lhs, bell[k]))
+    return tuple(sides)
 
 
 def check_stirling_bell(model: MomentModel, params: Params, n: int, k: int,
@@ -189,19 +210,52 @@ def check_stirling_bell(model: MomentModel, params: Params, n: int, k: int,
     B_{n,k}(D(1,x) - (1)_{1,lam}, ..., D(n-k+1,x) - (1)_{n-k+1,lam})
         = sum_{j=k}^n S2(j,k) W_(r=k)(n, j) x^j.
     """
+    _require_indices(n, k)
+    x = rat(x)
+    lhs, rhs = polynomial_sides(_stirling_bell_sides, model, params, n)[k]
+    return _x_report("stirling_bell", model, params,
+                     {"n": n, "k": k, "x": x}, lhs, rhs, x)
+
+
+def _stirling_bell_sides(model: MomentModel, params: Params,
+                         n: int) -> tuple[tuple[PolyX, PolyX], ...]:
+    args = [dowling_poly(model, params, i)
+            + PolyX((-degen_falling(1, i, params.lam),))
+            for i in range(1, n + 1)]
+    bell = bell_partial_row(n, args, POLY_ONE)
+    sides = []
+    for k in range(n + 1):
+        params_k = Params(params.m, params.lam, r=k)
+        rhs = PolyX(tuple(stirling2(j, k)
+                          * whitney_prob_r(model, params_k, n, j)
+                          for j in range(n + 1)))
+        sides.append((bell[k], rhs))
+    return tuple(sides)
+
+
+def _falling_polys(shift: int, n: int, lam: Fraction) -> list[PolyX]:
+    """(x + shift)_{j,lam} as polynomials in x, for j = 0..n."""
+    out = [POLY_ONE]
+    for i in range(n):
+        out.append(out[-1] * PolyX((shift - i * lam, 1)))
+    return out
+
+
+def _x_report(theorem_id: str, model, params, bounds, lhs: PolyX, rhs: PolyX,
+              x: Fraction) -> IdentityReport:
+    """Report the two sides' values at x; ``passed`` is equality of the
+    polynomials, so it holds for every x or for none."""
+    return IdentityReport(theorem_id, model, params, bounds, lhs.evaluate(x),
+                          rhs.evaluate(x), passed=(lhs == rhs))
+
+
+def _require_indices(n: int, k: int = 0) -> None:
+    """ValueError naming the index for a negative n or k, or for k > n."""
+    for name, value in (("n", n), ("k", k)):
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
     if k > n:
         raise ValueError(f"need k <= n, got k={k}, n={n}")
-    x = rat(x)
-    lam = params.lam
-    args = [dowling_poly(model, params, i).evaluate(x) - degen_falling(1, i, lam)
-            for i in range(1, n - k + 2)]
-    inner = bell_args_series(args, max(n, 1))
-    lhs = egf_coeff(bell_partial_series(k, inner), n)
-    params_k = Params(params.m, params.lam, r=k)
-    rhs = sum((stirling2(j, k) * whitney_prob_r(model, params_k, n, j) * x**j
-               for j in range(k, n + 1)), Fraction(0))
-    return _report("stirling_bell", model, params,
-                   {"n": n, "k": k, "x": x}, lhs, rhs)
 
 
 def check_derivative(model: MomentModel, params: Params, n: int,

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from probdowling import (EgfSeries, bell_complete, bell_partial,
+from probdowling import (EgfSeries, PolyX, bell_complete, bell_partial,
                          bell_partial_series, egf_coeff, egf_exp)
-from probdowling.bell import bell_args_series
+from probdowling.bell import bell_args_series, bell_partial_row
+from probdowling.dowling import POLY_ONE
 
 from oracles import bell_partial_brute, bell_brute
 
@@ -92,3 +93,30 @@ def test_argument_length_errors():
 def test_series_power_far_past_the_recursion_limit():
     # (t)^k / k! truncated at order 1 vanishes for every k >= 2.
     assert bell_partial_series(1200, EgfSeries((0, 1))).coeffs == (0, 0)
+
+
+def test_polynomial_chain_matches_the_rational_chain_at_random_points():
+    # Arguments that are polynomials in x: the chain's B_{n,k}, evaluated at
+    # x, must equal the rational chain of the evaluated arguments.
+    rng = random.Random(23)
+    for n in range(9):
+        args = [PolyX(tuple(random_args(rng, rng.randint(1, 4))))
+                for _ in range(n)]
+        row = bell_partial_row(n, args, POLY_ONE)
+        assert len(row) == n + 1
+        for _ in range(3):
+            x = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
+            inner = bell_args_series([a.evaluate(x) for a in args], max(n, 1))
+            for k in range(n + 1):
+                assert row[k].evaluate(x) == \
+                    egf_coeff(bell_partial_series(k, inner), n)
+
+
+def test_rational_chain_matches_enumeration():
+    rng = random.Random(29)
+    for n in range(9):
+        args = random_args(rng, n)
+        row = bell_partial_row(n, args, Fraction(1))
+        assert row == tuple(bell_partial(n, k, args) for k in range(n + 1))
+    with pytest.raises(ValueError, match="4 arguments"):
+        bell_partial_row(4, [1, 2, 3], Fraction(1))

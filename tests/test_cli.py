@@ -243,6 +243,14 @@ GOLDEN_STDOUT = [
       "--m", "2", "--r", "1", "--lambda=-1/3", "--max-n", "3",
       "--max-k", "2", "--samples", "20000", "--seed", "11"),
      0, "ee72a3d4eae3fae014df1ade2d8bb04940afb9381731e6c05f67fdc75eec6100"),
+    (("--command", "check", "--model", '{"kind": "geometric", "p": "1/2"}',
+      "--m", "3", "--lambda", "1/2", "--max-n", "9"),
+     0, "04371480d4bc5ea7ff8c0e0080c06013a9be403232fa345b1463e0a271b2bed0"),
+    (("--command", "check", "--model",
+      '{"kind": "custom", "moments": ["1", "1/3", "2/5", "1/2", "3/4", "1", '
+      '"2", "5", "9"]}',
+      "--m", "2", "--lambda=-2/3", "--r", "2", "--max-n", "7"),
+     0, "e8858230ba24817cc4b105d32aee86a2aff63d23af1f71f452b22e0f12e6a772"),
 ]
 
 
@@ -251,7 +259,8 @@ GOLDEN_STDOUT = [
                               "check", "check-corrupt", "dobinski",
                               "table-csv-r3-n16", "dobinski-r0",
                               "table-csv-r0-n30", "eval-r3-n24",
-                              "mc-poisson-k3", "mc-geometric-k2"])
+                              "mc-poisson-k3", "mc-geometric-k2",
+                              "check-n9", "check-custom-r2-n7"])
 def test_golden_stdout_bytes(capsys, argv, code, digest):
     # Digests of stdout as first released; any refactor must keep them.
     got_code, out, _ = run(capsys, *argv)

@@ -41,6 +41,13 @@ def test_polyx_behavior():
     assert PolyX(()).degree == -1
 
 
+def test_polyx_product():
+    p = PolyX((1, 2, 0))
+    assert p * PolyX((-1, 2)) == PolyX((-1, 0, 4))
+    assert p * POLY_ZERO == POLY_ZERO
+    assert (p * p).evaluate(Fraction(-3, 2)) == p.evaluate(Fraction(-3, 2))**2
+
+
 def test_stirling2_frozen_and_brute():
     assert stirling2(0, 0) == 1
     assert stirling2(4, 2) == 7
@@ -112,6 +119,13 @@ def test_cold_deep_stirling2_degen_row_stays_shallow():
 def test_stirling2_prob_examples():
     assert stirling2_prob(BE, 0, 0, Fraction(2, 7)) == 1
     assert stirling2_prob(BE, 1, 1, Fraction(2, 7)) == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("n,k", [(-1, 0), (0, -1), (-2, -1), (3, -1)])
+def test_stirling2_prob_rejects_negative_indices(n, k):
+    # Like stirling2 and stirling2_degen, and before the k > n shortcut.
+    with pytest.raises(ValueError, match="nonnegative"):
+        stirling2_prob(PM1, n, k, 0)
 
 
 def test_whitney_frozen_values():
@@ -241,6 +255,11 @@ def test_dobinski_domain_and_cap_errors():
             dobinski_eval(Poisson(Fraction(1)), params, 2, 3, tol)
     with pytest.raises(RuntimeError):
         dobinski_eval(BE, P213, 2, 40, 1e-12, max_terms=5)
+
+
+def test_dobinski_rejects_a_negative_term_cap():
+    with pytest.raises(ValueError, match="max_terms"):
+        dobinski_eval(BE, Params(2, Fraction(1, 3)), 2, 1, 1e-10, max_terms=-1)
 
 
 def test_dowling_derivative():

@@ -4,11 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from probdowling import (Bernoulli, DiscreteUniform, Params, PointMass,
-                         Poisson, check_bell_expansion, check_bell_rwhitney,
-                         check_binom_bell, check_binomial_inversion,
-                         check_convolution, check_derivative, check_recurrence,
+from probdowling import (Bernoulli, DiscreteUniform, Geometric, Params,
+                         PointMass, Poisson, PolyX, check_bell_expansion,
+                         check_bell_rwhitney, check_binom_bell,
+                         check_binomial_inversion, check_convolution,
+                         check_derivative, check_recurrence,
                          check_stirling_bell, check_sum_identity, dowling_poly)
+from probdowling import dowling as dowling_mod
+from probdowling import identities
+from probdowling.cli import CHECK_X_POINTS
 
 MODELS = [PointMass(Fraction(1)), Bernoulli(Fraction(1, 2)),
           DiscreteUniform(2), Poisson(Fraction(1))]
@@ -110,6 +114,55 @@ def test_checks_hold_at_degree_ten_spot():
         assert check_bell_rwhitney(Y, params, 10, 4, Fraction(2)).passed
         assert check_stirling_bell(Y, params, 10, 4, Fraction(2)).passed
         assert check_derivative(Y, params, 10, 3).passed
+
+
+@pytest.fixture
+def cold_dowling_caches():
+    # The proven sides are memoized per degree: start cold, and drop
+    # whatever the test computed from a patched input.
+    dowling_mod.clear_caches()
+    yield
+    dowling_mod.clear_caches()
+
+
+def test_defect_vanishing_at_the_check_points_fails(monkeypatch,
+                                                    cold_dowling_caches):
+    # D(6, x) gains (7/5) prod (x - x_i) over the points `check` prints.  The
+    # two sides still agree at each of those points, so a pass read off
+    # the values would hide the defect; the polynomials differ.
+    coeffs = [Fraction(7, 5)]
+    for xi in CHECK_X_POINTS:
+        # multiply by (x - xi)
+        coeffs = [a - xi * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    bump = PolyX(tuple(coeffs))
+    assert all(bump.evaluate(xi) == 0 for xi in CHECK_X_POINTS)
+    assert bump.degree == len(CHECK_X_POINTS)
+    real = identities.dowling_poly
+
+    def perturbed(model, params, n):
+        row = real(model, params, n)
+        return row + bump if n == 6 else row
+
+    monkeypatch.setattr(identities, "dowling_poly", perturbed)
+    Y, params = Geometric(Fraction(1, 2)), Params(3, Fraction(1, 2))
+    for x in CHECK_X_POINTS:
+        for rep in (check_stirling_bell(Y, params, 6, 1, x),
+                    check_bell_rwhitney(Y, params, 7, 1, x)):
+            assert rep.lhs == rep.rhs
+            assert not rep.passed, rep
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda Y, P: check_binom_bell(Y, P, -1, 2), "n"),
+    (lambda Y, P: check_bell_rwhitney(Y, P, -1, 0, 2), "n"),
+    (lambda Y, P: check_bell_rwhitney(Y, P, 3, -1, 2), "k"),
+    (lambda Y, P: check_stirling_bell(Y, P, -1, 0, 2), "n"),
+    (lambda Y, P: check_stirling_bell(Y, P, 3, -1, 2), "k"),
+], ids=["binom_bell-n", "bell_rwhitney-n", "bell_rwhitney-k",
+        "stirling_bell-n", "stirling_bell-k"])
+def test_x_identities_reject_negative_indices(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be nonnegative"):
+        call(MODELS[1], PARAM_GRID[1])
 
 
 def test_binomial_inversion_frozen():
