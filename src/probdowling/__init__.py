@@ -7,7 +7,7 @@ checkable by multi-route computation to exact rational equality.
 from .bell import (bell_complete, bell_partial, bell_partial_row,
                    bell_partial_series)
 from .dowling import (PolyX, WhitneyTriangle, dobinski_eval, dowling_derivative,
-                      dowling_number, dowling_poly, dowling_poly_r, stirling2,
+                      dowling_number, dowling_poly, dowling_poly_r,
                       stirling2_degen, stirling2_prob, whitney_prob,
                       whitney_prob_r)
 from .identities import (IdentityReport, check_bell_expansion,
@@ -21,8 +21,8 @@ from .moments import (Bernoulli, Binomial, Custom, DiscreteUniform, Geometric,
                       model_to_config, raw_moment, sum_degen_moment,
                       sum_plain_falling_moment)
 from .montecarlo import McEstimate, estimate_sum_degen_moment, sample_Y
-from .ratcore import (Params, Rational, binom, binom_general, degen_falling,
-                      falling, format_rational, rat)
+from .ratcore import (Params, Rational, binom, binom_general, clear_caches,
+                      degen_falling, falling, format_rational, rat, stirling2)
 from .series import (EgfSeries, egf_add, egf_coeff, egf_const, egf_degen_exp,
                      egf_exp, egf_mul, egf_pow, egf_scale, egf_sub)
 

@@ -14,11 +14,10 @@ may be polynomials in x; ``identities`` proves its laws in x with it.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence, TypeVar
 
-from .ratcore import RationalLike, rat
+from .ratcore import RationalLike, clear_caches, memo, rat
 from .series import EgfSeries, egf_const, egf_mul, egf_scale
 
 BellArgs = Sequence[RationalLike]
@@ -43,7 +42,7 @@ def bell_partial(n: int, k: int, args: BellArgs) -> Fraction:
     return _bell_partial_cached(n, k, xs)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _bell_partial_cached(n: int, k: int, xs: tuple[Fraction, ...]) -> Fraction:
     total = Fraction(0)
     for ls in _index_vectors(n, k, len(xs)):
@@ -72,7 +71,7 @@ def _index_vectors(n: int, k: int, width: int):
     yield from rec(1, k, n, [])
 
 
-@lru_cache(maxsize=None)
+@memo
 def bell_partial_series(k: int, inner: EgfSeries) -> EgfSeries:
     """Series whose coefficient n is B_{n,k}(inner_1, ..., inner_{n-k+1}).
 
@@ -144,8 +143,3 @@ def bell_args_series(args: BellArgs, order: int) -> EgfSeries:
     """
     xs = tuple(rat(v) for v in args[:order])
     return EgfSeries((Fraction(0),) + xs + (Fraction(0),) * (order - len(xs)))
-
-
-def clear_caches() -> None:
-    _bell_partial_cached.cache_clear()
-    bell_partial_series.cache_clear()

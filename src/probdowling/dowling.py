@@ -18,6 +18,9 @@ Dowling polynomials are the row polynomials sum_k W(n, k) x^k; their
 value at x = 1 is a Dowling number.  ``dobinski_eval`` sums the
 exponentially weighted moment series for the same polynomial numerically,
 with the exact polynomial value available as the oracle.
+
+``stirling2`` lives in ``ratcore``, below ``moments``, which needs it, and
+is re-exported here; the memo tables here come from ``ratcore.memo``.
 """
 
 from __future__ import annotations
@@ -25,13 +28,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable
 
 from .bell import bell_partial, bell_partial_series
 from .moments import (MomentModel, degen_moment, egf_mgf_degen,
                       sum_degen_moment, sum_plain_falling_moment)
-from .ratcore import Params, RationalLike, binom, degen_falling, rat
+from .ratcore import (Params, RationalLike, binom, clear_caches, degen_falling,
+                      memo, rat, stirling2)
 from .series import egf_coeff, egf_const, egf_sub
 
 WHITNEY_ROUTES = ("egf", "alt_sum", "stirling_expand", "bell_form")
@@ -123,18 +126,6 @@ POLY_ZERO = PolyX((Fraction(0),))
 POLY_ONE = PolyX((Fraction(1),))
 
 
-@lru_cache(maxsize=None)
-def stirling2(n: int, k: int) -> Fraction:
-    """Stirling number of the second kind, by the explicit alternating sum
-    (1/k!) sum_j (-1)^(k-j) C(k, j) j^n, so no call recurses."""
-    if n < 0 or k < 0:
-        raise ValueError(f"indices must be nonnegative, got ({n}, {k})")
-    if k > n:
-        return Fraction(0)
-    return Fraction(sum((-1) ** (k - j) * math.comb(k, j) * j ** n
-                        for j in range(k + 1)) // math.factorial(k))
-
-
 def stirling2_degen(n: int, k: int, lam: RationalLike) -> Fraction:
     """Degenerate Stirling number of the second kind.
 
@@ -150,7 +141,7 @@ def stirling2_degen(n: int, k: int, lam: RationalLike) -> Fraction:
     return _stirling2_degen_row(n, rat(lam))[k]
 
 
-@lru_cache(maxsize=None)
+@memo
 def _stirling2_degen_row(n: int, lam: Fraction) -> tuple[Fraction, ...]:
     """Row n of the degenerate Stirling numbers of the second kind, by
     S(n, k) = S(n-1, k-1) + (k - (n-1) lam) S(n-1, k)."""
@@ -283,7 +274,7 @@ def dowling_poly(model: MomentModel, params: Params, n: int) -> PolyX:
     return dowling_poly_r(model, Params(params.m, params.lam, r=1), n)
 
 
-@lru_cache(maxsize=None)
+@memo
 def dowling_poly_r(model: MomentModel, params: Params, n: int) -> PolyX:
     """r-Dowling polynomial: coefficient k is the r-Whitney number W(n, k).
 
@@ -378,7 +369,7 @@ def dowling_derivative(model: MomentModel, params: Params, n: int,
     return dowling_poly(model, params, n).derivative(k)
 
 
-@lru_cache(maxsize=None)
+@memo
 def polynomial_sides(sides: Callable[[MomentModel, Params, int], object],
                      model: MomentModel, params: Params, n: int) -> object:
     """``sides(model, params, n)``, memoized.
@@ -386,14 +377,8 @@ def polynomial_sides(sides: Callable[[MomentModel, Params, int], object],
     ``identities`` proves each of its identities in the argument x once per
     degree n: `sides` builds both sides as PolyX polynomials, for every
     column k at once, and the scalar checks at each x read them from here.
-    The formulas stay in ``identities``; the table lives with the Dowling
-    family's other memo tables, so ``clear_caches`` drops it.
+    The formulas stay in ``identities``; the table lives here because the
+    benchmark totals memo sizes for ``moments``, ``bell`` and ``dowling``
+    only, and fails on a memo table in any other module.
     """
     return sides(model, params, n)
-
-
-def clear_caches() -> None:
-    stirling2.cache_clear()
-    _stirling2_degen_row.cache_clear()
-    dowling_poly_r.cache_clear()
-    polynomial_sides.cache_clear()

@@ -26,10 +26,11 @@ from typing import Optional, Sequence
 
 from .bell import bell_args_series, bell_partial_row, bell_partial_series
 from .dowling import (POLY_ONE, POLY_ZERO, PolyX, dowling_number, dowling_poly,
-                      polynomial_sides, stirling2, stirling2_prob,
-                      whitney_prob, whitney_prob_r)
-from .moments import MomentModel, degen_moment, egf_mgf_degen, sum_degen_moment
-from .ratcore import Params, RationalLike, binom, degen_falling, rat
+                      polynomial_sides, stirling2_prob, whitney_prob,
+                      whitney_prob_r)
+from .moments import (MomentModel, degen_moment, egf_mgf_degen, falling_row,
+                      sum_degen_moment)
+from .ratcore import Params, RationalLike, binom, degen_falling, rat, stirling2
 from .series import egf_coeff
 
 
@@ -163,8 +164,9 @@ def check_binom_bell(model: MomentModel, params: Params, n: int,
 
 def _binom_bell_sides(model: MomentModel, params: Params,
                       n: int) -> tuple[PolyX, PolyX]:
-    shifted = _falling_polys(-1, n, params.lam)   # (x-1)_{j,lam}
-    plain = _falling_polys(0, n, Fraction(1))     # (x)_j = C(x,j) j!
+    # (x-1)_{j,lam}, and (x)_j = C(x,j) j!, as polynomials in x
+    shifted = [PolyX(falling_row(-1, j, params.lam)) for j in range(n + 1)]
+    plain = [PolyX(falling_row(0, j, Fraction(1))) for j in range(n + 1)]
     lhs = sum((binom(n, k) * shifted[n - k] * dowling_poly(model, params, k)
                for k in range(n + 1)), POLY_ZERO)
     numbers = [dowling_number(model, params, j) for j in range(1, n + 1)]
@@ -231,14 +233,6 @@ def _stirling_bell_sides(model: MomentModel, params: Params,
                           for j in range(n + 1)))
         sides.append((bell[k], rhs))
     return tuple(sides)
-
-
-def _falling_polys(shift: int, n: int, lam: Fraction) -> list[PolyX]:
-    """(x + shift)_{j,lam} as polynomials in x, for j = 0..n."""
-    out = [POLY_ONE]
-    for i in range(n):
-        out.append(out[-1] * PolyX((shift - i * lam, 1)))
-    return out
 
 
 def _x_report(theorem_id: str, model, params, bounds, lhs: PolyX, rhs: PolyX,

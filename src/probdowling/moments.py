@@ -7,9 +7,11 @@ handled through EGF powers: the series with coefficient n equal to
 E[(scale*Y)_{n,lam}] is raised to the k-th power, which is exactly the
 expectation of the product over independent copies.
 
-All expectations are memoized by value; models compare and hash by their
-parameters, so equal models share cache entries.  ``clear_caches`` drops
-the memo tables (results are unchanged by a cold recomputation).
+Every expectation is built on ``falling_row``: (x + shift)_{n,lam} in
+powers of x, the degenerate Stirling numbers of the first kind at shift 0.
+Expectations are memoized by value (``ratcore.memo``); models compare and
+hash by their parameters, so equal models share cache entries.
+``clear_caches`` drops every memo table; recomputation is identical.
 
 The geometric model counts failures before the first success, i.e. it is
 supported on {0, 1, 2, ...}.
@@ -19,11 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 from typing import Mapping, Sequence, Union
 
-from .ratcore import RationalLike, rat
+from .ratcore import (RationalLike, clear_caches, format_rational, memo, rat,
+                      stirling2)
 from .series import (EgfSeries, egf_const, egf_degen_exp, egf_mul,
                      egf_mul_coeff)
 
@@ -136,7 +138,7 @@ MomentModel = Union[PointMass, Bernoulli, Binomial, DiscreteUniform,
                     Poisson, Geometric, Custom]
 
 
-@lru_cache(maxsize=None)
+@memo
 def raw_moment(model: MomentModel, n: int) -> Fraction:
     """Exact raw moment E[Y^n] of a moment model."""
     if n < 0:
@@ -154,13 +156,11 @@ def raw_moment(model: MomentModel, n: int) -> Fraction:
                    Fraction(0)) / (model.max + 1)
     if isinstance(model, Poisson):
         # Touchard expansion: E[Y^n] = sum_k S2(n,k) rate^k.
-        from .dowling import stirling2
         return sum((stirling2(n, k) * model.rate**k for k in range(n + 1)),
                    Fraction(0))
     if isinstance(model, Geometric):
         # Factorial moments E[(Y)_k] = k! ((1-p)/p)^k, then expand over the
         # falling-factorial basis.
-        from .dowling import stirling2
         ratio = (1 - model.p) / model.p
         return sum((stirling2(n, k) * factorial(k) * ratio**k
                     for k in range(n + 1)), Fraction(0))
@@ -171,33 +171,37 @@ def raw_moment(model: MomentModel, n: int) -> Fraction:
     raise TypeError(f"not a moment model: {model!r}")
 
 
-@lru_cache(maxsize=None)
-def _monomial_expansion(n: int, lam: Fraction) -> tuple[Fraction, ...]:
-    """Coefficients a_0..a_n of prod_{i<n} (x - i*lam) in powers of x."""
-    coeffs = [Fraction(1)]
-    for i in range(n):
-        shift = i * lam
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
-        for j, c in enumerate(coeffs):
-            nxt[j + 1] += c
-            nxt[j] -= shift * c
-        coeffs = nxt
-    return tuple(coeffs)
+@memo
+def falling_row(shift: int | Fraction, n: int,
+                lam: Fraction) -> tuple[Fraction, ...]:
+    """(x + shift)_{n,lam} = prod_{i<n} (x + shift - i*lam) as coefficients
+    a_0..a_n in powers of x, built as row n - 1 times x + shift - (n-1)*lam;
+    at shift 0, the degenerate Stirling numbers of the first kind."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    if n == 0:
+        return (Fraction(1),)
+    # Fill the lower rows upward first, so the call for row n - 1 is a memo
+    # hit (or one frame deep) however large n is.
+    for l in range(n - 1):
+        falling_row(shift, l, lam)
+    prev = (Fraction(0),) + falling_row(shift, n - 1, lam) + (Fraction(0),)
+    root = shift - (n - 1) * lam
+    return tuple(prev[j] + root * prev[j + 1] for j in range(n + 1))
 
 
-@lru_cache(maxsize=None)
+@memo
 def degen_moment(model: MomentModel, n: int, lam: Fraction) -> Fraction:
     """E[Y(Y-lam)(Y-2*lam)...(Y-(n-1)*lam)], exactly.
 
     Expands the product into powers of Y and applies raw moments linearly.
     """
-    lam = rat(lam)
-    coeffs = _monomial_expansion(n, lam)
+    coeffs = falling_row(0, n, rat(lam))
     return sum((c * raw_moment(model, j) for j, c in enumerate(coeffs) if c),
                Fraction(0))
 
 
-@lru_cache(maxsize=None)
+@memo
 def egf_mgf_degen(model: MomentModel, scale: int, lam: Fraction,
                   order: int) -> EgfSeries:
     """Series whose n-th coefficient is E[(scale*Y)_{n,lam}].
@@ -210,13 +214,13 @@ def egf_mgf_degen(model: MomentModel, scale: int, lam: Fraction,
     lam = rat(lam)
     out = []
     for n in range(order + 1):
-        coeffs = _monomial_expansion(n, lam)
+        coeffs = falling_row(0, n, lam)
         out.append(sum((c * Fraction(scale)**j * raw_moment(model, j)
                         for j, c in enumerate(coeffs) if c), Fraction(0)))
     return EgfSeries(tuple(out))
 
 
-@lru_cache(maxsize=None)
+@memo
 def _mgf_power(model: MomentModel, scale: int, lam: Fraction, order: int,
                k: int) -> EgfSeries:
     """k-th power of the scaled degenerate MGF series: the kernel of S_k."""
@@ -237,14 +241,13 @@ def sum_degen_moment(model: MomentModel, k: int, scale: int, shift: int,
     Extracted as coefficient n of (E-series)^k times the degenerate
     exponential of the shift, where E-series is the scaled degenerate MGF.
     """
-    if k < 0:
-        raise ValueError(f"copy count must be nonnegative, got {k}")
-    if shift < 0:
-        raise ValueError(f"shift must be nonnegative, got {shift}")
+    for name, value in (("copy count", k), ("shift", shift), ("n", n)):
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
     return _sum_degen_moment_cached(model, k, scale, shift, n, rat(lam))
 
 
-@lru_cache(maxsize=None)
+@memo
 def _sum_degen_moment_cached(model: MomentModel, k: int, scale: int,
                              shift: int, n: int, lam: Fraction) -> Fraction:
     return egf_mul_coeff(_mgf_power(model, scale, lam, n, k),
@@ -306,7 +309,6 @@ _CLS_TO_KIND = {cls: kind for kind, cls in _KIND_TO_CLS.items()}
 
 def model_to_config(model: MomentModel) -> dict:
     """Inverse of model_from_config; rationals become "num/den" strings."""
-    from .ratcore import format_rational as fr
     if type(model) not in _CLS_TO_KIND:
         raise TypeError(f"not a moment model: {model!r}")
     config: dict = {"kind": _CLS_TO_KIND[type(model)]}
@@ -315,9 +317,9 @@ def model_to_config(model: MomentModel) -> dict:
         if isinstance(value, int):
             config[f.name] = value
         elif isinstance(value, tuple):
-            config[f.name] = [fr(v) for v in value]
+            config[f.name] = [format_rational(v) for v in value]
         else:
-            config[f.name] = fr(value)
+            config[f.name] = format_rational(value)
     return config
 
 
@@ -327,13 +329,3 @@ def _str_or_int(value: object) -> RationalLike:
     if not isinstance(value, (str, int)):
         raise ValueError(f"cannot read {value!r} as a rational")
     return value
-
-
-def clear_caches() -> None:
-    """Drop all moment memo tables (recomputation yields identical values)."""
-    raw_moment.cache_clear()
-    _monomial_expansion.cache_clear()
-    degen_moment.cache_clear()
-    egf_mgf_degen.cache_clear()
-    _mgf_power.cache_clear()
-    _sum_degen_moment_cached.cache_clear()

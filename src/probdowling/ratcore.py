@@ -1,4 +1,4 @@
-"""Exact rational scalars and factorial-family primitives.
+"""Exact rational scalars, factorial-family primitives, and the memo registry.
 
 Every number in this package is a ``fractions.Fraction``: arithmetic is
 exact, results are always in lowest terms with a positive denominator, and
@@ -6,17 +6,36 @@ values are immutable (safe to share between threads).  The degeneracy
 parameter ``lam`` may be any rational including 0, which recovers the
 classical (non-degenerate) objects, and 1, which recovers ordinary falling
 factorials.
+
+The lowest layer also holds what higher layers share: ``stirling2``, and
+``memo``, which makes and registers every memo table for ``clear_caches``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
-from typing import Union
+from typing import Callable, Union
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
+
+_MEMO_TABLES: list = []
+
+
+def memo(fn: Callable) -> Callable:
+    """``lru_cache(maxsize=None)`` on fn, registered for ``clear_caches``."""
+    table = lru_cache(maxsize=None)(fn)
+    _MEMO_TABLES.append(table)
+    return table
+
+
+def clear_caches() -> None:
+    """Drop every memo table (recomputation yields identical values)."""
+    for table in _MEMO_TABLES:
+        table.cache_clear()
 
 
 def rat(value: RationalLike) -> Fraction:
@@ -69,6 +88,17 @@ def binom(n: int, k: int) -> Fraction:
     if k > n:
         return Fraction(0)
     return Fraction(comb(n, k))
+
+
+def stirling2(n: int, k: int) -> Fraction:
+    """Stirling number of the second kind, by the explicit alternating sum
+    (1/k!) sum_j (-1)^(k-j) C(k, j) j^n, so no call recurses."""
+    if n < 0 or k < 0:
+        raise ValueError(f"indices must be nonnegative, got ({n}, {k})")
+    if k > n:
+        return Fraction(0)
+    return Fraction(sum((-1) ** (k - j) * comb(k, j) * j ** n
+                        for j in range(k + 1)) // factorial(k))
 
 
 def binom_general(x: RationalLike, k: int) -> Fraction:

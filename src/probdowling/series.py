@@ -45,6 +45,8 @@ class EgfSeries:
 
 def egf_const(value: RationalLike, order: int) -> EgfSeries:
     """Constant series value + 0*t + ... up to the given order."""
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
     v = rat(value)
     return EgfSeries((v,) + (Fraction(0),) * order)
 
@@ -55,6 +57,8 @@ def egf_degen_exp(x: RationalLike, lam: RationalLike, order: int) -> EgfSeries:
 
     lam=0 yields the ordinary exponential e^(x*t).
     """
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
     x = rat(x)
     lam = rat(lam)
     coeffs = [Fraction(1)]

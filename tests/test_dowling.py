@@ -14,6 +14,7 @@ from probdowling import (Bernoulli, Binomial, Custom, Geometric, Params,
 from probdowling import bell as bell_mod
 from probdowling import dowling as dowling_mod
 from probdowling import moments as moments_mod
+from probdowling.moments import falling_row
 from probdowling.dowling import WHITNEY_ROUTES, POLY_ZERO
 
 from oracles import stirling2_brute
@@ -114,6 +115,20 @@ def test_cold_deep_stirling2_degen_row_stays_shallow():
     # S(n, 1) is coefficient n of e_lam(t) - 1, i.e. (1)_{n,lam}.
     assert first == degen_falling(1, 200, lam)
     assert stirling2_degen(200, 200, lam) == 1
+
+
+def test_cold_deep_falling_row_stays_shallow():
+    # The first-kind row: a cold row 200 must not recurse row by row either.
+    lam = Fraction(-1, 3)
+    moments_mod.clear_caches()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        row = falling_row(2, 200, lam)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert row[0] == degen_falling(2, 200, lam)
+    assert row[200] == 1
 
 
 def test_stirling2_prob_examples():

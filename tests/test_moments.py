@@ -1,6 +1,8 @@
 from fractions import Fraction
 from math import factorial
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from probdowling import (Bernoulli, Binomial, Custom, DiscreteUniform,
                          model_to_config, raw_moment, sum_degen_moment,
                          sum_plain_falling_moment)
 import probdowling.moments as moments_mod
+from probdowling.moments import falling_row
 
 from oracles import bell_brute, raw_moment_brute, stirling2_brute, \
     sum_moment_brute
@@ -220,3 +223,30 @@ def test_sum_of_many_copies_past_the_recursion_limit():
     # series must not recurse once per copy.
     assert sum_degen_moment(Bernoulli(Fraction(1, 2)), 1200, 2, 0, 1,
                             Fraction(1, 3)) == 1200
+
+
+@pytest.mark.parametrize("shift", [-1, 0, Fraction(3, 2)], ids=str)
+@pytest.mark.parametrize("lam", [Fraction(0), Fraction(1), Fraction(-2, 3),
+                                 Fraction(5, 2)], ids=str)
+def test_falling_row_matches_the_scalar_falling_factorial(shift, lam):
+    rng = random.Random(f"{shift}/{lam}")
+    for n in range(13):
+        row = falling_row(shift, n, lam)
+        assert len(row) == n + 1
+        for _ in range(3):
+            x = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+            value = sum((c * x**j for j, c in enumerate(row)), Fraction(0))
+            assert value == degen_falling(x + shift, n, lam), (n, x)
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda Y: degen_moment(Y, -1, Fraction(1, 3)), "n"),
+    (lambda Y: sum_degen_moment(Y, 2, 2, 1, -1, Fraction(1, 3)), "n"),
+    (lambda Y: sum_degen_moment(Y, -1, 2, 1, 3, Fraction(1, 3)), "copy count"),
+    (lambda Y: sum_degen_moment(Y, 2, 2, -1, 3, Fraction(1, 3)), "shift"),
+], ids=["degen_moment", "sum_degen_moment-n", "sum_degen_moment-k",
+        "sum_degen_moment-shift"])
+def test_negative_arguments_are_rejected_by_name(call, name):
+    # A negative n is not the empty product: it must not read as 1.
+    with pytest.raises(ValueError, match=f"^{name} must be nonnegative"):
+        call(Bernoulli(Fraction(1, 2)))

@@ -49,6 +49,14 @@ def test_mul_order_mismatch_is_an_error():
         egf_mul(egf_const(1, 3), egf_const(1, 4))
 
 
+def test_negative_order_is_an_error():
+    # Not an order-0 series: the requested coefficients do not exist.
+    with pytest.raises(ValueError, match="^order must be nonnegative"):
+        egf_const(1, -3)
+    with pytest.raises(ValueError, match="^order must be nonnegative"):
+        egf_degen_exp(2, Fraction(1, 3), -2)
+
+
 @given(a=series_strategy(5), b=series_strategy(5))
 def test_mul_commutative(a, b):
     assert egf_mul(a, b) == egf_mul(b, a)

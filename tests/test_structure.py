@@ -1,0 +1,67 @@
+"""Guards on the package's layout: where memo tables and imports live."""
+
+import ast
+import importlib
+import pkgutil
+from fractions import Fraction
+from pathlib import Path
+
+import probdowling
+from probdowling import (Bernoulli, Params, WhitneyTriangle, bell_partial,
+                         check_binom_bell, ratcore, stirling2_degen,
+                         stirling2_prob, sum_degen_moment, whitney_prob)
+
+PACKAGE_DIR = Path(probdowling.__file__).parent
+# The benchmark's per-layer report totals memo sizes for these modules only.
+MEMO_MODULES = {"probdowling.moments", "probdowling.bell",
+                "probdowling.dowling"}
+
+
+def _memo_tables():
+    """Every object with cache_info bound in a probdowling module."""
+    found = {}
+    for info in pkgutil.iter_modules([str(PACKAGE_DIR)]):
+        if info.name == "__main__":      # importing it runs the CLI
+            continue
+        mod = importlib.import_module(f"probdowling.{info.name}")
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_info"):
+                found[id(obj)] = obj
+    return list(found.values())
+
+
+def test_every_memo_table_is_registered_and_cleared():
+    tables = _memo_tables()
+    registry = ratcore._MEMO_TABLES
+    assert {id(t) for t in tables} == {id(t) for t in registry}
+    assert {t.__module__ for t in registry} <= MEMO_MODULES
+    Y, params = Bernoulli(Fraction(1, 2)), Params(2, Fraction(1, 3), 1)
+    WhitneyTriangle.build(Y, params, 4)
+    whitney_prob(Y, params, 4, 2, "bell_form")
+    bell_partial(4, 2, [1, 2, 3])
+    stirling2_degen(4, 2, Fraction(1, 3))
+    stirling2_prob(Y, 4, 2, Fraction(1, 3))
+    sum_degen_moment(Y, 2, 2, 1, 3, Fraction(1, 3))
+    check_binom_bell(Y, params, 3, 2)
+    assert all(t.cache_info().currsize > 0 for t in registry), \
+        [t.__name__ for t in registry if not t.cache_info().currsize]
+    probdowling.clear_caches()
+    assert [t.cache_info().currsize for t in registry] == [0] * len(registry)
+
+
+def test_no_import_inside_a_function():
+    # The one exception: only the sampler loads numpy, on its first draw.
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                    continue
+                numpy = (isinstance(node, ast.Import)
+                         and [a.name for a in node.names] == ["numpy"])
+                if not (numpy and path.name == "montecarlo.py"):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
