@@ -5,7 +5,10 @@ moment E[Y^n].  Built-in models all have a moment generating function in a
 neighborhood of 0.  Sums S_k = Y_1 + ... + Y_k of independent copies are
 handled through EGF powers: the series with coefficient n equal to
 E[(scale*Y)_{n,lam}] is raised to the k-th power, which is exactly the
-expectation of the product over independent copies.
+expectation of the product over independent copies.  Truncation is
+lossless, so one chain of these powers per (model, scale, lam),
+``_mgf_chain``, serves every truncation order: a request at a higher
+order extends the powers it needs upward instead of rebuilding them.
 
 Every expectation is built on ``falling_row``: (x + shift)_{n,lam} in
 powers of x, the degenerate Stirling numbers of the first kind at shift 0.
@@ -26,7 +29,9 @@ from typing import Mapping, Sequence, Union
 
 from .ratcore import (RationalLike, clear_caches, format_rational, memo, rat,
                       stirling2)
-from .series import (EgfSeries, egf_const, egf_degen_exp, egf_mul,
+# egf_mul is imported but unused: the benchmark's tracer self-test patches
+# and reads it as moments.egf_mul.
+from .series import (EgfSeries, egf_const, egf_degen_exp, egf_mul,  # noqa: F401
                      egf_mul_coeff)
 
 
@@ -211,6 +216,8 @@ def egf_mgf_degen(model: MomentModel, scale: int, lam: Fraction,
     """
     if scale < 1:
         raise ValueError(f"scale must be a positive integer, got {scale}")
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
     lam = rat(lam)
     out = []
     for n in range(order + 1):
@@ -221,17 +228,43 @@ def egf_mgf_degen(model: MomentModel, scale: int, lam: Fraction,
 
 
 @memo
-def _mgf_power(model: MomentModel, scale: int, lam: Fraction, order: int,
-               k: int) -> EgfSeries:
-    """k-th power of the scaled degenerate MGF series: the kernel of S_k."""
+def _mgf_chain(model: MomentModel, scale: int,
+               lam: Fraction) -> dict[int, EgfSeries]:
+    """The power chain of P = egf_mgf_degen(model, scale, lam, ·), one per
+    (model, scale, lam) and shared by every truncation order.
+
+    Entry k >= 2 holds P^k up to the highest order asked of it so far;
+    ``_chain_power`` grows it.  Truncation is lossless, so coefficient n
+    of an entry is the same at every order >= n.  An entry is replaced
+    whole by a longer immutable series, never changed in place, so a
+    reader sees a complete prefix, and a race between two growers can
+    only recompute coefficients, never corrupt them.
+    """
+    return {}
+
+
+def _chain_power(model: MomentModel, scale: int, lam: Fraction, order: int,
+                 k: int) -> EgfSeries:
+    """P^k to at least the given order, the kernel of S_k: read from
+    ``_mgf_chain`` and grown there first if it is too short."""
     if k == 0:
         return egf_const(1, order)
-    # Fill the lower powers upward first, so the call for k - 1 is a memo
-    # hit (or one frame deep) however large k is.
-    for j in range(k - 1):
-        _mgf_power(model, scale, lam, order, j)
-    return egf_mul(_mgf_power(model, scale, lam, order, k - 1),
-                   egf_mgf_degen(model, scale, lam, order))
+    # egf_mgf_degen checks scale and order before the chain gets an entry.
+    base = egf_mgf_degen(model, scale, lam, order)
+    chain = _mgf_chain(model, scale, lam)
+    # Start from the highest power already long enough (P^1 is the base),
+    # so a warm request reads one entry and a cold one fills only the gap.
+    start = next((j for j in range(k, 1, -1)
+                  if j in chain and chain[j].order >= order), 1)
+    power = chain[start] if start > 1 else base
+    for j in range(start + 1, k + 1):
+        # Coefficient n of P^j is sum_i C(n, i) P_i [P^(j-1)]_(n-i); keep
+        # the coefficients the entry already has and append the rest.
+        done = chain[j].coeffs if j in chain else ()
+        power = EgfSeries(done + tuple(egf_mul_coeff(base, power, n)
+                                       for n in range(len(done), order + 1)))
+        chain[j] = power
+    return power
 
 
 def sum_degen_moment(model: MomentModel, k: int, scale: int, shift: int,
@@ -239,7 +272,9 @@ def sum_degen_moment(model: MomentModel, k: int, scale: int, shift: int,
     """Exact E[(scale*S_k + shift)_{n,lam}] with S_k = Y_1 + ... + Y_k.
 
     Extracted as coefficient n of (E-series)^k times the degenerate
-    exponential of the shift, where E-series is the scaled degenerate MGF.
+    exponential of the shift, where E-series is the scaled degenerate MGF;
+    its powers come from the one chain per (model, scale, lam) in
+    ``_mgf_chain``, whatever n is asked.
     """
     for name, value in (("copy count", k), ("shift", shift), ("n", n)):
         if value < 0:
@@ -250,7 +285,7 @@ def sum_degen_moment(model: MomentModel, k: int, scale: int, shift: int,
 @memo
 def _sum_degen_moment_cached(model: MomentModel, k: int, scale: int,
                              shift: int, n: int, lam: Fraction) -> Fraction:
-    return egf_mul_coeff(_mgf_power(model, scale, lam, n, k),
+    return egf_mul_coeff(_chain_power(model, scale, lam, n, k),
                          egf_degen_exp(shift, lam, n), n)
 
 

@@ -2,7 +2,11 @@
 
 Every number in this package is a ``fractions.Fraction``: arithmetic is
 exact, results are always in lowest terms with a positive denominator, and
-values are immutable (safe to share between threads).  The degeneracy
+values are immutable (safe to share between threads).  Memo tables hold
+immutable values too; the one table whose entries grow, the power chain
+``moments._mgf_chain``, replaces each entry whole by a longer immutable
+series, so a reader in another thread sees an old or a new entry, both
+correct, and never a half-built one.  The degeneracy
 parameter ``lam`` may be any rational including 0, which recovers the
 classical (non-degenerate) objects, and 1, which recovers ordinary falling
 factorials.

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
-from .ratcore import RationalLike, binom, rat
+from .ratcore import RationalLike, rat
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ def egf_mul_coeff(a: EgfSeries, b: EgfSeries, n: int) -> Fraction:
     """Coefficient n of the product a*b, sum_j C(n,j) a_j b_{n-j}.  Reads
     only a_0..a_n and b_0..b_n and forms no other coefficient."""
     ac, bc = a.coeffs, b.coeffs
-    return sum((binom(n, j) * ac[j] * bc[n - j] for j in range(n + 1)),
+    return sum((comb(n, j) * ac[j] * bc[n - j] for j in range(n + 1)),
                Fraction(0))
 
 
@@ -120,7 +121,7 @@ def egf_exp(a: EgfSeries) -> EgfSeries:
             f"got {a.coeffs[0]} (the result would not be rational)")
     bs = [Fraction(1)]
     for n in range(a.order):
-        nxt = sum((binom(n, j) * a.coeffs[j + 1] * bs[n - j] for j in range(n + 1)),
+        nxt = sum((comb(n, j) * a.coeffs[j + 1] * bs[n - j] for j in range(n + 1)),
                   Fraction(0))
         bs.append(nxt)
     return EgfSeries(tuple(bs))

@@ -251,6 +251,13 @@ GOLDEN_STDOUT = [
       '"2", "5", "9"]}',
       "--m", "2", "--lambda=-2/3", "--r", "2", "--max-n", "7"),
      0, "e8858230ba24817cc4b105d32aee86a2aff63d23af1f71f452b22e0f12e6a772"),
+    (("--command", "dobinski", "--model", '{"kind": "poisson", "rate": "1"}',
+      "--m", "1", "--lambda", "1/3", "--r", "2", "--max-n", "12",
+      "--x", "9/2"),
+     0, "51a962391c31227156314c19d773d8828c786f2477c7a8e78a4cc8070ae3c181"),
+    (("--command", "check", "--model", '{"kind": "discreteuniform", "max": 3}',
+      "--m", "3", "--lambda", "1/2", "--max-n", "6", "--N", "9"),
+     0, "5d855d97454ac198aa6a6fad04109849dd1bd3a3f0eb2e972591abf896de8ae9"),
 ]
 
 
@@ -260,7 +267,8 @@ GOLDEN_STDOUT = [
                               "table-csv-r3-n16", "dobinski-r0",
                               "table-csv-r0-n30", "eval-r3-n24",
                               "mc-poisson-k3", "mc-geometric-k2",
-                              "check-n9", "check-custom-r2-n7"])
+                              "check-n9", "check-custom-r2-n7",
+                              "dobinski-n12", "check-N9"])
 def test_golden_stdout_bytes(capsys, argv, code, digest):
     # Digests of stdout as first released; any refactor must keep them.
     got_code, out, _ = run(capsys, *argv)

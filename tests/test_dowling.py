@@ -1,3 +1,4 @@
+import math
 import sys
 from fractions import Fraction
 
@@ -10,7 +11,8 @@ from probdowling import (Bernoulli, Binomial, Custom, Geometric, Params,
                          dowling_poly_r, egf_coeff, egf_const, egf_degen_exp,
                          egf_exp, egf_mul, egf_scale, egf_sub, egf_mgf_degen,
                          falling, raw_moment, stirling2, stirling2_degen,
-                         stirling2_prob, whitney_prob, whitney_prob_r)
+                         stirling2_prob, sum_degen_moment, whitney_prob,
+                         whitney_prob_r)
 from probdowling import bell as bell_mod
 from probdowling import dowling as dowling_mod
 from probdowling import moments as moments_mod
@@ -350,6 +352,21 @@ def test_cold_deep_row_stays_shallow():
         sys.setrecursionlimit(limit)
     assert row.coeff(0) == degen_falling(2, 60, Fraction(-1, 3))
     assert row.coeff(60) == 1   # E[Y]^60 with E[Y] = 1
+
+
+def test_cold_many_copies_stay_shallow():
+    # A cold power 400 of the moment series must not recurse power by power;
+    # with Y ~ Bernoulli(1/2), S_400 is binomial(400, 1/2).
+    lam = Fraction(-1, 3)
+    moments_mod.clear_caches()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        got = sum_degen_moment(BE, 400, 2, 1, 6, lam)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == sum(Fraction(math.comb(400, j), 2**400)
+                      * degen_falling(2 * j + 1, 6, lam) for j in range(401))
 
 
 def test_stirling2_far_down_a_column():

@@ -8,13 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from probdowling import (Bernoulli, Binomial, Custom, DiscreteUniform,
-                         Geometric, MomentOrderError, PointMass,
-                         Poisson, degen_falling, degen_moment, egf_coeff,
-                         egf_degen_exp, egf_mgf_degen, model_from_config,
+                         Geometric, MomentOrderError, Params, PointMass,
+                         Poisson, clear_caches, degen_falling, degen_moment,
+                         dobinski_eval, egf_coeff, egf_degen_exp,
+                         egf_mgf_degen, egf_pow, model_from_config,
                          model_to_config, raw_moment, sum_degen_moment,
                          sum_plain_falling_moment)
 import probdowling.moments as moments_mod
 from probdowling.moments import falling_row
+from probdowling.series import egf_mul_coeff
 
 from oracles import bell_brute, raw_moment_brute, stirling2_brute, \
     sum_moment_brute
@@ -239,13 +241,61 @@ def test_falling_row_matches_the_scalar_falling_factorial(shift, lam):
             assert value == degen_falling(x + shift, n, lam), (n, x)
 
 
+@pytest.mark.parametrize("model", [
+    PointMass(Fraction(3, 2)), Bernoulli(Fraction(1, 3)), Poisson(Fraction(1)),
+    Custom(tuple(Fraction(v) for v in ("1", "1/3", "2/5", "1/2", "3/4", "1",
+                                       "2", "5", "9", "-7/2", "11")))],
+    ids=["pointmass", "bernoulli", "poisson", "custom"])
+@pytest.mark.parametrize("lam", [Fraction(0), Fraction(1), Fraction(-2, 3),
+                                 Fraction(5, 2)], ids=str)
+def test_sum_moment_is_independent_of_request_order(model, lam):
+    # One power chain serves every truncation order: whichever (n, k) comes
+    # first, each value equals the same coefficient of a power built from
+    # scratch at order n.
+    cells = [(n, k) for n in range(11) for k in range(7)]
+    shuffled = random.Random(f"{model}/{lam}").sample(cells, len(cells))
+    for scale in (1, 2, 3):
+        expected = {}
+        for n, k in cells:
+            power = egf_pow(egf_mgf_degen(model, scale, lam, n), k)
+            for shift in range(4):
+                expected[n, k, shift] = egf_mul_coeff(
+                    power, egf_degen_exp(shift, lam, n), n)
+        for order in (cells, cells[::-1], shuffled):
+            clear_caches()
+            for n, k in order:
+                for shift in range(4):
+                    assert sum_degen_moment(model, k, scale, shift, n, lam) \
+                        == expected[n, k, shift], (scale, n, k, shift)
+
+
+def test_dobinski_rows_share_one_power_chain():
+    clear_caches()
+    Y, params = Poisson(Fraction(1)), Params(1, Fraction(1, 3), 2)
+    for n in range(13):
+        dobinski_eval(Y, params, n, Fraction(9, 2), 1e-10)
+    assert moments_mod._mgf_chain.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda Y: sum_degen_moment(Y, 2, 0, 1, 3, Fraction(1, 3)),
+    lambda Y: moments_mod._chain_power(Y, 2, Fraction(1, 3), -1, 2),
+], ids=["scale", "order"])
+def test_invalid_chain_requests_leave_no_chain_entry(call):
+    clear_caches()
+    with pytest.raises(ValueError, match="must be"):
+        call(Bernoulli(Fraction(1, 2)))
+    assert moments_mod._mgf_chain.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize("call,name", [
     (lambda Y: degen_moment(Y, -1, Fraction(1, 3)), "n"),
+    (lambda Y: egf_mgf_degen(Y, 1, Fraction(1, 3), -1), "order"),
     (lambda Y: sum_degen_moment(Y, 2, 2, 1, -1, Fraction(1, 3)), "n"),
     (lambda Y: sum_degen_moment(Y, -1, 2, 1, 3, Fraction(1, 3)), "copy count"),
     (lambda Y: sum_degen_moment(Y, 2, 2, -1, 3, Fraction(1, 3)), "shift"),
-], ids=["degen_moment", "sum_degen_moment-n", "sum_degen_moment-k",
-        "sum_degen_moment-shift"])
+], ids=["degen_moment", "egf_mgf_degen-order", "sum_degen_moment-n",
+        "sum_degen_moment-k", "sum_degen_moment-shift"])
 def test_negative_arguments_are_rejected_by_name(call, name):
     # A negative n is not the empty product: it must not read as 1.
     with pytest.raises(ValueError, match=f"^{name} must be nonnegative"):
