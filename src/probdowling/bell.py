@@ -5,10 +5,10 @@ enumerates partition index vectors directly: tuples (l_1, ..., l_{n-k+1})
 with l_1 + l_2 + ... = k blocks and l_1 + 2*l_2 + ... = n elements, each
 contributing n!/(l_1!...l_j!) * prod (x_i/i!)^{l_i}.  The series route
 ``bell_partial_series`` reads the same numbers off the k-th power of an
-EGF.  The enumeration is the cross-check oracle; the series route is the
-production path used by the higher-level modules.  ``bell_partial_row``
-runs the same power chain once for every k of one n, over arguments that
-may be polynomials in x; ``identities`` proves its laws in x with it.
+EGF; ``dowling.stirling2_prob`` reads it.  ``bell_partial_row`` runs the
+same power chain unmemoized for every k of one n, over rationals or
+polynomials in x; the identity battery reads its Bell sides from it.  The
+enumeration is the oracle for both, and the ``bell_form`` Whitney route.
 """
 
 from __future__ import annotations

@@ -31,8 +31,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .bell import bell_partial, bell_partial_series
-from .moments import (MomentModel, degen_moment, egf_mgf_degen,
-                      sum_degen_moment, sum_plain_falling_moment)
+from .moments import (MomentModel, egf_mgf_degen, sum_degen_moment,
+                      sum_plain_falling_moment)
 from .ratcore import (Params, RationalLike, binom, clear_caches, degen_falling,
                       memo, rat, stirling2)
 from .series import egf_coeff, egf_const, egf_sub
@@ -196,9 +196,9 @@ def whitney_prob_r(model: MomentModel, params: Params, n: int, k: int,
     - "stirling_expand": the same alternating sum pushed through the
       degenerate Stirling expansion of the falling factorial, so only
       ordinary falling-factorial moments of the copy sums appear;
-    - "bell_form": partial Bell polynomials of the scaled moments
-      E[(Y)_{j,lam/m}] m^j, evaluated by partition enumeration and
-      weighted by (r)_{n-l,lam}.
+    - "bell_form": partial Bell polynomials of the kernel coefficients
+      E[(mY)_{j,lam}] (``egf_mgf_degen``), evaluated by partition
+      enumeration and weighted by (r)_{n-l,lam}.
 
     k > n returns 0: the generating kernel's series starts at t^k.
     """
@@ -231,9 +231,7 @@ def whitney_prob_r(model: MomentModel, params: Params, n: int, k: int,
             total += s * inner
         return total / (Fraction(m) ** k * math.factorial(k))
     # route == "bell_form"
-    mu = lam / m
-    args = tuple(degen_moment(model, j, mu) * Fraction(m) ** j
-                 for j in range(1, n - k + 2))
+    args = egf_mgf_degen(model, m, lam, n - k + 1).coeffs[1:]
     total = Fraction(0)
     for l in range(k, n + 1):
         b = bell_partial(l, k, args[:l - k + 1])
@@ -286,8 +284,8 @@ def dowling_poly_r(model: MomentModel, params: Params, n: int) -> PolyX:
                   + (1/m) sum_l C(n-1, l) W(l, k-1) g_(n-1-l),
 
     with g_j = E[mY (mY)_{j,lam}] = c_(j+1) + j lam c_j and
-    c_j = E[(mY)_{j,lam}] = m^j E[(Y)_{j,lam/m}].  A table up to N costs
-    about N^3/6 products.
+    c_j = E[(mY)_{j,lam}], coefficient j of ``egf_mgf_degen``.  A table
+    up to N costs about N^3/6 products.
     """
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
@@ -297,7 +295,7 @@ def dowling_poly_r(model: MomentModel, params: Params, n: int) -> PolyX:
     # Ascending calls: each earlier row finds its own predecessors memoized,
     # so a cold call at large n never nests more than two rows deep.
     rows = [dowling_poly_r(model, params, l).coeffs for l in range(n)]
-    c = [m ** j * degen_moment(model, j, lam / m) for j in range(n + 1)]
+    c = egf_mgf_degen(model, m, lam, n).coeffs
     # weights[l] = C(n-1, l) g_(n-1-l) / m
     weights = [binom(n - 1, l) * (c[n - l] + (n - 1 - l) * lam * c[n - 1 - l]) / m
                for l in range(n)]

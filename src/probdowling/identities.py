@@ -10,9 +10,10 @@ The three laws in the polynomial argument x (``check_binom_bell``,
 sampled: both sides are built once per degree n as PolyX polynomials in
 x, for every column k at once, and memoized in
 ``dowling.polynomial_sides``.  Their Bell sides come from one power chain
-whose arguments are polynomials in x (``bell.bell_partial_row``).  A call
-at one x reports the two sides' values there, and ``passed`` is equality
-of the polynomials, so the verdict is the same at every x.
+whose arguments are polynomials in x (``bell.bell_partial_row``, which
+``check_bell_expansion`` runs over rationals).  A call at one x reports
+the two sides' values there, and ``passed`` is equality of the
+polynomials, so the verdict is the same at every x.
 
 Check functions are pure and independent of one another.
 """
@@ -24,14 +25,13 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional, Sequence
 
-from .bell import bell_args_series, bell_partial_row, bell_partial_series
+from .bell import bell_partial_row
 from .dowling import (POLY_ONE, POLY_ZERO, PolyX, dowling_number, dowling_poly,
                       polynomial_sides, stirling2_prob, whitney_prob,
                       whitney_prob_r)
-from .moments import (MomentModel, degen_moment, egf_mgf_degen, falling_row,
+from .moments import (MomentModel, egf_mgf_degen, falling_row,
                       sum_degen_moment)
 from .ratcore import Params, RationalLike, binom, degen_falling, rat, stirling2
-from .series import egf_coeff
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,7 @@ def check_sum_identity(model: MomentModel, params: Params, n: int,
     sum_{k<=N} E[(m S_k + 1)_{n,lam}]
         = sum_{l<=N} l! m^l C(N+1, l+1) W(n, l).
     """
+    _require_indices(n=n, N=N)
     m, lam = params.m, params.lam
     lhs = sum((sum_degen_moment(model, k, m, 1, n, lam) for k in range(N + 1)),
               Fraction(0))
@@ -85,15 +86,14 @@ def check_bell_expansion(model: MomentModel, params: Params,
     """
     m, lam = params.m, params.lam
     lhs = dowling_poly(model, params, n)
-    mgf = egf_mgf_degen(model, m, lam, max(n, 1))
-    inner = bell_args_series([c / m for c in mgf.coeffs[1:]], max(n, 1))
+    args = [c / m for c in egf_mgf_degen(model, m, lam, n).coeffs[1:]]
     coeffs = [Fraction(0)] * (n + 1)
     for l in range(n + 1):
         w = binom(n, l) * degen_falling(1, n - l, lam)
         if not w:
             continue
-        for k in range(l + 1):
-            coeffs[k] += w * egf_coeff(bell_partial_series(k, inner), l)
+        for k, b in enumerate(bell_partial_row(l, args, Fraction(1))):
+            coeffs[k] += w * b
     return _report("bell_expansion", model, params, {"n": n},
                    lhs, PolyX(tuple(coeffs)))
 
@@ -105,16 +105,17 @@ def check_recurrence(model: MomentModel, params: Params,
     D(n+1, x) = sum_k (-lam)^(n-k) n!/k! D(k, x)
               + (x/m) sum_k C(n,k) D(k, x) E[(mY)_{n-k+1,lam}].
     """
+    _require_indices(n=n)
     m, lam = params.m, params.lam
     lhs = dowling_poly(model, params, n + 1)
-    mgf = egf_mgf_degen(model, m, lam, n + 1)
+    c = egf_mgf_degen(model, m, lam, n + 1).coeffs
     plain = PolyX((Fraction(0),))
     weighted = PolyX((Fraction(0),))
     for k in range(n + 1):
         dk = dowling_poly(model, params, k)
         sign = Fraction(-1) ** (n - k)
         plain = plain + (sign * lam**(n - k) * Fraction(factorial(n), factorial(k))) * dk
-        weighted = weighted + (binom(n, k) * egf_coeff(mgf, n - k + 1)) * dk
+        weighted = weighted + (binom(n, k) * c[n - k + 1]) * dk
     rhs = plain + Fraction(1, m) * weighted.shift_up()
     return _report("recurrence", model, params, {"n": n}, lhs, rhs)
 
@@ -128,6 +129,7 @@ def check_convolution(model: MomentModel, params: Params,
     as an exact bivariate polynomial identity; each side is a dict
     {(i, j): coefficient of x^i y^j} with zero entries dropped.
     """
+    _require_indices(n=n)
     lam = params.lam
     lhs: dict = {}
     rhs: dict = {}
@@ -155,7 +157,7 @@ def check_binom_bell(model: MomentModel, params: Params, n: int,
         = sum_k C(x,k) k! B_{n,k}(D(1), ..., D(n-k+1)),
     where D(j) are Dowling numbers (the polynomials at 1).
     """
-    _require_indices(n)
+    _require_indices(n=n)
     x = rat(x)
     lhs, rhs = polynomial_sides(_binom_bell_sides, model, params, n)
     return _x_report("binomial_bell", model, params, {"n": n, "x": x},
@@ -183,7 +185,7 @@ def check_bell_rwhitney(model: MomentModel, params: Params, n: int, k: int,
     sum_{j<=n-k} C(n,k) k^j x^j W_(r=k)(n-k, j)
         = B_{n,k}(1*D(0,x), 2*D(1,x), ..., (n-k+1)*D(n-k,x)).
     """
-    _require_indices(n, k)
+    _require_indices(n=n, k=k)
     x = rat(x)
     lhs, rhs = polynomial_sides(_bell_rwhitney_sides, model, params, n)[k]
     return _x_report("bell_r_whitney", model, params,
@@ -212,7 +214,7 @@ def check_stirling_bell(model: MomentModel, params: Params, n: int, k: int,
     B_{n,k}(D(1,x) - (1)_{1,lam}, ..., D(n-k+1,x) - (1)_{n-k+1,lam})
         = sum_{j=k}^n S2(j,k) W_(r=k)(n, j) x^j.
     """
-    _require_indices(n, k)
+    _require_indices(n=n, k=k)
     x = rat(x)
     lhs, rhs = polynomial_sides(_stirling_bell_sides, model, params, n)[k]
     return _x_report("stirling_bell", model, params,
@@ -243,13 +245,13 @@ def _x_report(theorem_id: str, model, params, bounds, lhs: PolyX, rhs: PolyX,
                           rhs.evaluate(x), passed=(lhs == rhs))
 
 
-def _require_indices(n: int, k: int = 0) -> None:
-    """ValueError naming the index for a negative n or k, or for k > n."""
-    for name, value in (("n", n), ("k", k)):
+def _require_indices(**indices: int) -> None:
+    """ValueError naming the first negative index, or for k > n."""
+    for name, value in indices.items():
         if value < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
-    if k > n:
-        raise ValueError(f"need k <= n, got k={k}, n={n}")
+    if indices.get("k", 0) > indices["n"]:
+        raise ValueError("need k <= n, got k={k}, n={n}".format(**indices))
 
 
 def check_derivative(model: MomentModel, params: Params, n: int,
@@ -257,8 +259,8 @@ def check_derivative(model: MomentModel, params: Params, n: int,
     """Higher x-derivatives of Dowling polynomials.
 
     (d/dx)^k D(n, x) = k! sum_j C(n,j) D(j, x) S_{Y,lam/m}(n-j, k) m^(n-k-j);
-    for k = 1 the Stirling factor collapses to E[(Y)_{n-j,lam/m}], which is
-    checked as well whenever n >= 1.
+    for k = 1 the factor collapses to E[(mY)_{n-j,lam}]/m, read off
+    ``egf_mgf_degen``, and that first derivative is checked on every call.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -272,14 +274,12 @@ def check_derivative(model: MomentModel, params: Params, n: int,
             rhs = rhs + (binom(n, j) * s * Fraction(m)**(n - k - j)) \
                 * dowling_poly(model, params, j)
     rhs = factorial(k) * rhs
-    ok = lhs == rhs
-    if n >= 1:
-        first = PolyX((Fraction(0),))
-        for j in range(n):
-            first = first + (binom(n, j) * degen_moment(model, n - j, mu)
-                             * Fraction(m)**(n - j - 1)) \
-                * dowling_poly(model, params, j)
-        ok = ok and dowling_poly(model, params, n).derivative(1) == first
+    c = egf_mgf_degen(model, m, lam, n).coeffs
+    first = PolyX((Fraction(0),))
+    for j in range(n):
+        first = first + (binom(n, j) * c[n - j] / m) \
+            * dowling_poly(model, params, j)
+    ok = lhs == rhs and dowling_poly(model, params, n).derivative(1) == first
     return IdentityReport("derivative", model, params, {"n": n, "k": k},
                           lhs, rhs, passed=ok)
 

@@ -5,10 +5,10 @@ moment E[Y^n].  Built-in models all have a moment generating function in a
 neighborhood of 0.  Sums S_k = Y_1 + ... + Y_k of independent copies are
 handled through EGF powers: the series with coefficient n equal to
 E[(scale*Y)_{n,lam}] is raised to the k-th power, which is exactly the
-expectation of the product over independent copies.  Truncation is
-lossless, so one chain of these powers per (model, scale, lam),
-``_mgf_chain``, serves every truncation order: a request at a higher
-order extends the powers it needs upward instead of rebuilding them.
+expectation of the product over independent copies.  That series,
+``egf_mgf_degen``, is read off the per-coefficient ``degen_moment`` memo,
+and one chain of its powers per (model, scale, lam), ``_mgf_chain``, is
+grown to the highest order asked, so nothing is rebuilt or kept per order.
 
 Every expectation is built on ``falling_row``: (x + shift)_{n,lam} in
 powers of x, the degenerate Stirling numbers of the first kind at shift 0.
@@ -206,25 +206,22 @@ def degen_moment(model: MomentModel, n: int, lam: Fraction) -> Fraction:
                Fraction(0))
 
 
-@memo
 def egf_mgf_degen(model: MomentModel, scale: int, lam: Fraction,
                   order: int) -> EgfSeries:
     """Series whose n-th coefficient is E[(scale*Y)_{n,lam}].
 
     This is the expectation of the degenerate exponential of scale*Y,
-    the generating kernel of the probabilistic Whitney families.
+    the generating kernel of the probabilistic Whitney families, read
+    off ``degen_moment`` as scale^n E[(Y)_{n,lam/scale}]; no series is
+    stored per order.
     """
     if scale < 1:
         raise ValueError(f"scale must be a positive integer, got {scale}")
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    lam = rat(lam)
-    out = []
-    for n in range(order + 1):
-        coeffs = falling_row(0, n, lam)
-        out.append(sum((c * Fraction(scale)**j * raw_moment(model, j)
-                        for j, c in enumerate(coeffs) if c), Fraction(0)))
-    return EgfSeries(tuple(out))
+    mu = rat(lam) / scale
+    return EgfSeries(tuple(scale ** n * degen_moment(model, n, mu)
+                           for n in range(order + 1)))
 
 
 @memo

@@ -158,8 +158,12 @@ def test_defect_vanishing_at_the_check_points_fails(monkeypatch,
     (lambda Y, P: check_bell_rwhitney(Y, P, 3, -1, 2), "k"),
     (lambda Y, P: check_stirling_bell(Y, P, -1, 0, 2), "n"),
     (lambda Y, P: check_stirling_bell(Y, P, 3, -1, 2), "k"),
+    (lambda Y, P: check_convolution(Y, P, -1), "n"),
+    (lambda Y, P: check_sum_identity(Y, P, 3, -1), "N"),
+    (lambda Y, P: check_recurrence(Y, P, -1), "n"),
 ], ids=["binom_bell-n", "bell_rwhitney-n", "bell_rwhitney-k",
-        "stirling_bell-n", "stirling_bell-k"])
+        "stirling_bell-n", "stirling_bell-k", "convolution-n",
+        "sum_identity-N", "recurrence-n"])
 def test_x_identities_reject_negative_indices(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be nonnegative"):
         call(MODELS[1], PARAM_GRID[1])

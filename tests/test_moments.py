@@ -112,6 +112,21 @@ def test_egf_mgf_degen_first_coefficients():
     assert egf_coeff(s, 2) == Fraction(5, 3)
 
 
+@pytest.mark.parametrize("model", FINITE_MODELS)
+@pytest.mark.parametrize("lam", [Fraction(0), Fraction(1), Fraction(-2, 3),
+                                 Fraction(5, 2)])
+def test_egf_mgf_degen_matches_support_enumeration(model, lam):
+    # Coefficient n is E[(scale*Y)_{n,lam}], summed over the support; the
+    # code reads it as scale^n E[(Y)_{n,lam/scale}].
+    from oracles import finite_support
+    for scale in (1, 2, 3):
+        got = egf_mgf_degen(model, scale, lam, 8)
+        for n in range(9):
+            expected = sum(prob * degen_falling(scale * v, n, lam)
+                           for v, prob in finite_support(model))
+            assert egf_coeff(got, n) == expected, (scale, n)
+
+
 def test_sum_degen_moment_frozen_values():
     lam = Fraction(1, 5)
     assert sum_degen_moment(Bernoulli(Fraction(1, 2)), 0, 2, 1, 3, lam) == \

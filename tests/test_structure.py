@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from fractions import Fraction
 from pathlib import Path
@@ -47,6 +48,14 @@ def test_every_memo_table_is_registered_and_cleared():
         [t.__name__ for t in registry if not t.cache_info().currsize]
     probdowling.clear_caches()
     assert [t.cache_info().currsize for t in registry] == [0] * len(registry)
+
+
+def test_no_memo_table_is_keyed_by_truncation_order():
+    # Truncation is lossless: a series is grown or read per coefficient,
+    # never stored once per order.
+    keyed = [t.__name__ for t in ratcore._MEMO_TABLES
+             if "order" in inspect.signature(t.__wrapped__).parameters]
+    assert keyed == []
 
 
 def test_no_import_inside_a_function():
