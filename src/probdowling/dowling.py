@@ -368,15 +368,16 @@ def dowling_derivative(model: MomentModel, params: Params, n: int,
 
 
 @memo
-def polynomial_sides(sides: Callable[[MomentModel, Params, int], object],
-                     model: MomentModel, params: Params, n: int) -> object:
-    """``sides(model, params, n)``, memoized.
+def polynomial_sides(sides: Callable[[MomentModel, Params, int], tuple],
+                     model: MomentModel, params: Params, n: int) -> tuple:
+    """``sides(model, params, n)`` with each pair's verdict, memoized.
 
     ``identities`` proves each of its identities in the argument x once per
-    degree n: `sides` builds both sides as PolyX polynomials, for every
-    column k at once, and the scalar checks at each x read them from here.
+    degree n: `sides` builds both sides as PolyX polynomials, one pair per
+    column k, and each pair is stored as (lhs, rhs, lhs == rhs), so the
+    scalar checks at each x read the sides and the verdict from here.
     The formulas stay in ``identities``; the table lives here because the
     benchmark totals memo sizes for ``moments``, ``bell`` and ``dowling``
     only, and fails on a memo table in any other module.
     """
-    return sides(model, params, n)
+    return tuple((lhs, rhs, lhs == rhs) for lhs, rhs in sides(model, params, n))

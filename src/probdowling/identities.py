@@ -8,7 +8,7 @@ two exact values, so a failure is diagnosable without re-running.
 The three laws in the polynomial argument x (``check_binom_bell``,
 ``check_bell_rwhitney``, ``check_stirling_bell``) are proven, not
 sampled: both sides are built once per degree n as PolyX polynomials in
-x, for every column k at once, and memoized in
+x, for every column k at once, and memoized with their verdict in
 ``dowling.polynomial_sides``.  Their Bell sides come from one power chain
 whose arguments are polynomials in x (``bell.bell_partial_row``, which
 ``check_bell_expansion`` runs over rationals).  A call at one x reports
@@ -84,6 +84,7 @@ def check_bell_expansion(model: MomentModel, params: Params,
     through degree-k homogeneity, so each (l, k) term contributes
     C(n,l) (1)_{n-l,lam} B_{l,k}(E[(mY)_{1,lam}]/m, ...) x^k.
     """
+    _require_indices(n=n)
     m, lam = params.m, params.lam
     lhs = dowling_poly(model, params, n)
     args = [c / m for c in egf_mgf_degen(model, m, lam, n).coeffs[1:]]
@@ -159,13 +160,13 @@ def check_binom_bell(model: MomentModel, params: Params, n: int,
     """
     _require_indices(n=n)
     x = rat(x)
-    lhs, rhs = polynomial_sides(_binom_bell_sides, model, params, n)
+    sides = polynomial_sides(_binom_bell_sides, model, params, n)[0]
     return _x_report("binomial_bell", model, params, {"n": n, "x": x},
-                     lhs, rhs, x)
+                     sides, x)
 
 
 def _binom_bell_sides(model: MomentModel, params: Params,
-                      n: int) -> tuple[PolyX, PolyX]:
+                      n: int) -> tuple[tuple[PolyX, PolyX]]:
     # (x-1)_{j,lam}, and (x)_j = C(x,j) j!, as polynomials in x
     shifted = [PolyX(falling_row(-1, j, params.lam)) for j in range(n + 1)]
     plain = [PolyX(falling_row(0, j, Fraction(1))) for j in range(n + 1)]
@@ -174,7 +175,7 @@ def _binom_bell_sides(model: MomentModel, params: Params,
     numbers = [dowling_number(model, params, j) for j in range(1, n + 1)]
     bell = bell_partial_row(n, numbers, Fraction(1))
     rhs = sum((bell[k] * plain[k] for k in range(n + 1)), POLY_ZERO)
-    return lhs, rhs
+    return ((lhs, rhs),)
 
 
 def check_bell_rwhitney(model: MomentModel, params: Params, n: int, k: int,
@@ -187,9 +188,9 @@ def check_bell_rwhitney(model: MomentModel, params: Params, n: int, k: int,
     """
     _require_indices(n=n, k=k)
     x = rat(x)
-    lhs, rhs = polynomial_sides(_bell_rwhitney_sides, model, params, n)[k]
+    sides = polynomial_sides(_bell_rwhitney_sides, model, params, n)[k]
     return _x_report("bell_r_whitney", model, params,
-                     {"n": n, "k": k, "x": x}, lhs, rhs, x)
+                     {"n": n, "k": k, "x": x}, sides, x)
 
 
 def _bell_rwhitney_sides(model: MomentModel, params: Params,
@@ -216,9 +217,9 @@ def check_stirling_bell(model: MomentModel, params: Params, n: int, k: int,
     """
     _require_indices(n=n, k=k)
     x = rat(x)
-    lhs, rhs = polynomial_sides(_stirling_bell_sides, model, params, n)[k]
+    sides = polynomial_sides(_stirling_bell_sides, model, params, n)[k]
     return _x_report("stirling_bell", model, params,
-                     {"n": n, "k": k, "x": x}, lhs, rhs, x)
+                     {"n": n, "k": k, "x": x}, sides, x)
 
 
 def _stirling_bell_sides(model: MomentModel, params: Params,
@@ -237,12 +238,13 @@ def _stirling_bell_sides(model: MomentModel, params: Params,
     return tuple(sides)
 
 
-def _x_report(theorem_id: str, model, params, bounds, lhs: PolyX, rhs: PolyX,
-              x: Fraction) -> IdentityReport:
-    """Report the two sides' values at x; ``passed`` is equality of the
-    polynomials, so it holds for every x or for none."""
+def _x_report(theorem_id: str, model, params, bounds,
+              sides: tuple[PolyX, PolyX, bool], x: Fraction) -> IdentityReport:
+    """Report the two sides' values at x; ``passed`` is the stored equality
+    of the polynomials, so it holds for every x or for none."""
+    lhs, rhs, equal = sides
     return IdentityReport(theorem_id, model, params, bounds, lhs.evaluate(x),
-                          rhs.evaluate(x), passed=(lhs == rhs))
+                          rhs.evaluate(x), passed=equal)
 
 
 def _require_indices(**indices: int) -> None:

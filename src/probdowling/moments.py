@@ -6,9 +6,11 @@ neighborhood of 0.  Sums S_k = Y_1 + ... + Y_k of independent copies are
 handled through EGF powers: the series with coefficient n equal to
 E[(scale*Y)_{n,lam}] is raised to the k-th power, which is exactly the
 expectation of the product over independent copies.  That series,
-``egf_mgf_degen``, is read off the per-coefficient ``degen_moment`` memo,
-and one chain of its powers per (model, scale, lam), ``_mgf_chain``, is
-grown to the highest order asked, so nothing is rebuilt or kept per order.
+``egf_mgf_degen``, is read off the per-coefficient ``degen_moment`` memo.
+Its powers times the degenerate exponential of a shift are the sum
+moments themselves, stored once in one chain per (model, scale, shift,
+lam), ``_mgf_chain``, grown to the highest order asked, so nothing is
+rebuilt or kept per order.
 
 Every expectation is built on ``falling_row``: (x + shift)_{n,lam} in
 powers of x, the degenerate Stirling numbers of the first kind at shift 0.
@@ -31,7 +33,7 @@ from .ratcore import (RationalLike, clear_caches, format_rational, memo, rat,
                       stirling2)
 # egf_mul is imported but unused: the benchmark's tracer self-test patches
 # and reads it as moments.egf_mul.
-from .series import (EgfSeries, egf_const, egf_degen_exp, egf_mul,  # noqa: F401
+from .series import (EgfSeries, egf_degen_exp, egf_mul,  # noqa: F401
                      egf_mul_coeff)
 
 
@@ -225,65 +227,57 @@ def egf_mgf_degen(model: MomentModel, scale: int, lam: Fraction,
 
 
 @memo
-def _mgf_chain(model: MomentModel, scale: int,
+def _mgf_chain(model: MomentModel, scale: int, shift: int,
                lam: Fraction) -> dict[int, EgfSeries]:
-    """The power chain of P = egf_mgf_degen(model, scale, lam, ·), one per
-    (model, scale, lam) and shared by every truncation order.
+    """The sum moments of (model, scale, shift, lam), shared by every copy
+    count and truncation order.
 
-    Entry k >= 2 holds P^k up to the highest order asked of it so far;
-    ``_chain_power`` grows it.  Truncation is lossless, so coefficient n
-    of an entry is the same at every order >= n.  An entry is replaced
-    whole by a longer immutable series, never changed in place, so a
-    reader sees a complete prefix, and a race between two growers can
-    only recompute coefficients, never corrupt them.
+    Entry k is P^k e_lam^shift, P = egf_mgf_degen(model, scale, lam, ·), up
+    to the highest order asked so far: coefficient n is
+    E[(scale*S_k + shift)_{n,lam}].  Entry 0 is egf_degen_exp(shift, lam, ·);
+    ``sum_degen_moment`` grows entry k from entry k - 1.  Truncation is
+    lossless, so coefficient n is the same at every order >= n.  An entry
+    is replaced whole by a longer immutable series, never changed in place,
+    and growth reads its own copy, so a race between two growers can only
+    recompute coefficients, never corrupt them.
     """
     return {}
-
-
-def _chain_power(model: MomentModel, scale: int, lam: Fraction, order: int,
-                 k: int) -> EgfSeries:
-    """P^k to at least the given order, the kernel of S_k: read from
-    ``_mgf_chain`` and grown there first if it is too short."""
-    if k == 0:
-        return egf_const(1, order)
-    # egf_mgf_degen checks scale and order before the chain gets an entry.
-    base = egf_mgf_degen(model, scale, lam, order)
-    chain = _mgf_chain(model, scale, lam)
-    # Start from the highest power already long enough (P^1 is the base),
-    # so a warm request reads one entry and a cold one fills only the gap.
-    start = next((j for j in range(k, 1, -1)
-                  if j in chain and chain[j].order >= order), 1)
-    power = chain[start] if start > 1 else base
-    for j in range(start + 1, k + 1):
-        # Coefficient n of P^j is sum_i C(n, i) P_i [P^(j-1)]_(n-i); keep
-        # the coefficients the entry already has and append the rest.
-        done = chain[j].coeffs if j in chain else ()
-        power = EgfSeries(done + tuple(egf_mul_coeff(base, power, n)
-                                       for n in range(len(done), order + 1)))
-        chain[j] = power
-    return power
 
 
 def sum_degen_moment(model: MomentModel, k: int, scale: int, shift: int,
                      n: int, lam: RationalLike) -> Fraction:
     """Exact E[(scale*S_k + shift)_{n,lam}] with S_k = Y_1 + ... + Y_k.
 
-    Extracted as coefficient n of (E-series)^k times the degenerate
-    exponential of the shift, where E-series is the scaled degenerate MGF;
-    its powers come from the one chain per (model, scale, lam) in
-    ``_mgf_chain``, whatever n is asked.
+    Read as coefficient n of entry k of the one chain per
+    (model, scale, shift, lam), ``_mgf_chain``: (E-series)^k times the
+    degenerate exponential of the shift, where E-series is the scaled
+    degenerate MGF.  The entry is grown there first if it is too short.
     """
     for name, value in (("copy count", k), ("shift", shift), ("n", n)):
         if value < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
-    return _sum_degen_moment_cached(model, k, scale, shift, n, rat(lam))
-
-
-@memo
-def _sum_degen_moment_cached(model: MomentModel, k: int, scale: int,
-                             shift: int, n: int, lam: Fraction) -> Fraction:
-    return egf_mul_coeff(_chain_power(model, scale, lam, n, k),
-                         egf_degen_exp(shift, lam, n), n)
+    if scale < 1:
+        raise ValueError(f"scale must be a positive integer, got {scale}")
+    lam = rat(lam)
+    chain = _mgf_chain(model, scale, shift, lam)
+    # Start from the highest entry already long enough, so a warm request
+    # reads one entry and a cold one fills only the gap.
+    start = k
+    while start > 0 and (start not in chain or chain[start].order < n):
+        start -= 1
+    entry = chain.get(start)
+    if start == 0 and (entry is None or entry.order < n):
+        entry = chain[0] = egf_degen_exp(shift, lam, n)
+    if start < k:
+        base = egf_mgf_degen(model, scale, lam, n)
+        for j in range(start + 1, k + 1):
+            # Coefficient i of entry j is sum_l C(i, l) P_l [entry j-1]_(i-l);
+            # keep the coefficients the entry already has and append the rest.
+            done = chain[j].coeffs if j in chain else ()
+            entry = EgfSeries(done + tuple(egf_mul_coeff(base, entry, i)
+                                           for i in range(len(done), n + 1)))
+            chain[j] = entry
+    return entry.coeffs[n]
 
 
 def sum_plain_falling_moment(model: MomentModel, k: int, scale: int,

@@ -9,15 +9,16 @@ from probdowling import (Bernoulli, Binomial, Custom, Geometric, Params,
                          bell_partial_series, degen_falling, dobinski_eval,
                          dowling_derivative, dowling_number, dowling_poly,
                          dowling_poly_r, egf_coeff, egf_const, egf_degen_exp,
-                         egf_exp, egf_mul, egf_scale, egf_sub, egf_mgf_degen,
-                         falling, raw_moment, stirling2, stirling2_degen,
-                         stirling2_prob, sum_degen_moment, whitney_prob,
-                         whitney_prob_r)
+                         egf_exp, egf_mul, egf_pow, egf_scale, egf_sub,
+                         egf_mgf_degen, falling, raw_moment, stirling2,
+                         stirling2_degen, stirling2_prob, sum_degen_moment,
+                         whitney_prob, whitney_prob_r)
 from probdowling import bell as bell_mod
 from probdowling import dowling as dowling_mod
 from probdowling import moments as moments_mod
 from probdowling.moments import falling_row
 from probdowling.dowling import WHITNEY_ROUTES, POLY_ZERO
+from probdowling.series import egf_mul_coeff
 
 from oracles import stirling2_brute
 
@@ -367,6 +368,21 @@ def test_cold_many_copies_stay_shallow():
         sys.setrecursionlimit(limit)
     assert got == sum(Fraction(math.comb(400, j), 2**400)
                       * degen_falling(2 * j + 1, 6, lam) for j in range(401))
+
+
+def test_cold_shifted_chain_stays_shallow():
+    # A cold entry 1200 of the sum-moment chain at shift 3 is grown upward
+    # from entry 0, not by one frame per copy.
+    lam = Fraction(1, 3)
+    moments_mod.clear_caches()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        got = sum_degen_moment(BE, 1200, 2, 3, 2, lam)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == egf_mul_coeff(egf_pow(egf_mgf_degen(BE, 2, lam, 2), 1200),
+                                egf_degen_exp(3, lam, 2), 2)
 
 
 def test_stirling2_far_down_a_column():

@@ -161,12 +161,30 @@ def test_defect_vanishing_at_the_check_points_fails(monkeypatch,
     (lambda Y, P: check_convolution(Y, P, -1), "n"),
     (lambda Y, P: check_sum_identity(Y, P, 3, -1), "N"),
     (lambda Y, P: check_recurrence(Y, P, -1), "n"),
+    (lambda Y, P: check_bell_expansion(Y, P, -1), "n"),
 ], ids=["binom_bell-n", "bell_rwhitney-n", "bell_rwhitney-k",
         "stirling_bell-n", "stirling_bell-k", "convolution-n",
-        "sum_identity-N", "recurrence-n"])
+        "sum_identity-N", "recurrence-n", "bell_expansion-n"])
 def test_x_identities_reject_negative_indices(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be nonnegative"):
         call(MODELS[1], PARAM_GRID[1])
+
+
+def test_x_identity_verdict_is_stored_once(monkeypatch, cold_dowling_caches):
+    # The sides of one degree are compared once, when they are built; the
+    # checks at each printed x read that verdict.
+    calls = []
+    real_eq = PolyX.__eq__
+
+    def counted_eq(self, other):
+        calls.append(1)
+        return real_eq(self, other)
+
+    Y, params = Geometric(Fraction(1, 2)), Params(3, Fraction(1, 2))
+    monkeypatch.setattr(PolyX, "__eq__", counted_eq)
+    reports = [check_binom_bell(Y, params, 4, x) for x in CHECK_X_POINTS]
+    assert all(rep.passed for rep in reports)
+    assert len(calls) == 1
 
 
 def test_binomial_inversion_frozen():

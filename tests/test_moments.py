@@ -294,13 +294,22 @@ def test_dobinski_rows_share_one_power_chain():
 
 @pytest.mark.parametrize("call", [
     lambda Y: sum_degen_moment(Y, 2, 0, 1, 3, Fraction(1, 3)),
-    lambda Y: moments_mod._chain_power(Y, 2, Fraction(1, 3), -1, 2),
-], ids=["scale", "order"])
+    lambda Y: sum_degen_moment(Y, 2, 2, 1, -1, Fraction(1, 3)),
+    lambda Y: sum_degen_moment(Y, 0, 0, 1, 3, Fraction(1, 3)),
+], ids=["scale", "order", "scale-k0"])
 def test_invalid_chain_requests_leave_no_chain_entry(call):
     clear_caches()
     with pytest.raises(ValueError, match="must be"):
         call(Bernoulli(Fraction(1, 2)))
     assert moments_mod._mgf_chain.cache_info().currsize == 0
+
+
+def test_no_copies_read_no_moment():
+    # Entry 0 of the chain is the shift's degenerate exponential alone, so
+    # a custom model that declares only E[Y^0] still serves k = 0.
+    lam = Fraction(1, 3)
+    assert sum_degen_moment(Custom((Fraction(1),)), 0, 1, 2, 3, lam) \
+        == degen_falling(2, 3, lam)
 
 
 @pytest.mark.parametrize("call,name", [
