@@ -19,7 +19,7 @@ from .moments import (Bernoulli, Binomial, Custom, DiscreteUniform, Geometric,
                       MomentModel, MomentOrderError, PointMass, Poisson,
                       degen_moment, egf_mgf_degen, model_from_config,
                       model_to_config, raw_moment, sum_degen_moment,
-                      sum_plain_falling_moment)
+                      sum_degen_moment_row, sum_plain_falling_moment)
 from .montecarlo import McEstimate, estimate_sum_degen_moment, sample_Y
 from .ratcore import (Params, Rational, binom, binom_general, clear_caches,
                       degen_falling, falling, format_rational, rat, stirling2)

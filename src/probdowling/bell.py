@@ -1,14 +1,17 @@
 """Partial and complete Bell polynomials on rational argument lists.
 
 Two independent routes are provided on purpose.  ``bell_partial``
-enumerates partition index vectors directly: tuples (l_1, ..., l_{n-k+1})
-with l_1 + l_2 + ... = k blocks and l_1 + 2*l_2 + ... = n elements, each
-contributing n!/(l_1!...l_j!) * prod (x_i/i!)^{l_i}.  The series route
-``bell_partial_series`` reads the same numbers off the k-th power of an
-EGF; ``dowling.stirling2_prob`` reads it.  ``bell_partial_row`` runs the
-same power chain unmemoized for every k of one n, over rationals or
-polynomials in x; the identity battery reads its Bell sides from it.  The
-enumeration is the oracle for both, and the ``bell_form`` Whitney route.
+enumerates partition index vectors directly (Comtet, *Advanced
+Combinatorics*, 3.3): tuples (l_1, ..., l_{n-k+1}) with l_1 + l_2 + ... = k
+blocks and l_1 + 2*l_2 + ... = n elements, each contributing the integer
+n!/prod(i!^{l_i} l_i!) times prod x_i^{l_i}.  The walk drops a branch as
+soon as its remaining blocks cannot hold its remaining elements.  The
+series route ``bell_partial_series`` reads the same numbers off the k-th
+power of an EGF; ``dowling.stirling2_prob`` reads it.  ``bell_partial_row``
+runs the same power chain unmemoized for every k of one n, over rationals
+or polynomials in x; the identity battery reads its Bell sides from it.
+The enumeration is the oracle for both, and the ``bell_form`` Whitney
+route.
 """
 
 from __future__ import annotations
@@ -44,24 +47,27 @@ def bell_partial(n: int, k: int, args: BellArgs) -> Fraction:
 
 @memo
 def _bell_partial_cached(n: int, k: int, xs: tuple[Fraction, ...]) -> Fraction:
-    total = Fraction(0)
+    total, n_fact = Fraction(0), factorial(n)
     for ls in _index_vectors(n, k, len(xs)):
-        term = Fraction(factorial(n))
+        # n!/prod(i!^l_i l_i!) set partitions have l_i blocks of size i;
+        # each contributes prod x_i^l_i.
+        denom, product = 1, Fraction(1)
         for i, l in enumerate(ls, start=1):
-            if l == 0:
-                continue
-            term *= (xs[i - 1] / factorial(i)) ** l
-            term /= factorial(l)
-        total += term
+            if l:
+                denom *= factorial(i) ** l * factorial(l)
+                product *= xs[i - 1] ** l
+        total += n_fact // denom * product
     return total
 
 
 def _index_vectors(n: int, k: int, width: int):
     """Yield (l_1..l_width) with sum l_i = k and sum i*l_i = n."""
     def rec(pos: int, blocks: int, weight: int, acc: list[int]):
-        if pos > width:
-            if blocks == 0 and weight == 0:
-                yield tuple(acc)
+        # Each block left has between pos and width elements.
+        if blocks * pos > weight or weight > blocks * width:
+            return
+        if blocks == 0:
+            yield tuple(acc) + (0,) * (width - len(acc))
             return
         # l_pos can use at most weight // pos of the remaining weight.
         for l in range(min(blocks, weight // pos) + 1):

@@ -19,7 +19,7 @@ value at x = 1 is a Dowling number.  ``dobinski_eval`` sums the
 exponentially weighted moment series for the same polynomial numerically,
 with the exact polynomial value available as the oracle.
 
-``stirling2`` lives in ``ratcore``, below ``moments``, which needs it, and
+``stirling2`` lives in ``ratcore``, which ``identities`` also reads, and
 is re-exported here; the memo tables here come from ``ratcore.memo``.
 """
 
@@ -32,10 +32,10 @@ from typing import Callable
 
 from .bell import bell_partial, bell_partial_series
 from .moments import (MomentModel, egf_mgf_degen, sum_degen_moment,
-                      sum_plain_falling_moment)
-from .ratcore import (Params, RationalLike, binom, clear_caches, degen_falling,
-                      memo, rat, stirling2)
-from .series import egf_coeff, egf_const, egf_sub
+                      sum_degen_moment_row)
+from .ratcore import (Params, RationalLike, binom, clear_caches, memo, rat,
+                      stirling2)
+from .series import egf_coeff, egf_const, egf_degen_exp, egf_sub
 
 WHITNEY_ROUTES = ("egf", "alt_sum", "stirling_expand", "bell_form")
 
@@ -192,13 +192,18 @@ def whitney_prob_r(model: MomentModel, params: Params, n: int, k: int,
     - "egf": entry k of the memoized row ``dowling_poly_r``, which the
       degree-raising recurrence builds from the earlier rows (production
       path; the name is kept because every caller passes it);
-    - "alt_sum": (1/(m^k k!)) sum_j C(k,j) (-1)^(k-j) E[(m S_j + r)_{n,lam}];
+    - "alt_sum": (1/(m^k k!)) sum_j C(k,j) (-1)^(k-j) E[(m S_j + r)_{n,lam}],
+      one chain read per j, weighted by signed integers;
     - "stirling_expand": the same alternating sum pushed through the
       degenerate Stirling expansion of the falling factorial, so only
-      ordinary falling-factorial moments of the copy sums appear;
+      ordinary falling-factorial moments of the copy sums appear: it
+      reads the lam = 1 chain once per copy count l <= k, for every
+      order up to n (``sum_degen_moment_row``), and the Carlitz row
+      ``_stirling2_degen_row(n, lam)`` once;
     - "bell_form": partial Bell polynomials of the kernel coefficients
       E[(mY)_{j,lam}] (``egf_mgf_degen``), evaluated by partition
-      enumeration and weighted by (r)_{n-l,lam}.
+      enumeration through the ``bell_partial`` memo and weighted by
+      (r)_{n-l,lam}, read off one ``egf_degen_exp(r, lam, n - k)``.
 
     k > n returns 0: the generating kernel's series starts at t^k.
     """
@@ -213,30 +218,30 @@ def whitney_prob_r(model: MomentModel, params: Params, n: int, k: int,
     if route == "egf":
         return dowling_poly_r(model, params, n).coeff(k)
     if route == "alt_sum":
-        total = Fraction(0)
-        for j in range(k + 1):
-            term = binom(k, j) * sum_degen_moment(model, j, m, r, n, lam)
-            total += term if (k - j) % 2 == 0 else -term
+        total = sum((-1) ** (k - j) * math.comb(k, j)
+                    * sum_degen_moment(model, j, m, r, n, lam)
+                    for j in range(k + 1))
         return total / (Fraction(m) ** k * math.factorial(k))
     if route == "stirling_expand":
+        s = _stirling2_degen_row(n, lam)
+        signed = [(-1) ** (k - l) * math.comb(k, l) for l in range(k + 1)]
+        plain = [sum_degen_moment_row(model, l, m, r, n, 1)
+                 for l in range(k + 1)]
         total = Fraction(0)
         for j in range(n + 1):
-            s = stirling2_degen(n, j, lam)
-            if not s:
-                continue
-            inner = Fraction(0)
-            for l in range(k + 1):
-                term = binom(k, l) * sum_plain_falling_moment(model, l, m, r, j)
-                inner += term if (k - l) % 2 == 0 else -term
-            total += s * inner
+            if s[j]:
+                total += s[j] * sum(w * moments[j]
+                                    for w, moments in zip(signed, plain))
         return total / (Fraction(m) ** k * math.factorial(k))
     # route == "bell_form"
-    args = egf_mgf_degen(model, m, lam, n - k + 1).coeffs[1:]
+    # B_{l,k} reads x_1..x_(l-k+1) for k >= 1, and no argument for k = 0.
+    args = egf_mgf_degen(model, m, lam, n - k + 1 if k else 0).coeffs[1:]
+    shifted = egf_degen_exp(r, lam, n - k).coeffs      # (r)_{i,lam}
     total = Fraction(0)
     for l in range(k, n + 1):
         b = bell_partial(l, k, args[:l - k + 1])
         if b:
-            total += binom(n, l) * b * degen_falling(r, n - l, lam)
+            total += math.comb(n, l) * b * shifted[n - l]
     return total / Fraction(m) ** k
 
 

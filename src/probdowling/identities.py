@@ -241,10 +241,12 @@ def _stirling_bell_sides(model: MomentModel, params: Params,
 def _x_report(theorem_id: str, model, params, bounds,
               sides: tuple[PolyX, PolyX, bool], x: Fraction) -> IdentityReport:
     """Report the two sides' values at x; ``passed`` is the stored equality
-    of the polynomials, so it holds for every x or for none."""
+    of the polynomials, so it holds for every x or for none, and equal
+    polynomials are evaluated once."""
     lhs, rhs, equal = sides
-    return IdentityReport(theorem_id, model, params, bounds, lhs.evaluate(x),
-                          rhs.evaluate(x), passed=equal)
+    value = lhs.evaluate(x)
+    return IdentityReport(theorem_id, model, params, bounds, value,
+                          value if equal else rhs.evaluate(x), passed=equal)
 
 
 def _require_indices(**indices: int) -> None:

@@ -10,7 +10,12 @@ expectation of the product over independent copies.  That series,
 Its powers times the degenerate exponential of a shift are the sum
 moments themselves, stored once in one chain per (model, scale, shift,
 lam), ``_mgf_chain``, grown to the highest order asked, so nothing is
-rebuilt or kept per order.
+rebuilt or kept per order.  ``sum_degen_moment`` reads one coefficient
+of a chain entry; ``sum_degen_moment_row`` grows the entry and returns
+every order up to n at once, for callers that read a whole column.
+
+Poisson and geometric raw moments follow from the lower ones by a
+binomial recurrence (Touchard's for Poisson), summed in integers.
 
 Every expectation is built on ``falling_row``: (x + shift)_{n,lam} in
 powers of x, the degenerate Stirling numbers of the first kind at shift 0.
@@ -26,11 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, lcm
 from typing import Mapping, Sequence, Union
 
-from .ratcore import (RationalLike, clear_caches, format_rational, memo, rat,
-                      stirling2)
+from .ratcore import RationalLike, clear_caches, format_rational, memo, rat
 # egf_mul is imported but unused: the benchmark's tracer self-test patches
 # and reads it as moments.egf_mul.
 from .series import (EgfSeries, egf_degen_exp, egf_mul,  # noqa: F401
@@ -161,21 +165,33 @@ def raw_moment(model: MomentModel, n: int) -> Fraction:
     if isinstance(model, DiscreteUniform):
         return sum((Fraction(j)**n for j in range(model.max + 1)),
                    Fraction(0)) / (model.max + 1)
-    if isinstance(model, Poisson):
-        # Touchard expansion: E[Y^n] = sum_k S2(n,k) rate^k.
-        return sum((stirling2(n, k) * model.rate**k for k in range(n + 1)),
-                   Fraction(0))
-    if isinstance(model, Geometric):
-        # Factorial moments E[(Y)_k] = k! ((1-p)/p)^k, then expand over the
-        # falling-factorial basis.
-        ratio = (1 - model.p) / model.p
-        return sum((stirling2(n, k) * factorial(k) * ratio**k
-                    for k in range(n + 1)), Fraction(0))
+    if isinstance(model, (Poisson, Geometric)):
+        if n == 0:
+            return Fraction(1)
+        # Ascending calls: each lower moment finds its own predecessors
+        # memoized, so a cold call at large n never nests more than two deep.
+        lower = [raw_moment(model, j) for j in range(n)]
+        if isinstance(model, Poisson):
+            # Touchard: E[Y^n] = rate sum_j C(n-1, j) E[Y^j].
+            return model.rate * _binomial_sum(n - 1, lower)
+        # Geometric: E[Y^n] = ((1-p)/p) sum_{j<n} C(n, j) E[Y^j].
+        return (1 - model.p) / model.p * _binomial_sum(n, lower)
     if isinstance(model, Custom):
         if n >= len(model.moments):
             raise MomentOrderError(n, len(model.moments))
         return model.moments[n]
     raise TypeError(f"not a moment model: {model!r}")
+
+
+def _binomial_sum(n: int, values: Sequence[Fraction]) -> Fraction:
+    """sum_j C(n, j) values[j], summed in integers over one common
+    denominator, with C(n, j) stepped along the row."""
+    den = lcm(*(v.denominator for v in values))
+    num, c = 0, 1
+    for j, v in enumerate(values):
+        num += c * v.numerator * (den // v.denominator)
+        c = c * (n - j) // (j + 1)
+    return Fraction(num, den)
 
 
 @memo
@@ -251,13 +267,23 @@ def sum_degen_moment(model: MomentModel, k: int, scale: int, shift: int,
     Read as coefficient n of entry k of the one chain per
     (model, scale, shift, lam), ``_mgf_chain``: (E-series)^k times the
     degenerate exponential of the shift, where E-series is the scaled
-    degenerate MGF.  The entry is grown there first if it is too short.
+    degenerate MGF.  A valid request whose entry is long enough reads it
+    here with no further call; any other goes through
+    ``sum_degen_moment_row``, which checks the arguments and grows the
+    entry.
     """
-    for name, value in (("copy count", k), ("shift", shift), ("n", n)):
-        if value < 0:
-            raise ValueError(f"{name} must be nonnegative, got {value}")
-    if scale < 1:
-        raise ValueError(f"scale must be a positive integer, got {scale}")
+    if k >= 0 and shift >= 0 and n >= 0 and scale >= 1:
+        entry = _mgf_chain(model, scale, shift, rat(lam)).get(k)
+        if entry is not None and entry.order >= n:
+            return entry.coeffs[n]
+    return sum_degen_moment_row(model, k, scale, shift, n, lam)[n]
+
+
+def sum_degen_moment_row(model: MomentModel, k: int, scale: int, shift: int,
+                         n: int, lam: RationalLike) -> tuple[Fraction, ...]:
+    """E[(scale*S_k + shift)_{i,lam}] for i = 0..n: the coefficients of
+    entry k of ``_mgf_chain``, grown there first if it is too short."""
+    require_sum_args(k, scale, shift, n)
     lam = rat(lam)
     chain = _mgf_chain(model, scale, shift, lam)
     # Start from the highest entry already long enough, so a warm request
@@ -277,7 +303,17 @@ def sum_degen_moment(model: MomentModel, k: int, scale: int, shift: int,
             entry = EgfSeries(done + tuple(egf_mul_coeff(base, entry, i)
                                            for i in range(len(done), n + 1)))
             chain[j] = entry
-    return entry.coeffs[n]
+    return entry.coeffs[:n + 1]
+
+
+def require_sum_args(k: int, scale: int, shift: int, n: int) -> None:
+    """ValueError unless E[(scale*S_k + shift)_n] names a sum moment: the
+    copy count, shift and n nonnegative, the scale a positive integer."""
+    for name, value in (("copy count", k), ("shift", shift), ("n", n)):
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
+    if scale < 1:
+        raise ValueError(f"scale must be a positive integer, got {scale}")
 
 
 def sum_plain_falling_moment(model: MomentModel, k: int, scale: int,

@@ -18,7 +18,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .moments import (Bernoulli, Binomial, Custom, DiscreteUniform, Geometric,
-                      MomentModel, PointMass, Poisson, sum_degen_moment)
+                      MomentModel, PointMass, Poisson, require_sum_args,
+                      sum_degen_moment)
 from .ratcore import RationalLike, rat
 
 if TYPE_CHECKING:
@@ -103,6 +104,9 @@ def estimate_sum_degen_moment(model: MomentModel, k: int, scale: int,
     if samples < 2:
         raise ValueError(f"need at least 2 samples for a standard error, "
                          f"got {samples}")
+    # Check the target's indices before the draw, but compute it after:
+    # a custom model fails in the sampler, not on a short moment list.
+    require_sum_args(k, scale, shift, n)
     import numpy as np
 
     lam = rat(lam)

@@ -79,3 +79,28 @@ def sum_moment_brute(model, k, scale, shift, n, lam):
             s += value
         total += prob * degen_falling(scale * s + shift, n, lam)
     return total
+
+
+def index_vectors_unpruned(n, k, width):
+    """(l_1..l_width) with sum l_i = k and sum i*l_i = n, by walking every
+    position to the end and filtering only there."""
+    def rec(pos, blocks, weight, acc):
+        if pos > width:
+            if blocks == 0 and weight == 0:
+                yield tuple(acc)
+            return
+        for l in range(min(blocks, weight // pos) + 1):
+            yield from rec(pos + 1, blocks - l, weight - pos * l, acc + [l])
+    yield from rec(1, k, n, [])
+
+
+def bell_numbers(n):
+    """Bell numbers B_0..B_n by Aitken's array: additions only."""
+    out, row = [1], [1]
+    for _ in range(n):
+        nxt = [row[-1]]
+        for value in row:
+            nxt.append(nxt[-1] + value)
+        row = nxt
+        out.append(row[0])
+    return out

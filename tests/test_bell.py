@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from probdowling import (EgfSeries, PolyX, bell_complete, bell_partial,
                          bell_partial_series, egf_coeff, egf_exp)
-from probdowling.bell import bell_args_series, bell_partial_row
+from probdowling.bell import _index_vectors, bell_args_series, bell_partial_row
 from probdowling.dowling import POLY_ONE
 
-from oracles import bell_partial_brute, bell_brute
+from oracles import bell_partial_brute, bell_brute, index_vectors_unpruned
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 
@@ -120,3 +120,13 @@ def test_rational_chain_matches_enumeration():
         assert row == tuple(bell_partial(n, k, args) for k in range(n + 1))
     with pytest.raises(ValueError, match="4 arguments"):
         bell_partial_row(4, [1, 2, 3], Fraction(1))
+
+
+def test_pruned_index_walk_matches_the_unpruned_walk():
+    # The walk stops a branch that cannot close and yields as soon as no
+    # block is left; it must still yield every vector, in the same order.
+    for n in range(17):
+        for k in range(n + 1):
+            for width in range(n + 2):
+                assert list(_index_vectors(n, k, width)) == \
+                    list(index_vectors_unpruned(n, k, width)), (n, k, width)

@@ -20,7 +20,7 @@ from probdowling.moments import falling_row
 from probdowling.dowling import WHITNEY_ROUTES, POLY_ZERO
 from probdowling.series import egf_mul_coeff
 
-from oracles import stirling2_brute
+from oracles import bell_numbers, stirling2_brute
 
 PM1 = PointMass(Fraction(1))
 BE = Bernoulli(Fraction(1, 2))
@@ -167,6 +167,39 @@ def test_whitney_four_route_agreement_small_grid():
                                   for route in WHITNEY_ROUTES}
                         assert len(set(values.values())) == 1, \
                             (r, m, lam, n, k, values)
+
+
+@pytest.mark.parametrize("r", [0, 2])
+@pytest.mark.parametrize("model", [
+    Geometric(Fraction(1, 3)),
+    Custom((Fraction(1),) + tuple(Fraction(j + 2, j + 1) for j in range(16))),
+], ids=["geometric", "custom"])
+def test_whitney_four_route_agreement_deep(model, r):
+    # Every W(n, k) for n <= 16; the custom list declares moments up to
+    # order 16 only, so no route may read a moment past n.
+    params = Params(2, Fraction(1, 3), r)
+    for n in range(17):
+        for k in range(n + 1):
+            values = {route: whitney_prob_r(model, params, n, k, route)
+                      for route in WHITNEY_ROUTES}
+            assert len(set(values.values())) == 1, (n, k, values)
+
+
+def test_stirling_expand_reads_one_chain_entry_per_copy_count(monkeypatch):
+    # The route reads every order up to n of the lam = 1 chain once per copy
+    # count l <= k, not once per (order, copy count).
+    reads = []
+    chain = moments_mod._mgf_chain
+
+    def counted(model, scale, shift, lam):
+        reads.append(lam)
+        return chain(model, scale, shift, lam)
+
+    Y, params, n, k = Geometric(Fraction(1, 3)), P213, 9, 4
+    monkeypatch.setattr(moments_mod, "_mgf_chain", counted)
+    got = whitney_prob_r(Y, params, n, k, "stirling_expand")
+    assert reads == [Fraction(1)] * (k + 1)
+    assert got == whitney_prob_r(Y, params, n, k, "egf")
 
 
 def test_unknown_route_is_rejected_for_every_index():
@@ -383,6 +416,20 @@ def test_cold_shifted_chain_stays_shallow():
         sys.setrecursionlimit(limit)
     assert got == egf_mul_coeff(egf_pow(egf_mgf_degen(BE, 2, lam, 2), 1200),
                                 egf_degen_exp(3, lam, 2), 2)
+
+
+def test_cold_deep_raw_moment_stays_shallow():
+    # Touchard's recurrence reads every lower moment; a cold moment 1500
+    # must fill them upward, not recurse one frame per order.  Poisson(1)
+    # moments are the Bell numbers.
+    moments_mod.clear_caches()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        got = raw_moment(Poisson(Fraction(1)), 1500)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == bell_numbers(1500)[1500]
 
 
 def test_stirling2_far_down_a_column():

@@ -187,6 +187,23 @@ def test_x_identity_verdict_is_stored_once(monkeypatch, cold_dowling_caches):
     assert len(calls) == 1
 
 
+def test_equal_sides_are_evaluated_once(monkeypatch, cold_dowling_caches):
+    # A passing x-report evaluates one side and reports its value twice.
+    Y, params = Geometric(Fraction(1, 2)), Params(3, Fraction(1, 2))
+    check_binom_bell(Y, params, 4, Fraction(0))    # build the sides first
+    calls = []
+    real_evaluate = PolyX.evaluate
+
+    def counted_evaluate(self, x):
+        calls.append(1)
+        return real_evaluate(self, x)
+
+    monkeypatch.setattr(PolyX, "evaluate", counted_evaluate)
+    rep = check_binom_bell(Y, params, 4, Fraction(3, 2))
+    assert rep.passed and rep.lhs == rep.rhs
+    assert len(calls) == 1
+
+
 def test_binomial_inversion_frozen():
     assert check_binomial_inversion([1, 0, 0, 0]).passed
     assert check_binomial_inversion([1, 2, 4, 8]).passed

@@ -12,7 +12,8 @@ from probdowling import (Bernoulli, Binomial, Custom, DiscreteUniform,
                          Poisson, clear_caches, degen_falling, degen_moment,
                          dobinski_eval, egf_coeff, egf_degen_exp,
                          egf_mgf_degen, egf_pow, model_from_config,
-                         model_to_config, raw_moment, sum_degen_moment,
+                         model_to_config, raw_moment, stirling2,
+                         sum_degen_moment, sum_degen_moment_row,
                          sum_plain_falling_moment)
 import probdowling.moments as moments_mod
 from probdowling.moments import falling_row
@@ -60,6 +61,35 @@ def test_geometric_half_moments_are_fubini_numbers():
                        for k in range(n + 1))
         assert raw_moment(Y, n) == expected
     assert [raw_moment(Y, n) for n in range(6)] == [1, 1, 3, 13, 75, 541]
+
+
+@pytest.mark.parametrize("model", [
+    Poisson(Fraction(0)), Poisson(Fraction(7, 3)),
+    Geometric(Fraction(1, 3)), Geometric(Fraction(1)),
+], ids=["poisson-0", "poisson-7/3", "geometric-1/3", "geometric-1"])
+def test_poisson_and_geometric_moments_match_stirling_sums(model):
+    # The recurrences against the explicit forms they replaced: Touchard's
+    # sum_k S2(n,k) rate^k, and sum_k S2(n,k) k! ((1-p)/p)^k.
+    clear_caches()
+    for n in range(41):
+        if isinstance(model, Poisson):
+            expected = sum(stirling2(n, k) * model.rate ** k
+                           for k in range(n + 1))
+        else:
+            ratio = (1 - model.p) / model.p
+            expected = sum(stirling2(n, k) * factorial(k) * ratio ** k
+                           for k in range(n + 1))
+        assert raw_moment(model, n) == expected, n
+
+
+def test_sum_degen_moment_row_is_every_order_of_one_entry():
+    Y, lam = Geometric(Fraction(1, 3)), Fraction(-1, 2)
+    row = sum_degen_moment_row(Y, 3, 2, 1, 6, lam)
+    assert row == tuple(sum_degen_moment(Y, 3, 2, 1, n, lam)
+                        for n in range(7))
+    # A longer entry stored since is cut back to the orders asked.
+    sum_degen_moment(Y, 3, 2, 1, 9, lam)
+    assert sum_degen_moment_row(Y, 3, 2, 1, 6, lam) == row
 
 
 def test_geometric_general_p_first_moments():
@@ -296,7 +326,9 @@ def test_dobinski_rows_share_one_power_chain():
     lambda Y: sum_degen_moment(Y, 2, 0, 1, 3, Fraction(1, 3)),
     lambda Y: sum_degen_moment(Y, 2, 2, 1, -1, Fraction(1, 3)),
     lambda Y: sum_degen_moment(Y, 0, 0, 1, 3, Fraction(1, 3)),
-], ids=["scale", "order", "scale-k0"])
+    lambda Y: sum_degen_moment(Y, -1, 2, 1, 3, Fraction(1, 3)),
+    lambda Y: sum_degen_moment_row(Y, 1, 2, -1, 3, Fraction(1, 3)),
+], ids=["scale", "order", "scale-k0", "copies", "row-shift"])
 def test_invalid_chain_requests_leave_no_chain_entry(call):
     clear_caches()
     with pytest.raises(ValueError, match="must be"):

@@ -6,6 +6,7 @@ import pytest
 from probdowling import (Bernoulli, Custom, DiscreteUniform, Geometric,
                          PointMass, Poisson, estimate_sum_degen_moment,
                          sample_Y)
+from probdowling import montecarlo
 from probdowling.montecarlo import SamplerUnsupportedError
 
 
@@ -84,3 +85,20 @@ def test_estimate_validates_sample_count():
     with pytest.raises(ValueError):
         estimate_sum_degen_moment(Bernoulli(Fraction(1, 2)), 1, 1, 0, 1,
                                   0, samples=1, seed=0)
+
+
+@pytest.mark.parametrize("k, scale, shift, n, message", [
+    (3, 0, 1, 3, "scale must be a positive integer"),
+    (-1, 1, 1, 3, "copy count must be nonnegative"),
+    (3, 1, -1, 3, "shift must be nonnegative"),
+    (3, 1, 1, -1, "n must be nonnegative"),
+])
+def test_invalid_target_is_rejected_before_any_draw(monkeypatch, k, scale,
+                                                     shift, n, message):
+    def no_draw(*args):
+        raise AssertionError("sampled before checking the target")
+
+    monkeypatch.setattr(montecarlo, "_draw", no_draw)
+    with pytest.raises(ValueError, match=message):
+        estimate_sum_degen_moment(Bernoulli(Fraction(1, 2)), k, scale, shift,
+                                  n, Fraction(1, 3), 2_000_000, 1)
