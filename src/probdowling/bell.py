@@ -4,14 +4,15 @@ Two independent routes are provided on purpose.  ``bell_partial``
 enumerates partition index vectors directly (Comtet, *Advanced
 Combinatorics*, 3.3): tuples (l_1, ..., l_{n-k+1}) with l_1 + l_2 + ... = k
 blocks and l_1 + 2*l_2 + ... = n elements, each contributing the integer
-n!/prod(i!^{l_i} l_i!) times prod x_i^{l_i}.  The walk drops a branch as
-soon as its remaining blocks cannot hold its remaining elements.  The
-series route ``bell_partial_series`` reads the same numbers off the k-th
-power of an EGF; ``dowling.stirling2_prob`` reads it.  ``bell_partial_row``
-runs the same power chain unmemoized for every k of one n, over rationals
-or polynomials in x; the identity battery reads its Bell sides from it.
-The enumeration is the oracle for both, and the ``bell_form`` Whitney
-route.
+n!/prod(i!^{l_i} l_i!) times prod x_i^{l_i}, kept as one integer pair
+(numerator, denominator) so the terms add over one common denominator
+(``ratcore.pair_sum``).  The walk drops a branch as soon as its remaining
+blocks cannot hold its remaining elements.  The series route
+``bell_partial_series`` reads the same numbers off the k-th power of an
+EGF; ``dowling.stirling2_prob`` reads it.  ``bell_partial_row`` runs the
+same power chain unmemoized for every k of one n, over rationals or
+polynomials in x; the identity battery reads its Bell sides from it.  The
+enumeration is the oracle for both, and the ``bell_form`` Whitney route.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Sequence, TypeVar
 
-from .ratcore import RationalLike, clear_caches, memo, rat
+from .ratcore import RationalLike, clear_caches, memo, pair_sum, rat
 from .series import EgfSeries, egf_const, egf_mul, egf_scale
 
 BellArgs = Sequence[RationalLike]
@@ -47,17 +48,18 @@ def bell_partial(n: int, k: int, args: BellArgs) -> Fraction:
 
 @memo
 def _bell_partial_cached(n: int, k: int, xs: tuple[Fraction, ...]) -> Fraction:
-    total, n_fact = Fraction(0), factorial(n)
+    n_fact, terms = factorial(n), []
     for ls in _index_vectors(n, k, len(xs)):
         # n!/prod(i!^l_i l_i!) set partitions have l_i blocks of size i;
-        # each contributes prod x_i^l_i.
-        denom, product = 1, Fraction(1)
-        for i, l in enumerate(ls, start=1):
+        # each contributes prod x_i^l_i = prod p_i^l_i / prod q_i^l_i.
+        count, num, den = 1, 1, 1
+        for i, (x, l) in enumerate(zip(xs, ls), start=1):
             if l:
-                denom *= factorial(i) ** l * factorial(l)
-                product *= xs[i - 1] ** l
-        total += n_fact // denom * product
-    return total
+                count *= factorial(i) ** l * factorial(l)
+                num *= x.numerator ** l
+                den *= x.denominator ** l
+        terms.append((n_fact // count * num, den))
+    return pair_sum(terms)
 
 
 def _index_vectors(n: int, k: int, width: int):

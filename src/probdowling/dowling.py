@@ -33,8 +33,8 @@ from typing import Callable
 from .bell import bell_partial, bell_partial_series
 from .moments import (MomentModel, egf_mgf_degen, sum_degen_moment,
                       sum_degen_moment_row)
-from .ratcore import (Params, RationalLike, binom, clear_caches, memo, rat,
-                      stirling2)
+from .ratcore import (Params, RationalLike, binom, binomial_row, clear_caches,
+                      dot, memo, rat, stirling2)
 from .series import egf_coeff, egf_const, egf_degen_exp, egf_sub
 
 WHITNEY_ROUTES = ("egf", "alt_sum", "stirling_expand", "bell_form")
@@ -218,31 +218,31 @@ def whitney_prob_r(model: MomentModel, params: Params, n: int, k: int,
     if route == "egf":
         return dowling_poly_r(model, params, n).coeff(k)
     if route == "alt_sum":
-        total = sum((-1) ** (k - j) * math.comb(k, j)
-                    * sum_degen_moment(model, j, m, r, n, lam)
-                    for j in range(k + 1))
+        total = dot(_signed_binomials(k),
+                    [sum_degen_moment(model, j, m, r, n, lam)
+                     for j in range(k + 1)])
         return total / (Fraction(m) ** k * math.factorial(k))
     if route == "stirling_expand":
         s = _stirling2_degen_row(n, lam)
-        signed = [(-1) ** (k - l) * math.comb(k, l) for l in range(k + 1)]
+        signed = _signed_binomials(k)
         plain = [sum_degen_moment_row(model, l, m, r, n, 1)
                  for l in range(k + 1)]
-        total = Fraction(0)
-        for j in range(n + 1):
-            if s[j]:
-                total += s[j] * sum(w * moments[j]
-                                    for w, moments in zip(signed, plain))
+        # Column j of `plain` holds E[(m S_l + r)_j] for l = 0..k.
+        total = dot(s, [dot(signed, column) if sj else 0
+                        for sj, column in zip(s, zip(*plain))])
         return total / (Fraction(m) ** k * math.factorial(k))
     # route == "bell_form"
     # B_{l,k} reads x_1..x_(l-k+1) for k >= 1, and no argument for k = 0.
     args = egf_mgf_degen(model, m, lam, n - k + 1 if k else 0).coeffs[1:]
     shifted = egf_degen_exp(r, lam, n - k).coeffs      # (r)_{i,lam}
-    total = Fraction(0)
-    for l in range(k, n + 1):
-        b = bell_partial(l, k, args[:l - k + 1])
-        if b:
-            total += math.comb(n, l) * b * shifted[n - l]
+    bells = [bell_partial(l, k, args[:l - k + 1]) for l in range(k, n + 1)]
+    total = dot(bells, shifted[::-1], binomial_row(n)[k:])
     return total / Fraction(m) ** k
+
+
+def _signed_binomials(k: int) -> list[int]:
+    """(-1)^(k-j) C(k, j) for j = 0..k, the alternating-sum weights."""
+    return [(-1) ** (k - j) * c for j, c in enumerate(binomial_row(k))]
 
 
 @dataclass(frozen=True)
@@ -309,8 +309,8 @@ def dowling_poly_r(model: MomentModel, params: Params, n: int) -> PolyX:
     row = [shift * prev[0]]
     for k in range(1, n + 1):
         carried = shift * prev[k] if k < n else Fraction(0)
-        row.append(carried + sum(weights[l] * rows[l][k - 1]
-                                 for l in range(k - 1, n)))
+        row.append(carried + dot(weights[k - 1:],
+                                 [rows[l][k - 1] for l in range(k - 1, n)]))
     return PolyX(tuple(row))
 
 

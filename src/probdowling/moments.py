@@ -15,12 +15,13 @@ of a chain entry; ``sum_degen_moment_row`` grows the entry and returns
 every order up to n at once, for callers that read a whole column.
 
 Poisson and geometric raw moments follow from the lower ones by a
-binomial recurrence (Touchard's for Poisson), summed in integers.
+binomial recurrence (Touchard's for Poisson), one ``ratcore.dot`` each.
 
 Every expectation is built on ``falling_row``: (x + shift)_{n,lam} in
 powers of x, the degenerate Stirling numbers of the first kind at shift 0.
 Expectations are memoized by value (``ratcore.memo``); models compare and
-hash by their parameters, so equal models share cache entries.
+hash by their parameters, so equal models share cache entries, and each
+model keeps its hash after the first lookup (``ratcore.hash_once``).
 ``clear_caches`` drops every memo table; recomputation is identical.
 
 The geometric model counts failures before the first success, i.e. it is
@@ -31,10 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from typing import Mapping, Sequence, Union
 
-from .ratcore import RationalLike, clear_caches, format_rational, memo, rat
+from .ratcore import (RationalLike, binomial_row, clear_caches, dot,
+                      format_rational, hash_once, memo, rat)
 # egf_mul is imported but unused: the benchmark's tracer self-test patches
 # and reads it as moments.egf_mul.
 from .series import (EgfSeries, egf_degen_exp, egf_mul,  # noqa: F401
@@ -52,6 +54,7 @@ class MomentOrderError(ValueError):
             f"declares moments up to order {available - 1}")
 
 
+@hash_once
 @dataclass(frozen=True)
 class PointMass:
     """Deterministic variable equal to c."""
@@ -62,6 +65,7 @@ class PointMass:
         object.__setattr__(self, "c", rat(self.c))
 
 
+@hash_once
 @dataclass(frozen=True)
 class Bernoulli:
     """Indicator variable: 1 with probability p, else 0."""
@@ -74,6 +78,7 @@ class Bernoulli:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
 
 
+@hash_once
 @dataclass(frozen=True)
 class Binomial:
     """Number of successes in `trials` independent Bernoulli(p) trials."""
@@ -89,6 +94,7 @@ class Binomial:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
 
 
+@hash_once
 @dataclass(frozen=True)
 class DiscreteUniform:
     """Uniform on the integers {0, 1, ..., max}."""
@@ -100,6 +106,7 @@ class DiscreteUniform:
             raise ValueError(f"max must be a nonnegative integer, got {self.max!r}")
 
 
+@hash_once
 @dataclass(frozen=True)
 class Poisson:
     """Poisson with rational rate >= 0."""
@@ -112,6 +119,7 @@ class Poisson:
             raise ValueError(f"rate must be nonnegative, got {self.rate}")
 
 
+@hash_once
 @dataclass(frozen=True)
 class Geometric:
     """Failures before the first success, success probability p.
@@ -128,6 +136,7 @@ class Geometric:
             raise ValueError(f"p must lie in (0, 1], got {self.p}")
 
 
+@hash_once
 @dataclass(frozen=True)
 class Custom:
     """Explicit moment list; entry n is E[Y^n], entry 0 must be 1.
@@ -173,25 +182,14 @@ def raw_moment(model: MomentModel, n: int) -> Fraction:
         lower = [raw_moment(model, j) for j in range(n)]
         if isinstance(model, Poisson):
             # Touchard: E[Y^n] = rate sum_j C(n-1, j) E[Y^j].
-            return model.rate * _binomial_sum(n - 1, lower)
+            return model.rate * dot(binomial_row(n - 1), lower)
         # Geometric: E[Y^n] = ((1-p)/p) sum_{j<n} C(n, j) E[Y^j].
-        return (1 - model.p) / model.p * _binomial_sum(n, lower)
+        return (1 - model.p) / model.p * dot(binomial_row(n)[:n], lower)
     if isinstance(model, Custom):
         if n >= len(model.moments):
             raise MomentOrderError(n, len(model.moments))
         return model.moments[n]
     raise TypeError(f"not a moment model: {model!r}")
-
-
-def _binomial_sum(n: int, values: Sequence[Fraction]) -> Fraction:
-    """sum_j C(n, j) values[j], summed in integers over one common
-    denominator, with C(n, j) stepped along the row."""
-    den = lcm(*(v.denominator for v in values))
-    num, c = 0, 1
-    for j, v in enumerate(values):
-        num += c * v.numerator * (den // v.denominator)
-        c = c * (n - j) // (j + 1)
-    return Fraction(num, den)
 
 
 @memo
@@ -217,11 +215,12 @@ def falling_row(shift: int | Fraction, n: int,
 def degen_moment(model: MomentModel, n: int, lam: Fraction) -> Fraction:
     """E[Y(Y-lam)(Y-2*lam)...(Y-(n-1)*lam)], exactly.
 
-    Expands the product into powers of Y and applies raw moments linearly.
+    Expands the product into powers of Y and applies raw moments linearly;
+    a zero coefficient reads no raw moment.
     """
     coeffs = falling_row(0, n, rat(lam))
-    return sum((c * raw_moment(model, j) for j, c in enumerate(coeffs) if c),
-               Fraction(0))
+    return dot(coeffs, [raw_moment(model, j) if c else 0
+                        for j, c in enumerate(coeffs)])
 
 
 def egf_mgf_degen(model: MomentModel, scale: int, lam: Fraction,

@@ -2,18 +2,26 @@
 
 Every number in this package is a ``fractions.Fraction``: arithmetic is
 exact, results are always in lowest terms with a positive denominator, and
-values are immutable (safe to share between threads).  Memo tables hold
-immutable values too; the one table whose entries grow, the sum-moment
-chain ``moments._mgf_chain`` (one per model, scale, shift and lam, whose
-entry k is the series of E[(scale*S_k + shift)_{n,lam}]), replaces each
-entry whole by a longer immutable series, so a reader in another thread
-sees an old or a new entry, both correct, and never a half-built one.
+values are immutable (safe to share between threads).  Hot sums of
+products do not add Fractions term by term, which reduces by a gcd at
+every step: ``dot`` and ``pair_sum`` accumulate integer numerators over
+one running common denominator (the lcm of the terms') and reduce once,
+returning the same Fraction.
+
+Memo tables hold immutable values too; the one table whose entries
+grow, the sum-moment chain ``moments._mgf_chain`` (one per model, scale,
+shift and lam, whose entry k is the series of
+E[(scale*S_k + shift)_{n,lam}]), replaces each entry whole by a longer
+immutable series, so a reader in another thread sees an old or a new
+entry, both correct, and never a half-built one.
 The degeneracy parameter ``lam`` may be any rational including 0, which
 recovers the classical (non-degenerate) objects, and 1, which recovers
 ordinary falling factorials.
 
-The lowest layer also holds what higher layers share: ``stirling2``, and
-``memo``, which makes and registers every memo table for ``clear_caches``.
+The lowest layer also holds what higher layers share: ``stirling2``,
+``binomial_row``, ``hash_once``, which keeps a frozen dataclass's field
+hash after the first call, and ``memo``, which makes and registers every
+memo table for ``clear_caches``.
 """
 
 from __future__ import annotations
@@ -21,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
-from typing import Callable, Union
+from math import comb, factorial, gcd
+from typing import Callable, Iterable, Sequence, Union
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
@@ -41,6 +49,57 @@ def clear_caches() -> None:
     """Drop every memo table (recomputation yields identical values)."""
     for table in _MEMO_TABLES:
         table.cache_clear()
+
+
+def hash_once(cls: type) -> type:
+    """Class decorator for a frozen dataclass used as a memo key: keep its
+    field hash after the first call instead of rehashing every field (a
+    pure-Python ``Fraction.__hash__`` each) on every lookup.  Equality,
+    ``fields()`` and ``repr`` are the dataclass's own."""
+    field_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", field_hash(self))
+            return self._hash
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+def pair_sum(pairs: Iterable[tuple[int, int]]) -> Fraction:
+    """sum of num/den over integer pairs (num, den) with den > 0.
+
+    Numerators accumulate over a running common denominator, the lcm of
+    the pairs' denominators so far, and the total is reduced once.
+    """
+    num, den = 0, 1
+    for n, d in pairs:
+        if not n:
+            continue
+        if d == den:
+            num += n
+        else:
+            g = gcd(den, d)
+            num = num * (d // g) + n * (den // g)
+            den = den // g * d
+    return Fraction(num, den)
+
+
+def dot(xs: Sequence[Fraction | int], ys: Sequence[Fraction | int],
+        weights: Sequence[Fraction | int] | None = None) -> Fraction:
+    """sum_i w_i x_i y_i (w_i = 1 without weights) for ints and Fractions,
+    exactly, through ``pair_sum``.  Operands of different lengths raise
+    ValueError, so a short one never truncates the sum."""
+    if weights is None:
+        return pair_sum((x.numerator * y.numerator,
+                         x.denominator * y.denominator)
+                        for x, y in zip(xs, ys, strict=True))
+    return pair_sum((w.numerator * x.numerator * y.numerator,
+                     w.denominator * x.denominator * y.denominator)
+                    for w, x, y in zip(weights, xs, ys, strict=True))
 
 
 def rat(value: RationalLike) -> Fraction:
@@ -95,6 +154,14 @@ def binom(n: int, k: int) -> Fraction:
     return Fraction(comb(n, k))
 
 
+def binomial_row(n: int) -> list[int]:
+    """C(n, 0), ..., C(n, n), each stepped from the one before."""
+    row = [1]
+    for j in range(n):
+        row.append(row[-1] * (n - j) // (j + 1))
+    return row
+
+
 def stirling2(n: int, k: int) -> Fraction:
     """Stirling number of the second kind, by the explicit alternating sum
     (1/k!) sum_j (-1)^(k-j) C(k, j) j^n, so no call recurses."""
@@ -113,6 +180,7 @@ def binom_general(x: RationalLike, k: int) -> Fraction:
     return falling(x, k) / factorial(k)
 
 
+@hash_once
 @dataclass(frozen=True)
 class Params:
     """Shared parameter bundle: group order m >= 1, degeneracy lam, shift r >= 0.
@@ -126,8 +194,8 @@ class Params:
     r: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or self.m < 1:
+        if type(self.m) is not int or self.m < 1:
             raise ValueError(f"m must be a positive integer, got {self.m!r}")
-        if not isinstance(self.r, int) or self.r < 0:
+        if type(self.r) is not int or self.r < 0:
             raise ValueError(f"r must be a nonnegative integer, got {self.r!r}")
         object.__setattr__(self, "lam", rat(self.lam))

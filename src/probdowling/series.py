@@ -5,17 +5,20 @@ sum_n c_n t^n / n!, truncated after t^N.  Products are binomial
 convolutions, so every retained coefficient of a result equals the
 corresponding coefficient of the untruncated series: truncation is
 lossless for the indices kept.  Binary operations require equal order.
+Each product coefficient is one ``ratcore.dot`` over a binomial row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
-from .ratcore import RationalLike, rat
+from .ratcore import RationalLike, binomial_row, dot, hash_once, rat
 
 
+# Memo tables key on series; hash_once hashes the coefficients once, not
+# per lookup.
+@hash_once
 @dataclass(frozen=True)
 class EgfSeries:
     """Immutable coefficient vector c_0..c_N of sum c_n t^n / n!."""
@@ -27,14 +30,6 @@ class EgfSeries:
         if not coerced:
             raise ValueError("a series needs at least the constant coefficient")
         object.__setattr__(self, "coeffs", coerced)
-
-    def __hash__(self) -> int:
-        # Memo tables key on series; hash the coefficients once, not per lookup.
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash(self.coeffs))
-            return self._hash
 
     @property
     def order(self) -> int:
@@ -92,10 +87,12 @@ def egf_mul(a: EgfSeries, b: EgfSeries) -> EgfSeries:
 
 def egf_mul_coeff(a: EgfSeries, b: EgfSeries, n: int) -> Fraction:
     """Coefficient n of the product a*b, sum_j C(n,j) a_j b_{n-j}.  Reads
-    only a_0..a_n and b_0..b_n and forms no other coefficient."""
-    ac, bc = a.coeffs, b.coeffs
-    return sum((comb(n, j) * ac[j] * bc[n - j] for j in range(n + 1)),
-               Fraction(0))
+    only a_0..a_n and b_0..b_n and forms no other coefficient; IndexError
+    unless 0 <= n <= both orders."""
+    if n < 0 or n > min(a.order, b.order):
+        raise IndexError(f"coefficient index {n} out of range for orders "
+                         f"{a.order} and {b.order}")
+    return dot(a.coeffs[:n + 1], b.coeffs[n::-1], binomial_row(n))
 
 
 def egf_pow(a: EgfSeries, k: int) -> EgfSeries:
@@ -121,9 +118,7 @@ def egf_exp(a: EgfSeries) -> EgfSeries:
             f"got {a.coeffs[0]} (the result would not be rational)")
     bs = [Fraction(1)]
     for n in range(a.order):
-        nxt = sum((comb(n, j) * a.coeffs[j + 1] * bs[n - j] for j in range(n + 1)),
-                  Fraction(0))
-        bs.append(nxt)
+        bs.append(dot(a.coeffs[1:n + 2], bs[::-1], binomial_row(n)))
     return EgfSeries(tuple(bs))
 
 

@@ -185,6 +185,21 @@ def test_whitney_four_route_agreement_deep(model, r):
             assert len(set(values.values())) == 1, (n, k, values)
 
 
+@pytest.mark.parametrize("r", [0, 2])
+def test_whitney_four_route_agreement_mixed_denominators(r):
+    # Moments over 5 and 11 and lam = 2/7 give terms with coprime
+    # denominators, so every inner sum grows its common denominator.
+    model = Custom(tuple(Fraction(v) for v in (
+        "1", "2/5", "3/11", "7/5", "13/11", "9/5", "24/11", "16/5", "41/11",
+        "27/5", "68/11")))
+    params = Params(3, Fraction(2, 7), r)
+    for n in range(11):
+        for k in range(n + 1):
+            values = {route: whitney_prob_r(model, params, n, k, route)
+                      for route in WHITNEY_ROUTES}
+            assert len(set(values.values())) == 1, (n, k, values)
+
+
 def test_stirling_expand_reads_one_chain_entry_per_copy_count(monkeypatch):
     # The route reads every order up to n of the lam = 1 chain once per copy
     # count l <= k, not once per (order, copy count).

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 from math import factorial
 
@@ -216,6 +217,36 @@ def test_custom_model():
     assert "order 3" in str(exc.value)
     with pytest.raises(ValueError):
         Custom((Fraction(2),))
+
+
+def test_models_keep_their_hash_and_share_memo_entries(monkeypatch):
+    moments = (1, Fraction(2, 5), Fraction(3, 11))
+    a, b = Custom(moments), Custom(tuple(Fraction(v) for v in moments))
+    assert a is not b and a == b and hash(a) == hash(b)
+    clear_caches()
+    raw_moment(a, 2)
+    before = raw_moment.cache_info()
+    assert raw_moment(b, 2) == Fraction(3, 11)
+    after = raw_moment.cache_info()
+    assert (after.hits, after.currsize) == (before.hits + 1, before.currsize)
+
+    calls = []
+    fraction_hash = Fraction.__hash__
+
+    def counting_hash(self):
+        calls.append(self)
+        return fraction_hash(self)
+
+    first = hash(a)
+    monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+    assert hash(a) == first and calls == []
+    monkeypatch.undo()
+    assert [f.name for f in fields(a)] == ["moments"]
+    assert repr(a) == \
+        "Custom(moments=(Fraction(1, 1), Fraction(2, 5), Fraction(3, 11)))"
+    assert model_to_config(a) == {"kind": "custom",
+                                  "moments": ["1", "2/5", "3/11"]}
+    assert a != Custom((1, Fraction(2, 5)))
 
 
 def test_model_validation():

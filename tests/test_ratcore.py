@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from probdowling import (Params, binom, binom_general, degen_falling, falling,
                          format_rational, rat)
+from probdowling.ratcore import binomial_row, dot, pair_sum
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 small_n = st.integers(min_value=0, max_value=9)
@@ -82,3 +83,58 @@ def test_params_validation():
         Params(0, Fraction(1))
     with pytest.raises(ValueError):
         Params(1, Fraction(1), -1)
+
+
+def test_params_reject_bool_counts():
+    with pytest.raises(ValueError,
+                       match="m must be a positive integer, got True"):
+        Params(True, 0, 0)
+    with pytest.raises(ValueError,
+                       match="r must be a nonnegative integer, got True"):
+        Params(1, 0, True)
+    with pytest.raises(ValueError, match="got False"):
+        Params(1, 0, False)
+
+
+# Ints, zeros, and Fractions whose denominators are sometimes coprime and
+# sometimes share factors (2, 3 and 5 divide many of 1..60).
+scalars = st.one_of(st.integers(min_value=-30, max_value=30),
+                    st.fractions(min_value=-30, max_value=30,
+                                 max_denominator=60),
+                    st.sampled_from([0, Fraction(0)]))
+triples = st.lists(st.tuples(scalars, scalars, scalars), max_size=12)
+
+
+@given(terms=triples)
+def test_dot_equals_the_fraction_sum(terms):
+    ws, xs, ys = ([t[i] for t in terms] for i in range(3))
+    plain = sum((Fraction(x) * y for x, y in zip(xs, ys)), Fraction(0))
+    weighted = sum((Fraction(w) * x * y for w, x, y in terms), Fraction(0))
+    for got, want in ((dot(xs, ys), plain), (dot(xs, ys, ws), weighted)):
+        assert type(got) is Fraction and got == want
+        assert gcd(got.numerator, got.denominator) == 1
+
+
+@given(pairs=st.lists(st.tuples(st.integers(min_value=-10**6, max_value=10**6),
+                                st.integers(min_value=1, max_value=720)),
+                      max_size=12))
+def test_pair_sum_equals_the_fraction_sum(pairs):
+    got = pair_sum(pairs)
+    assert type(got) is Fraction
+    assert got == sum((Fraction(n, d) for n, d in pairs), Fraction(0))
+
+
+def test_dot_of_nothing_is_zero_and_lengths_must_match():
+    assert dot([], []) == 0 and type(dot([], [], [])) is Fraction
+    assert pair_sum([]) == 0
+    with pytest.raises(ValueError):
+        dot([1, 2], [Fraction(1, 3)])
+    with pytest.raises(ValueError):
+        dot([1], [2, 3])
+    with pytest.raises(ValueError):
+        dot([1, 2], [3, 4], [5])
+
+
+@given(n=st.integers(min_value=0, max_value=40))
+def test_binomial_row(n):
+    assert binomial_row(n) == [binom(n, j) for j in range(n + 1)]

@@ -141,3 +141,17 @@ def test_hash_is_computed_once(monkeypatch):
     assert twin == s and hash(twin) == first
     assert repr(twin) == repr(s) == \
         "EgfSeries(coeffs=(Fraction(1, 1), Fraction(1, 2), Fraction(2, 3)))"
+
+
+def test_mul_coeff_index_bounds():
+    # Same rule as egf_coeff: a negative index or one past either operand's
+    # order is an IndexError, never a zero or a truncated sum.
+    a = egf_degen_exp(2, Fraction(1, 3), 4)
+    b = egf_degen_exp(1, Fraction(1, 3), 2)
+    for n in (-1, -3, 3, 5):
+        with pytest.raises(IndexError):
+            egf_mul_coeff(a, b, n)
+        with pytest.raises(IndexError):
+            egf_mul_coeff(b, a, n)
+    with pytest.raises(IndexError):
+        egf_coeff(a, -1)

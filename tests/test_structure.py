@@ -8,9 +8,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import probdowling
-from probdowling import (Bernoulli, Params, WhitneyTriangle, bell_partial,
-                         check_binom_bell, ratcore, stirling2_degen,
-                         stirling2_prob, sum_degen_moment, whitney_prob)
+from probdowling import (Bernoulli, Params, WhitneyTriangle, bell,
+                         bell_partial, check_binom_bell, dowling, moments,
+                         ratcore, series, stirling2_degen, stirling2_prob,
+                         sum_degen_moment, whitney_prob)
 
 PACKAGE_DIR = Path(probdowling.__file__).parent
 # The benchmark's per-layer report totals memo sizes for these modules only.
@@ -73,4 +74,19 @@ def test_no_import_inside_a_function():
                          and [a.name for a in node.names] == ["numpy"])
                 if not (numpy and path.name == "montecarlo.py"):
                     found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_hot_inner_sums_use_the_common_denominator_kernel():
+    # These sums run once per coefficient or entry; builtin sum over
+    # Fraction products would reduce by a gcd at every term.
+    hot = (series.egf_mul_coeff, series.egf_exp, moments.degen_moment,
+           dowling.dowling_poly_r, dowling.whitney_prob_r,
+           bell._bell_partial_cached)
+    found = []
+    for fn in hot:
+        tree = ast.parse(inspect.getsource(inspect.unwrap(fn)).lstrip())
+        found += [fn.__name__ for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) == "sum"]
     assert found == []
