@@ -35,7 +35,7 @@ from .moments import (MomentModel, egf_mgf_degen, sum_degen_moment,
                       sum_degen_moment_row)
 from .ratcore import (Params, RationalLike, binom, binomial_row, clear_caches,
                       dot, memo, rat, stirling2)
-from .series import egf_coeff, egf_const, egf_degen_exp, egf_sub
+from .series import egf_coeff, egf_const, egf_sub
 
 WHITNEY_ROUTES = ("egf", "alt_sum", "stirling_expand", "bell_form")
 
@@ -178,9 +178,12 @@ def whitney_prob(model: MomentModel, params: Params, n: int, k: int,
     """Probabilistic degenerate Whitney number W(n, k): the r = 1 family.
 
     ``whitney_prob_r`` with shift 1 (params.r is ignored), by any of the
-    same four routes.
+    same four routes; params with r = 1 pass through as they are, so their
+    kept hash serves every memo lookup.
     """
-    return whitney_prob_r(model, Params(params.m, params.lam, 1), n, k, route)
+    if params.r != 1:
+        params = Params(params.m, params.lam, 1)
+    return whitney_prob_r(model, params, n, k, route)
 
 
 def whitney_prob_r(model: MomentModel, params: Params, n: int, k: int,
@@ -201,9 +204,12 @@ def whitney_prob_r(model: MomentModel, params: Params, n: int, k: int,
       order up to n (``sum_degen_moment_row``), and the Carlitz row
       ``_stirling2_degen_row(n, lam)`` once;
     - "bell_form": partial Bell polynomials of the kernel coefficients
-      E[(mY)_{j,lam}] (``egf_mgf_degen``), evaluated by partition
-      enumeration through the ``bell_partial`` memo and weighted by
-      (r)_{n-l,lam}, read off one ``egf_degen_exp(r, lam, n - k)``.
+      E[(mY)_{j,lam}] (``egf_mgf_degen``, a prefix of the stored kernel),
+      evaluated by partition enumeration through the ``bell_partial`` memo
+      and weighted by (r)_{n-l,lam}, read off the stored row
+      ``sum_degen_moment_row(model, 0, m, r, n - k, lam)``: entry 0 of the
+      sum-moment chain, the degenerate exponential of r, which reads no
+      moment.
 
     k > n returns 0: the generating kernel's series starts at t^k.
     """
@@ -234,7 +240,7 @@ def whitney_prob_r(model: MomentModel, params: Params, n: int, k: int,
     # route == "bell_form"
     # B_{l,k} reads x_1..x_(l-k+1) for k >= 1, and no argument for k = 0.
     args = egf_mgf_degen(model, m, lam, n - k + 1 if k else 0).coeffs[1:]
-    shifted = egf_degen_exp(r, lam, n - k).coeffs      # (r)_{i,lam}
+    shifted = sum_degen_moment_row(model, 0, m, r, n - k, lam)  # (r)_{i,lam}
     bells = [bell_partial(l, k, args[:l - k + 1]) for l in range(k, n + 1)]
     total = dot(bells, shifted[::-1], binomial_row(n)[k:])
     return total / Fraction(m) ** k
@@ -261,6 +267,8 @@ class WhitneyTriangle:
     @classmethod
     def build(cls, model: MomentModel, params: Params,
               max_n: int) -> "WhitneyTriangle":
+        if max_n < 0:
+            raise ValueError(f"max_n must be nonnegative, got {max_n}")
         return cls(model, params, max_n, tuple(
             dowling_poly_r(model, params, n).coeffs for n in range(max_n + 1)))
 

@@ -5,14 +5,16 @@ moment E[Y^n].  Built-in models all have a moment generating function in a
 neighborhood of 0.  Sums S_k = Y_1 + ... + Y_k of independent copies are
 handled through EGF powers: the series with coefficient n equal to
 E[(scale*Y)_{n,lam}] is raised to the k-th power, which is exactly the
-expectation of the product over independent copies.  That series,
-``egf_mgf_degen``, is read off the per-coefficient ``degen_moment`` memo.
-Its powers times the degenerate exponential of a shift are the sum
-moments themselves, stored once in one chain per (model, scale, shift,
-lam), ``_mgf_chain``, grown to the highest order asked, so nothing is
-rebuilt or kept per order.  ``sum_degen_moment`` reads one coefficient
-of a chain entry; ``sum_degen_moment_row`` grows the entry and returns
-every order up to n at once, for callers that read a whole column.
+expectation of the product over independent copies.  That series, the
+Whitney kernel ``egf_mgf_degen``, is stored once per (model, scale, lam),
+``_mgf_kernel``, grown to the highest order asked with one ``degen_moment``
+per new coefficient, and read whole or as a prefix.  Its powers times the
+degenerate exponential of a shift are the sum moments themselves, stored
+once in one chain per (model, scale, shift, lam), ``_mgf_chain``, grown
+the same way, so nothing is rebuilt or kept per order.
+``sum_degen_moment`` reads one coefficient of a chain entry;
+``sum_degen_moment_row`` grows the entry and returns every order up to n
+at once, for callers that read a whole column.
 
 Poisson and geometric raw moments follow from the lower ones by a
 binomial recurrence (Touchard's for Poisson), one ``ratcore.dot`` each.
@@ -211,12 +213,12 @@ def falling_row(shift: int | Fraction, n: int,
     return tuple(prev[j] + root * prev[j + 1] for j in range(n + 1))
 
 
-@memo
 def degen_moment(model: MomentModel, n: int, lam: Fraction) -> Fraction:
     """E[Y(Y-lam)(Y-2*lam)...(Y-(n-1)*lam)], exactly.
 
     Expands the product into powers of Y and applies raw moments linearly;
-    a zero coefficient reads no raw moment.
+    a zero coefficient reads no raw moment.  Not memoized: the kernel
+    store ``_mgf_kernel`` runs it once per coefficient it grows.
     """
     coeffs = falling_row(0, n, rat(lam))
     return dot(coeffs, [raw_moment(model, j) if c else 0
@@ -228,17 +230,48 @@ def egf_mgf_degen(model: MomentModel, scale: int, lam: Fraction,
     """Series whose n-th coefficient is E[(scale*Y)_{n,lam}].
 
     This is the expectation of the degenerate exponential of scale*Y,
-    the generating kernel of the probabilistic Whitney families, read
-    off ``degen_moment`` as scale^n E[(Y)_{n,lam/scale}]; no series is
-    stored per order.
+    the generating kernel of the probabilistic Whitney families.  The
+    arguments are checked first; the series is then read off the one
+    kernel per (model, scale, lam), ``_mgf_kernel``, whole or as a
+    prefix, and grown there only when it is too short.
     """
     if scale < 1:
         raise ValueError(f"scale must be a positive integer, got {scale}")
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    mu = rat(lam) / scale
-    return EgfSeries(tuple(scale ** n * degen_moment(model, n, mu)
-                           for n in range(order + 1)))
+    lam = rat(lam)
+    store = _mgf_kernel(model, scale, lam)
+    kernel = store[0]
+    if kernel.order < order:
+        kernel = store[0] = _grow_kernel(model, scale, lam, kernel, order)
+    if kernel.order == order:
+        return kernel
+    return EgfSeries(kernel.coeffs[:order + 1])
+
+
+@memo
+def _mgf_kernel(model: MomentModel, scale: int,
+                lam: Fraction) -> list[EgfSeries]:
+    """The kernel of (model, scale, lam), shared by every truncation order.
+
+    One slot holding the series of E[(scale*Y)_{n,lam}] up to the highest
+    order asked so far; it starts at order 0, whose coefficient 1 reads no
+    moment.  Like an ``_mgf_chain`` entry, the slot is replaced whole by a
+    longer immutable series (``_grow_kernel``), never changed in place, so
+    a failed growth leaves it as it was and a reader in another thread sees
+    an old or a new series, both correct.
+    """
+    return [EgfSeries((Fraction(1),))]
+
+
+def _grow_kernel(model: MomentModel, scale: int, lam: Fraction,
+                 kernel: EgfSeries, order: int) -> EgfSeries:
+    """kernel extended to `order`: coefficient n is E[(scale*Y)_{n,lam}]
+    = scale^n E[(Y)_{n,lam/scale}], one ``degen_moment`` per new n."""
+    mu = lam / scale
+    done = kernel.coeffs
+    return EgfSeries(done + tuple(scale ** n * degen_moment(model, n, mu)
+                                  for n in range(len(done), order + 1)))
 
 
 @memo

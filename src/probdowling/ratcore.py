@@ -8,12 +8,13 @@ every step: ``dot`` and ``pair_sum`` accumulate integer numerators over
 one running common denominator (the lcm of the terms') and reduce once,
 returning the same Fraction.
 
-Memo tables hold immutable values too; the one table whose entries
-grow, the sum-moment chain ``moments._mgf_chain`` (one per model, scale,
-shift and lam, whose entry k is the series of
-E[(scale*S_k + shift)_{n,lam}]), replaces each entry whole by a longer
-immutable series, so a reader in another thread sees an old or a new
-entry, both correct, and never a half-built one.
+Memo tables hold immutable values too.  Two tables hold entries that
+grow: the Whitney kernel ``moments._mgf_kernel`` (one per model, scale
+and lam, the series of E[(scale*Y)_{n,lam}]) and the sum-moment chain
+``moments._mgf_chain`` (one per model, scale, shift and lam, whose entry
+k is the series of E[(scale*S_k + shift)_{n,lam}]).  Each replaces an
+entry whole by a longer immutable series, so a reader in another thread
+sees an old or a new entry, both correct, and never a half-built one.
 The degeneracy parameter ``lam`` may be any rational including 0, which
 recovers the classical (non-degenerate) objects, and 1, which recovers
 ordinary falling factorials.

@@ -200,6 +200,59 @@ def test_whitney_four_route_agreement_mixed_denominators(r):
             assert len(set(values.values())) == 1, (n, k, values)
 
 
+def test_whitney_prob_passes_r1_params_through(monkeypatch):
+    # Params with r = 1 reach the routes as the same object, whose kept
+    # hash serves every memo lookup; other shifts are replaced by r = 1.
+    seen = []
+    monkeypatch.setattr(dowling_mod, "whitney_prob_r",
+                        lambda model, params, n, k, route: seen.append(params))
+    shifted = Params(2, Fraction(1, 3), 2)
+    whitney_prob(BE, P213, 3, 1)
+    whitney_prob(BE, shifted, 3, 1)
+    assert seen[0] is P213
+    assert seen[1] == P213 and seen[1] is not shifted
+
+
+@pytest.mark.parametrize("r", [0, 1, 3])
+def test_whitney_four_route_agreement_descending_rows(r):
+    # Rows asked from the top down: the first request grows each stored
+    # kernel and chain entry to its full length, and every later one reads
+    # a prefix.
+    moments_mod.clear_caches()
+    model, params = Poisson(Fraction(2, 3)), Params(2, Fraction(-1, 3), r)
+    for n in range(10, -1, -1):
+        for k in range(n + 1):
+            values = {route: whitney_prob_r(model, params, n, k, route)
+                      for route in WHITNEY_ROUTES}
+            assert len(set(values.values())) == 1, (n, k, values)
+
+
+def test_warm_route_calls_do_no_moment_work(monkeypatch):
+    # Once bell_form and alt_sum have run at (n, k), the kernel and the
+    # chain entries they read are long enough for every row n' <= n.
+    Y, params = Geometric(Fraction(1, 3)), Params(2, Fraction(1, 3), 2)
+    n, k = 9, 4
+    moments_mod.clear_caches()
+    for route in ("bell_form", "alt_sum"):
+        whitney_prob_r(Y, params, n, k, route)
+    calls = []
+    degen_moment = moments_mod.degen_moment
+
+    def counted(*args):
+        calls.append(args)
+        return degen_moment(*args)
+
+    monkeypatch.setattr(moments_mod, "degen_moment", counted)
+    got = {(row, col, route): whitney_prob_r(Y, params, row, col, route)
+           for row in range(n + 1) for col in range(row + 1)
+           for route in ("bell_form", "alt_sum")}
+    assert calls == []
+    monkeypatch.undo()
+    for (row, col, route), value in got.items():
+        assert value == whitney_prob_r(Y, params, row, col, "egf"), \
+            (row, col, route)
+
+
 def test_stirling_expand_reads_one_chain_entry_per_copy_count(monkeypatch):
     # The route reads every order up to n of the lam = 1 chain once per copy
     # count l <= k, not once per (order, copy count).
@@ -293,6 +346,13 @@ def test_whitney_triangle_boundary_laws():
         assert tri.entry(n, n) == raw_moment(BE, 1) ** n
     with pytest.raises(IndexError):
         tri.entry(9, 0)
+
+
+def test_whitney_triangle_rejects_a_negative_size():
+    # A negative size is not the empty triangle.
+    with pytest.raises(ValueError, match="^max_n must be nonnegative"):
+        WhitneyTriangle.build(BE, P213, -1)
+    assert WhitneyTriangle.build(BE, P213, 0).entries == ((Fraction(1),),)
 
 
 def test_dobinski_matches_exact_evaluation():

@@ -158,6 +158,54 @@ def test_egf_mgf_degen_matches_support_enumeration(model, lam):
             assert egf_coeff(got, n) == expected, (scale, n)
 
 
+@pytest.mark.parametrize("model", FINITE_MODELS)
+@pytest.mark.parametrize("lam", [Fraction(0), Fraction(1), Fraction(-2, 3),
+                                 Fraction(5, 2)], ids=str)
+def test_kernel_store_is_independent_of_request_order(model, lam):
+    # One stored kernel serves every order: whichever order comes first,
+    # each request is the prefix the support enumeration gives.
+    from oracles import finite_support
+    orders = list(range(9))
+    shuffled = random.Random(f"{model}/{lam}").sample(orders, len(orders))
+    for scale in (1, 2, 3):
+        expected = [sum(prob * degen_falling(scale * v, n, lam)
+                        for v, prob in finite_support(model))
+                    for n in orders]
+        for sequence in (orders, orders[::-1], shuffled):
+            clear_caches()
+            for order in sequence:
+                got = egf_mgf_degen(model, scale, lam, order)
+                assert got.coeffs == tuple(expected[:order + 1]), \
+                    (scale, sequence, order)
+            assert moments_mod._mgf_kernel.cache_info().currsize == 1
+
+
+def test_kernel_past_a_custom_list_fails_and_keeps_its_prefix():
+    Y = Custom((Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)))
+    lam = Fraction(1, 3)
+    clear_caches()
+    egf_mgf_degen(Y, 2, lam, 1)
+    with pytest.raises(MomentOrderError):
+        egf_mgf_degen(Y, 2, lam, 5)
+    assert moments_mod._mgf_kernel(Y, 2, lam)[0].order == 1
+    # E[(2Y)_{n,lam}] = 2^n E[(Y)_{n,lam/2}] from the declared moments.
+    expected = tuple(2 ** n * degen_moment(Y, n, lam / 2) for n in range(4))
+    assert egf_mgf_degen(Y, 2, lam, 3).coeffs == expected
+    assert egf_mgf_degen(Y, 2, lam, 2).coeffs == expected[:3]
+
+
+@pytest.mark.parametrize("call", [
+    lambda Y: egf_mgf_degen(Y, 0, Fraction(1, 3), 3),
+    lambda Y: egf_mgf_degen(Y, -2, Fraction(1, 3), 3),
+    lambda Y: egf_mgf_degen(Y, 2, Fraction(1, 3), -1),
+], ids=["scale-0", "scale-negative", "order"])
+def test_invalid_kernel_requests_leave_no_store_entry(call):
+    clear_caches()
+    with pytest.raises(ValueError, match="must be"):
+        call(Bernoulli(Fraction(1, 2)))
+    assert moments_mod._mgf_kernel.cache_info().currsize == 0
+
+
 def test_sum_degen_moment_frozen_values():
     lam = Fraction(1, 5)
     assert sum_degen_moment(Bernoulli(Fraction(1, 2)), 0, 2, 1, 3, lam) == \
