@@ -7,7 +7,10 @@ blocks and l_1 + 2*l_2 + ... = n elements, each contributing the integer
 n!/prod(i!^{l_i} l_i!) times prod x_i^{l_i}, kept as one integer pair
 (numerator, denominator) so the terms add over one common denominator
 (``ratcore.pair_sum``).  The walk drops a branch as soon as its remaining
-blocks cannot hold its remaining elements.  The series route
+blocks cannot hold its remaining elements.  The enumeration is memoized
+by the arguments' integer numerators and denominators, so a lookup hashes
+no Fraction; ``bell_partial_column`` reads them once for every
+l = k..n of one column, the ``bell_form`` Whitney route.  The series route
 ``bell_partial_series`` reads the same numbers off the k-th power of an
 EGF; ``dowling.stirling2_prob`` reads it.  ``bell_partial_row`` runs the
 same power chain unmemoized for every k of one n, over rationals or
@@ -43,40 +46,75 @@ def bell_partial(n: int, k: int, args: BellArgs) -> Fraction:
             f"B_({n},{k}) needs {needed} arguments x_1..x_{needed}, "
             f"got {len(args)}")
     xs = tuple(rat(v) for v in args[:needed])
-    return _bell_partial_cached(n, k, xs)
+    return _bell_partial_cached(n, k, tuple(x.numerator for x in xs),
+                                tuple(x.denominator for x in xs))
+
+
+def bell_partial_column(n: int, k: int,
+                        args: Sequence[Fraction | int]) -> list[Fraction]:
+    """B_{l,k}(x_1, ..., x_{l-k+1}) for l = k..n (empty when k > n).
+
+    args[i-1] holds x_i as a Fraction or an int, for i up to n - k + 1
+    (no argument is read when k = 0).  Their numerators and denominators
+    are read once per call, and each l is one enumeration memo lookup on
+    prefixes of those integer tuples, so no lookup hashes a Fraction.
+    """
+    if n < 0 or k < 0:
+        raise ValueError(f"indices must be nonnegative, got ({n}, {k})")
+    if k > n:
+        return []
+    width = n - k + 1 if k > 0 else 0
+    if len(args) < width:
+        raise ValueError(
+            f"B_({n},{k}) needs {width} arguments x_1..x_{width}, "
+            f"got {len(args)}")
+    xs = args[:width]
+    nums = tuple(x.numerator for x in xs)
+    dens = tuple(x.denominator for x in xs)
+    return [_bell_partial_cached(l, k, nums[:l - k + 1], dens[:l - k + 1])
+            for l in range(k, n + 1)]
 
 
 @memo
-def _bell_partial_cached(n: int, k: int, xs: tuple[Fraction, ...]) -> Fraction:
+def _bell_partial_cached(n: int, k: int, nums: tuple[int, ...],
+                         dens: tuple[int, ...]) -> Fraction:
+    """B_{n,k} at x_i = nums[i-1]/dens[i-1], keyed by those integers: a
+    lookup hashes no Fraction, and a key holds the arguments' own ints."""
     n_fact, terms = factorial(n), []
-    for ls in _index_vectors(n, k, len(xs)):
+    for ls in _index_vectors(n, k, len(nums)):
         # n!/prod(i!^l_i l_i!) set partitions have l_i blocks of size i;
         # each contributes prod x_i^l_i = prod p_i^l_i / prod q_i^l_i.
         count, num, den = 1, 1, 1
-        for i, (x, l) in enumerate(zip(xs, ls), start=1):
+        for i, (p, q, l) in enumerate(zip(nums, dens, ls), start=1):
             if l:
                 count *= factorial(i) ** l * factorial(l)
-                num *= x.numerator ** l
-                den *= x.denominator ** l
+                num *= p ** l
+                den *= q ** l
         terms.append((n_fact // count * num, den))
     return pair_sum(terms)
 
 
-def _index_vectors(n: int, k: int, width: int):
-    """Yield (l_1..l_width) with sum l_i = k and sum i*l_i = n."""
-    def rec(pos: int, blocks: int, weight: int, acc: list[int]):
+def _index_vectors(n: int, k: int, width: int) -> list[tuple[int, ...]]:
+    """(l_1..l_width) with sum l_i = k and sum i*l_i = n, in lexicographic
+    order, filled into one list by a depth-first walk."""
+    found: list[tuple[int, ...]] = []
+    acc: list[int] = []
+
+    def walk(pos: int, blocks: int, weight: int) -> None:
         # Each block left has between pos and width elements.
         if blocks * pos > weight or weight > blocks * width:
             return
         if blocks == 0:
-            yield tuple(acc) + (0,) * (width - len(acc))
+            found.append(tuple(acc) + (0,) * (width - len(acc)))
             return
         # l_pos can use at most weight // pos of the remaining weight.
         for l in range(min(blocks, weight // pos) + 1):
             acc.append(l)
-            yield from rec(pos + 1, blocks - l, weight - pos * l, acc)
+            walk(pos + 1, blocks - l, weight - pos * l)
             acc.pop()
-    yield from rec(1, k, n, [])
+
+    walk(1, k, n)
+    return found
 
 
 @memo

@@ -30,14 +30,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .bell import bell_partial, bell_partial_series
-from .moments import (MomentModel, egf_mgf_degen, sum_degen_moment,
-                      sum_degen_moment_row)
-from .ratcore import (Params, RationalLike, binom, binomial_row, clear_caches,
-                      dot, memo, rat, stirling2)
+from .bell import bell_partial_column, bell_partial_series
+from .moments import (MomentModel, egf_mgf_degen, stored_kernel,
+                      sum_degen_moment, sum_degen_moment_row,
+                      sum_degen_moment_rows)
+from .ratcore import (Params, RationalLike, binomial_row, clear_caches, dot,
+                      memo, pair_sum, rat, stirling2)
 from .series import egf_coeff, egf_const, egf_sub
 
 WHITNEY_ROUTES = ("egf", "alt_sum", "stirling_expand", "bell_form")
+
+# The lam = 1 chain key of "stirling_expand": its chain holds the ordinary
+# falling-factorial moments.
+_PLAIN_LAM = Fraction(1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,20 +201,27 @@ def whitney_prob_r(model: MomentModel, params: Params, n: int, k: int,
       degree-raising recurrence builds from the earlier rows (production
       path; the name is kept because every caller passes it);
     - "alt_sum": (1/(m^k k!)) sum_j C(k,j) (-1)^(k-j) E[(m S_j + r)_{n,lam}],
-      one chain read per j, weighted by signed integers;
+      column n of the rows of chain entries 0..k, read in one chain
+      lookup (``sum_degen_moment_rows``) and weighted by signed integers;
     - "stirling_expand": the same alternating sum pushed through the
       degenerate Stirling expansion of the falling factorial, so only
       ordinary falling-factorial moments of the copy sums appear: it
-      reads the lam = 1 chain once per copy count l <= k, for every
-      order up to n (``sum_degen_moment_row``), and the Carlitz row
-      ``_stirling2_degen_row(n, lam)`` once;
+      reads the lam = 1 chain rows of copy counts 0..k, every order up to
+      n, in one lookup (``sum_degen_moment_rows``), and the Carlitz row
+      ``_stirling2_degen_row(n, lam)`` once, and sums only the orders
+      j >= k (the alternating sum of every lower order vanishes);
     - "bell_form": partial Bell polynomials of the kernel coefficients
-      E[(mY)_{j,lam}] (``egf_mgf_degen``, a prefix of the stored kernel),
-      evaluated by partition enumeration through the ``bell_partial`` memo
-      and weighted by (r)_{n-l,lam}, read off the stored row
+      E[(mY)_{j,lam}], sliced from the stored kernel (``stored_kernel``)
+      and evaluated by partition enumeration through one
+      ``bell_partial_column`` call, whose memo lookups hash no Fraction,
+      weighted by (r)_{n-l,lam}, read off the stored row
       ``sum_degen_moment_row(model, 0, m, r, n - k, lam)``: entry 0 of the
       sum-moment chain, the degenerate exponential of r, which reads no
       moment.
+
+    Each oracle route ends with one sum over a common denominator
+    (``ratcore.dot`` or ``pair_sum``) that divides by m^k k! (m^k for
+    "bell_form") in the same reduction.
 
     k > n returns 0: the generating kernel's series starts at t^k.
     """
@@ -224,26 +236,31 @@ def whitney_prob_r(model: MomentModel, params: Params, n: int, k: int,
     if route == "egf":
         return dowling_poly_r(model, params, n).coeff(k)
     if route == "alt_sum":
-        total = dot(_signed_binomials(k),
-                    [sum_degen_moment(model, j, m, r, n, lam)
-                     for j in range(k + 1)])
-        return total / (Fraction(m) ** k * math.factorial(k))
+        rows = sum_degen_moment_rows(model, k, m, r, n, lam)
+        return dot(_signed_binomials(k), [row[n] for row in rows],
+                   divisor=m ** k * math.factorial(k))
     if route == "stirling_expand":
-        s = _stirling2_degen_row(n, lam)
+        s = _stirling2_degen_row(n, lam)[k:]
         signed = _signed_binomials(k)
-        plain = [sum_degen_moment_row(model, l, m, r, n, 1)
-                 for l in range(k + 1)]
-        # Column j of `plain` holds E[(m S_l + r)_j] for l = 0..k.
-        total = dot(s, [dot(signed, column) if sj else 0
-                        for sj, column in zip(s, zip(*plain))])
-        return total / (Fraction(m) ** k * math.factorial(k))
+        rows = sum_degen_moment_rows(model, k, m, r, n, _PLAIN_LAM)
+        # Column j holds E[(m S_l + r)_j] for l = 0..k, a polynomial of
+        # degree <= j in l (coefficient j of P^l e_1^r, P_0 = 1), so its
+        # k-th difference, the signed sum, is 0 for j < k: only the
+        # columns j = k..n are summed, every term s_j w_l E[(m S_l + r)_j]
+        # in one sum over a common denominator.
+        columns = zip(*(row[k:] for row in rows))
+        return pair_sum(((sj.numerator * w * e.numerator,
+                          sj.denominator * e.denominator)
+                         for sj, column in zip(s, columns) if sj
+                         for w, e in zip(signed, column)),
+                        m ** k * math.factorial(k))
     # route == "bell_form"
     # B_{l,k} reads x_1..x_(l-k+1) for k >= 1, and no argument for k = 0.
-    args = egf_mgf_degen(model, m, lam, n - k + 1 if k else 0).coeffs[1:]
+    width = n - k + 1 if k else 0
+    kernel = stored_kernel(model, m, lam, width).coeffs
     shifted = sum_degen_moment_row(model, 0, m, r, n - k, lam)  # (r)_{i,lam}
-    bells = [bell_partial(l, k, args[:l - k + 1]) for l in range(k, n + 1)]
-    total = dot(bells, shifted[::-1], binomial_row(n)[k:])
-    return total / Fraction(m) ** k
+    bells = bell_partial_column(n, k, kernel[1:width + 1])
+    return dot(bells, shifted[::-1], binomial_row(n)[k:], divisor=m ** k)
 
 
 def _signed_binomials(k: int) -> list[int]:
@@ -297,7 +314,8 @@ def dowling_poly_r(model: MomentModel, params: Params, n: int) -> PolyX:
                   + (1/m) sum_l C(n-1, l) W(l, k-1) g_(n-1-l),
 
     with g_j = E[mY (mY)_{j,lam}] = c_(j+1) + j lam c_j and
-    c_j = E[(mY)_{j,lam}], coefficient j of ``egf_mgf_degen``.  A table
+    c_j = E[(mY)_{j,lam}], coefficient j of the stored kernel
+    (``stored_kernel``, the series of ``egf_mgf_degen``).  A table
     up to N costs about N^3/6 products.
     """
     if n < 0:
@@ -308,10 +326,10 @@ def dowling_poly_r(model: MomentModel, params: Params, n: int) -> PolyX:
     # Ascending calls: each earlier row finds its own predecessors memoized,
     # so a cold call at large n never nests more than two rows deep.
     rows = [dowling_poly_r(model, params, l).coeffs for l in range(n)]
-    c = egf_mgf_degen(model, m, lam, n).coeffs
+    c = stored_kernel(model, m, lam, n).coeffs
     # weights[l] = C(n-1, l) g_(n-1-l) / m
-    weights = [binom(n - 1, l) * (c[n - l] + (n - 1 - l) * lam * c[n - 1 - l]) / m
-               for l in range(n)]
+    weights = [b * (c[n - l] + (n - 1 - l) * lam * c[n - 1 - l]) / m
+               for l, b in enumerate(binomial_row(n - 1))]
     shift = params.r - (n - 1) * lam
     prev = rows[n - 1]
     row = [shift * prev[0]]

@@ -8,13 +8,17 @@ E[(scale*Y)_{n,lam}] is raised to the k-th power, which is exactly the
 expectation of the product over independent copies.  That series, the
 Whitney kernel ``egf_mgf_degen``, is stored once per (model, scale, lam),
 ``_mgf_kernel``, grown to the highest order asked with one ``degen_moment``
-per new coefficient, and read whole or as a prefix.  Its powers times the
-degenerate exponential of a shift are the sum moments themselves, stored
-once in one chain per (model, scale, shift, lam), ``_mgf_chain``, grown
-the same way, so nothing is rebuilt or kept per order.
-``sum_degen_moment`` reads one coefficient of a chain entry;
-``sum_degen_moment_row`` grows the entry and returns every order up to n
-at once, for callers that read a whole column.
+per new coefficient, and read whole or as a prefix; ``stored_kernel``
+returns the stored series itself, for callers that slice it.  Its powers
+times the degenerate exponential of a shift are the sum moments
+themselves, stored once in one chain per (model, scale, shift, lam),
+``_mgf_chain``, grown the same way, so nothing is rebuilt or kept per
+order.  ``sum_degen_moment_rows`` is the one reader of a chain: one
+argument check and one chain lookup return the coefficients 0..n of
+entries 0..k, entry k grown first if it is too short.
+``sum_degen_moment_row`` (one entry) and ``sum_degen_moment`` (one
+coefficient, read directly when its entry is already long enough) read
+through it.
 
 Poisson and geometric raw moments follow from the lower ones by a
 binomial recurrence (Touchard's for Poisson), one ``ratcore.dot`` each.
@@ -230,10 +234,22 @@ def egf_mgf_degen(model: MomentModel, scale: int, lam: Fraction,
     """Series whose n-th coefficient is E[(scale*Y)_{n,lam}].
 
     This is the expectation of the degenerate exponential of scale*Y,
-    the generating kernel of the probabilistic Whitney families.  The
-    arguments are checked first; the series is then read off the one
-    kernel per (model, scale, lam), ``_mgf_kernel``, whole or as a
-    prefix, and grown there only when it is too short.
+    the generating kernel of the probabilistic Whitney families: the
+    stored kernel (``stored_kernel``) whole, or its prefix.
+    """
+    kernel = stored_kernel(model, scale, lam, order)
+    if kernel.order == order:
+        return kernel
+    return EgfSeries(kernel.coeffs[:order + 1])
+
+
+def stored_kernel(model: MomentModel, scale: int, lam: Fraction,
+                  order: int) -> EgfSeries:
+    """The one kernel per (model, scale, lam), ``_mgf_kernel``, grown there
+    first if it is shorter than `order`: coefficient n is
+    E[(scale*Y)_{n,lam}] for every n up to its order, which may exceed
+    `order`.  The arguments are checked before the store is read, so a
+    caller that slices the coefficients builds no prefix series.
     """
     if scale < 1:
         raise ValueError(f"scale must be a positive integer, got {scale}")
@@ -244,9 +260,7 @@ def egf_mgf_degen(model: MomentModel, scale: int, lam: Fraction,
     kernel = store[0]
     if kernel.order < order:
         kernel = store[0] = _grow_kernel(model, scale, lam, kernel, order)
-    if kernel.order == order:
-        return kernel
-    return EgfSeries(kernel.coeffs[:order + 1])
+    return kernel
 
 
 @memo
@@ -283,11 +297,14 @@ def _mgf_chain(model: MomentModel, scale: int, shift: int,
     Entry k is P^k e_lam^shift, P = egf_mgf_degen(model, scale, lam, ·), up
     to the highest order asked so far: coefficient n is
     E[(scale*S_k + shift)_{n,lam}].  Entry 0 is egf_degen_exp(shift, lam, ·);
-    ``sum_degen_moment`` grows entry k from entry k - 1.  Truncation is
-    lossless, so coefficient n is the same at every order >= n.  An entry
-    is replaced whole by a longer immutable series, never changed in place,
-    and growth reads its own copy, so a race between two growers can only
-    recompute coefficients, never corrupt them.
+    ``sum_degen_moment_rows`` grows entry k from entry k - 1, so entries
+    0..k are present whenever entry k is, and no entry is longer than the
+    one below it: a reader that finds entry k long enough finds every
+    lower entry long enough too.  Truncation is lossless, so coefficient n
+    is the same at every order >= n.  An entry is replaced whole by a
+    longer immutable series, never changed in place, and growth reads its
+    own copy, so a race between two growers can only recompute
+    coefficients, never corrupt them.
     """
     return {}
 
@@ -301,25 +318,37 @@ def sum_degen_moment(model: MomentModel, k: int, scale: int, shift: int,
     degenerate exponential of the shift, where E-series is the scaled
     degenerate MGF.  A valid request whose entry is long enough reads it
     here with no further call; any other goes through
-    ``sum_degen_moment_row``, which checks the arguments and grows the
+    ``sum_degen_moment_rows``, which checks the arguments and grows the
     entry.
     """
     if k >= 0 and shift >= 0 and n >= 0 and scale >= 1:
         entry = _mgf_chain(model, scale, shift, rat(lam)).get(k)
         if entry is not None and entry.order >= n:
             return entry.coeffs[n]
-    return sum_degen_moment_row(model, k, scale, shift, n, lam)[n]
+    return sum_degen_moment_rows(model, k, scale, shift, n, lam)[k][n]
 
 
 def sum_degen_moment_row(model: MomentModel, k: int, scale: int, shift: int,
                          n: int, lam: RationalLike) -> tuple[Fraction, ...]:
-    """E[(scale*S_k + shift)_{i,lam}] for i = 0..n: the coefficients of
-    entry k of ``_mgf_chain``, grown there first if it is too short."""
+    """E[(scale*S_k + shift)_{i,lam}] for i = 0..n: row k of
+    ``sum_degen_moment_rows``."""
+    return sum_degen_moment_rows(model, k, scale, shift, n, lam)[k]
+
+
+def sum_degen_moment_rows(model: MomentModel, k: int, scale: int, shift: int,
+                          n: int, lam: RationalLike
+                          ) -> list[tuple[Fraction, ...]]:
+    """E[(scale*S_j + shift)_{i,lam}] for j = 0..k (row j) and i = 0..n.
+
+    The rows are the coefficients of entries 0..k of ``_mgf_chain``, read
+    with one argument check and one chain lookup; entry k is grown there
+    first if it is too short, which makes every lower entry long enough.
+    """
     require_sum_args(k, scale, shift, n)
     lam = rat(lam)
     chain = _mgf_chain(model, scale, shift, lam)
     # Start from the highest entry already long enough, so a warm request
-    # reads one entry and a cold one fills only the gap.
+    # grows nothing and a cold one fills only the gap.
     start = k
     while start > 0 and (start not in chain or chain[start].order < n):
         start -= 1
@@ -327,7 +356,7 @@ def sum_degen_moment_row(model: MomentModel, k: int, scale: int, shift: int,
     if start == 0 and (entry is None or entry.order < n):
         entry = chain[0] = egf_degen_exp(shift, lam, n)
     if start < k:
-        base = egf_mgf_degen(model, scale, lam, n)
+        base = stored_kernel(model, scale, lam, n)
         for j in range(start + 1, k + 1):
             # Coefficient i of entry j is sum_l C(i, l) P_l [entry j-1]_(i-l);
             # keep the coefficients the entry already has and append the rest.
@@ -335,7 +364,8 @@ def sum_degen_moment_row(model: MomentModel, k: int, scale: int, shift: int,
             entry = EgfSeries(done + tuple(egf_mul_coeff(base, entry, i)
                                            for i in range(len(done), n + 1)))
             chain[j] = entry
-    return entry.coeffs[:n + 1]
+    stop = n + 1
+    return [chain[j].coeffs[:stop] for j in range(k + 1)]
 
 
 def require_sum_args(k: int, scale: int, shift: int, n: int) -> None:

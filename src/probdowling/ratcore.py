@@ -6,7 +6,8 @@ values are immutable (safe to share between threads).  Hot sums of
 products do not add Fractions term by term, which reduces by a gcd at
 every step: ``dot`` and ``pair_sum`` accumulate integer numerators over
 one running common denominator (the lcm of the terms') and reduce once,
-returning the same Fraction.
+returning the same Fraction; a final integer divisor joins that one
+reduction.
 
 Memo tables hold immutable values too.  Two tables hold entries that
 grow: the Whitney kernel ``moments._mgf_kernel`` (one per model, scale
@@ -70,11 +71,13 @@ def hash_once(cls: type) -> type:
     return cls
 
 
-def pair_sum(pairs: Iterable[tuple[int, int]]) -> Fraction:
-    """sum of num/den over integer pairs (num, den) with den > 0.
+def pair_sum(pairs: Iterable[tuple[int, int]], divisor: int = 1) -> Fraction:
+    """sum of num/den over integer pairs (num, den) with den > 0, divided
+    by the positive integer `divisor`.
 
     Numerators accumulate over a running common denominator, the lcm of
-    the pairs' denominators so far, and the total is reduced once.
+    the pairs' denominators so far, and the total is reduced once, the
+    divisor included.
     """
     num, den = 0, 1
     for n, d in pairs:
@@ -86,21 +89,23 @@ def pair_sum(pairs: Iterable[tuple[int, int]]) -> Fraction:
             g = gcd(den, d)
             num = num * (d // g) + n * (den // g)
             den = den // g * d
-    return Fraction(num, den)
+    return Fraction(num, den * divisor)
 
 
 def dot(xs: Sequence[Fraction | int], ys: Sequence[Fraction | int],
-        weights: Sequence[Fraction | int] | None = None) -> Fraction:
-    """sum_i w_i x_i y_i (w_i = 1 without weights) for ints and Fractions,
-    exactly, through ``pair_sum``.  Operands of different lengths raise
-    ValueError, so a short one never truncates the sum."""
+        weights: Sequence[Fraction | int] | None = None,
+        divisor: int = 1) -> Fraction:
+    """sum_i w_i x_i y_i / divisor (w_i = 1 without weights) for ints and
+    Fractions, exactly, through ``pair_sum``.  Operands of different
+    lengths raise ValueError, so a short one never truncates the sum."""
     if weights is None:
-        return pair_sum((x.numerator * y.numerator,
-                         x.denominator * y.denominator)
-                        for x, y in zip(xs, ys, strict=True))
-    return pair_sum((w.numerator * x.numerator * y.numerator,
-                     w.denominator * x.denominator * y.denominator)
-                    for w, x, y in zip(weights, xs, ys, strict=True))
+        pairs = ((x.numerator * y.numerator, x.denominator * y.denominator)
+                 for x, y in zip(xs, ys, strict=True))
+    else:
+        pairs = ((w.numerator * x.numerator * y.numerator,
+                  w.denominator * x.denominator * y.denominator)
+                 for w, x, y in zip(weights, xs, ys, strict=True))
+    return pair_sum(pairs, divisor)
 
 
 def rat(value: RationalLike) -> Fraction:

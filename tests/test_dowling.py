@@ -4,15 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from probdowling import (Bernoulli, Binomial, Custom, Geometric, Params,
-                         PointMass, Poisson, PolyX, WhitneyTriangle,
+from probdowling import (Bernoulli, Binomial, Custom, DiscreteUniform,
+                         Geometric, Params, PointMass, Poisson, PolyX,
+                         WhitneyTriangle,
                          bell_partial_series, degen_falling, dobinski_eval,
                          dowling_derivative, dowling_number, dowling_poly,
                          dowling_poly_r, egf_coeff, egf_const, egf_degen_exp,
                          egf_exp, egf_mul, egf_pow, egf_scale, egf_sub,
                          egf_mgf_degen, falling, raw_moment, stirling2,
                          stirling2_degen, stirling2_prob, sum_degen_moment,
-                         whitney_prob, whitney_prob_r)
+                         sum_degen_moment_rows, whitney_prob, whitney_prob_r)
 from probdowling import bell as bell_mod
 from probdowling import dowling as dowling_mod
 from probdowling import moments as moments_mod
@@ -253,9 +254,8 @@ def test_warm_route_calls_do_no_moment_work(monkeypatch):
             (row, col, route)
 
 
-def test_stirling_expand_reads_one_chain_entry_per_copy_count(monkeypatch):
-    # The route reads every order up to n of the lam = 1 chain once per copy
-    # count l <= k, not once per (order, copy count).
+def _count_chain_reads(monkeypatch):
+    """Patch moments._mgf_chain to record the lam of every lookup."""
     reads = []
     chain = moments_mod._mgf_chain
 
@@ -263,11 +263,83 @@ def test_stirling_expand_reads_one_chain_entry_per_copy_count(monkeypatch):
         reads.append(lam)
         return chain(model, scale, shift, lam)
 
-    Y, params, n, k = Geometric(Fraction(1, 3)), P213, 9, 4
     monkeypatch.setattr(moments_mod, "_mgf_chain", counted)
+    return reads
+
+
+def test_stirling_expand_reads_one_chain_entry_per_copy_count(monkeypatch):
+    # The route reads every order up to n of the lam = 1 chain entries for
+    # the copy counts l <= k in one chain lookup, not one per copy count.
+    Y, params, n, k = Geometric(Fraction(1, 3)), P213, 9, 4
+    reads = _count_chain_reads(monkeypatch)
     got = whitney_prob_r(Y, params, n, k, "stirling_expand")
-    assert reads == [Fraction(1)] * (k + 1)
+    assert reads == [Fraction(1)]
     assert got == whitney_prob_r(Y, params, n, k, "egf")
+
+
+def test_alt_sum_reads_the_chain_once(monkeypatch):
+    # Column n of the chain entries 0..k comes from one chain lookup, not
+    # one sum_degen_moment call per copy count.
+    Y, params, n, k = Geometric(Fraction(1, 3)), P213, 9, 4
+    reads = _count_chain_reads(monkeypatch)
+    got = whitney_prob_r(Y, params, n, k, "alt_sum")
+    assert reads == [params.lam]
+    assert got == whitney_prob_r(Y, params, n, k, "egf")
+
+
+VANISHING_MODELS = [
+    PointMass(Fraction(3, 2)), Bernoulli(Fraction(1, 3)),
+    Binomial(3, Fraction(2, 5)), DiscreteUniform(3), Poisson(Fraction(4, 3)),
+    Geometric(Fraction(2, 3)),
+    Custom(tuple(Fraction(v) for v in (
+        "1", "2/5", "3/11", "7/5", "13/11", "9/5", "24/11", "16/5", "41/11"))),
+]
+
+
+@pytest.mark.parametrize("model", VANISHING_MODELS, ids=[
+    "pointmass", "bernoulli", "binomial", "discreteuniform", "poisson",
+    "geometric", "custom"])
+def test_stirling_expand_skips_only_vanishing_orders(model):
+    # stirling_expand sums orders j >= k only: column j of the lam = 1
+    # chain, E[(m S_l + r)_j] for l = 0..k, has an alternating sum of
+    # exactly 0 for every j < k.
+    for m in (1, 2, 3):
+        for r in (0, 1, 2):
+            rows = sum_degen_moment_rows(model, 8, m, r, 7, 1)
+            for k in range(1, 9):
+                signed = [(-1) ** (k - l) * math.comb(k, l)
+                          for l in range(k + 1)]
+                for j in range(k):
+                    assert sum(w * rows[l][j]
+                               for l, w in enumerate(signed)) == 0, \
+                        (m, r, k, j)
+            params = Params(m, Fraction(-2, 5), r)
+            for n in range(9):
+                for k in range(n + 1):
+                    assert whitney_prob_r(model, params, n, k,
+                                          "stirling_expand") == \
+                        whitney_prob_r(model, params, n, k, "egf"), \
+                        (m, r, n, k)
+
+
+def test_warm_bell_form_hashes_no_bell_argument(monkeypatch):
+    # The enumeration memo is keyed by integer numerators and denominators,
+    # so a warm call hashes no kernel coefficient: the only Fractions hashed
+    # are the lam keys of the kernel and chain stores, one lookup each.
+    Y, params, n, k = Geometric(Fraction(1, 3)), Params(2, Fraction(1, 3), 2), 10, 3
+    expected = whitney_prob_r(Y, params, n, k, "bell_form")
+    calls = []
+    fraction_hash = Fraction.__hash__
+
+    def counting_hash(self):
+        calls.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+    got = whitney_prob_r(Y, params, n, k, "bell_form")
+    monkeypatch.undo()
+    assert calls == [params.lam, params.lam]
+    assert got == expected == whitney_prob_r(Y, params, n, k, "egf")
 
 
 def test_unknown_route_is_rejected_for_every_index():

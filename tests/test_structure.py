@@ -81,8 +81,9 @@ def test_hot_inner_sums_use_the_common_denominator_kernel():
     # These sums run once per coefficient or entry; builtin sum over
     # Fraction products would reduce by a gcd at every term.
     hot = (series.egf_mul_coeff, series.egf_exp, moments.degen_moment,
-           moments._grow_kernel, dowling.dowling_poly_r,
-           dowling.whitney_prob_r, bell._bell_partial_cached)
+           moments._grow_kernel, moments.sum_degen_moment_rows,
+           dowling.dowling_poly_r, dowling.whitney_prob_r,
+           bell.bell_partial_column, bell._bell_partial_cached)
     found = []
     for fn in hot:
         tree = ast.parse(inspect.getsource(inspect.unwrap(fn)).lstrip())
