@@ -4,12 +4,11 @@ exact moment sequences; every structural identity of the family is
 checkable by multi-route computation to exact rational equality.
 """
 
-from .bell import (bell_complete, bell_partial, bell_partial_column,
-                   bell_partial_row, bell_partial_series)
-from .dowling import (PolyX, WhitneyTriangle, dobinski_eval, dowling_derivative,
-                      dowling_number, dowling_poly, dowling_poly_r,
-                      stirling2_degen, stirling2_prob, whitney_prob,
-                      whitney_prob_r)
+from .bell import (bell_partial, bell_partial_column, bell_partial_row,
+                   bell_partial_series)
+from .dowling import (PolyX, WhitneyTriangle, dobinski_eval, dowling_number,
+                      dowling_poly, dowling_poly_r, stirling2_degen,
+                      stirling2_prob, whitney_prob, whitney_prob_r)
 from .identities import (IdentityReport, check_bell_expansion,
                          check_bell_rwhitney, check_binom_bell,
                          check_binomial_inversion, check_convolution,
@@ -20,12 +19,12 @@ from .moments import (Bernoulli, Binomial, Custom, DiscreteUniform, Geometric,
                       degen_moment, egf_mgf_degen, model_from_config,
                       model_to_config, raw_moment, stored_kernel,
                       sum_degen_moment, sum_degen_moment_row,
-                      sum_degen_moment_rows, sum_plain_falling_moment)
+                      sum_degen_moment_rows)
 from .montecarlo import McEstimate, estimate_sum_degen_moment, sample_Y
-from .ratcore import (Params, Rational, binom, binom_general, clear_caches,
-                      degen_falling, falling, format_rational, rat, stirling2)
-from .series import (EgfSeries, egf_add, egf_coeff, egf_const, egf_degen_exp,
-                     egf_exp, egf_mul, egf_pow, egf_scale, egf_sub)
+from .ratcore import (Params, Rational, binom, clear_caches, degen_falling,
+                      falling, format_rational, rat, stirling2)
+from .series import (EgfSeries, egf_coeff, egf_const, egf_degen_exp, egf_mul,
+                     egf_scale, egf_sub)
 
 __version__ = "0.1.0"
 

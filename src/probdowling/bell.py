@@ -1,4 +1,4 @@
-"""Partial and complete Bell polynomials on rational argument lists.
+"""Partial Bell polynomials on rational argument lists.
 
 Two independent routes are provided on purpose.  ``bell_partial``
 enumerates partition index vectors directly (Comtet, *Advanced
@@ -170,22 +170,3 @@ def bell_partial_row(n: int, args: Sequence[Ring],
             for j in range(k, n + 1)]
         row.append(power[n])
     return tuple(row)
-
-
-def bell_complete(n: int, args: BellArgs) -> Fraction:
-    """Complete Bell polynomial B_n(x_1, ..., x_n) = sum_k B_{n,k}."""
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
-    if len(args) < n:
-        raise ValueError(f"B_{n} needs {n} arguments x_1..x_{n}, got {len(args)}")
-    return sum((bell_partial(n, k, args) for k in range(n + 1)), Fraction(0))
-
-
-def bell_args_series(args: BellArgs, order: int) -> EgfSeries:
-    """Pack x_1..x_order into the EGF 0 + x_1 t + x_2 t^2/2! + ...
-
-    Missing trailing arguments are taken as zero, which leaves every
-    B_{n,k} needing only x_1..x_{n-k+1} unchanged.
-    """
-    xs = tuple(rat(v) for v in args[:order])
-    return EgfSeries((Fraction(0),) + xs + (Fraction(0),) * (order - len(xs)))

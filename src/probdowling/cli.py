@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .dowling import PolyX, dobinski_eval, dowling_poly_r
+from .dowling import PolyX, WhitneyTriangle, dobinski_eval, dowling_poly_r
 from .identities import (IdentityReport, check_bell_expansion,
                          check_bell_rwhitney, check_binom_bell,
                          check_binomial_inversion, check_convolution,
@@ -154,9 +154,9 @@ def cmd_table(cfg: RunConfig) -> int:
     """Emit the r-Whitney triangle (equivalently the Dowling coefficient
     rows) for n <= max_n."""
     cap = None if cfg.max_k is None else cfg.max_k + 1
-    rows = [[format_rational(c)
-             for c in dowling_poly_r(cfg.model, cfg.params, n).coeffs[:cap]]
-            for n in range(cfg.max_n + 1)]
+    triangle = WhitneyTriangle.build(cfg.model, cfg.params, cfg.max_n)
+    rows = [[format_rational(c) for c in row[:cap]]
+            for row in triangle.entries]
     if cfg.fmt == "csv":
         _emit(cfg, "".join(",".join(r) + "\n" for r in rows))
     else:

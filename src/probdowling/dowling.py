@@ -44,6 +44,9 @@ WHITNEY_ROUTES = ("egf", "alt_sum", "stirling_expand", "bell_form")
 # falling-factorial moments.
 _PLAIN_LAM = Fraction(1)
 
+# The last term index ``dobinski_eval`` sums before it gives up.
+DOBINSKI_MAX_TERMS = 400
+
 
 @dataclass(frozen=True, eq=False)
 class PolyX:
@@ -346,14 +349,14 @@ def dowling_number(model: MomentModel, params: Params, n: int) -> Fraction:
 
 
 def dobinski_eval(model: MomentModel, params: Params, n: int,
-                  x: RationalLike, rel_tol: float,
-                  max_terms: int = 400) -> float:
+                  x: RationalLike, rel_tol: float) -> float:
     """Evaluate the r-Dowling polynomial at x >= 0 by its moment series.
 
     Sums e^(-x/m) sum_k x^k / (m^k k!) E[(m S_k + r)_{n,lam}] with exact
     rational terms from ``sum_degen_moment``, stopping once the current
     term is below rel_tol times the running partial sum in absolute value
-    for three consecutive terms and k exceeds n.  The exact polynomial
+    for three consecutive terms and k exceeds n, and giving up after
+    ``DOBINSKI_MAX_TERMS`` terms with a RuntimeError.  The exact polynomial
     evaluation is the correctness oracle for this number; the truncation
     rule only serves standalone numeric use.  ValueError if the series
     leaves float range.
@@ -363,15 +366,13 @@ def dobinski_eval(model: MomentModel, params: Params, n: int,
         raise ValueError(f"series argument must be nonnegative, got {x}")
     if not (math.isfinite(rel_tol) and rel_tol > 0):
         raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
-    if max_terms < 0:
-        raise ValueError(f"max_terms must be nonnegative, got {max_terms}")
     m, lam, r = params.m, params.lam, params.r
 
     partial = Fraction(0)
     weight = Fraction(1)         # x^k / (m^k k!)
     small_streak = 0
     try:
-        for k in range(max_terms + 1):
+        for k in range(DOBINSKI_MAX_TERMS + 1):
             if k > 0:
                 weight = weight * x / (m * k)
             term = weight * sum_degen_moment(model, k, m, r, n, lam)
@@ -386,16 +387,8 @@ def dobinski_eval(model: MomentModel, params: Params, n: int,
         raise ValueError(f"moment series at x = {x} leaves float range "
                          f"at term {k}") from exc
     raise RuntimeError(
-        f"moment series did not settle within {max_terms} terms; "
+        f"moment series did not settle within {DOBINSKI_MAX_TERMS} terms; "
         f"last term magnitude {abs(float(term)):.3e}")
-
-
-def dowling_derivative(model: MomentModel, params: Params, n: int,
-                       k: int) -> PolyX:
-    """k-th derivative in x of the Dowling polynomial of degree n, taken
-    formally (zero for k > n); ``identities.check_derivative`` checks it
-    against the Stirling-number form."""
-    return dowling_poly(model, params, n).derivative(k)
 
 
 @memo

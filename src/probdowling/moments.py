@@ -15,10 +15,9 @@ themselves, stored once in one chain per (model, scale, shift, lam),
 ``_mgf_chain``, grown the same way, so nothing is rebuilt or kept per
 order.  ``sum_degen_moment_rows`` is the one reader of a chain: one
 argument check and one chain lookup return the coefficients 0..n of
-entries 0..k, entry k grown first if it is too short.
+entries 0..k, grown first if entry k is too short.
 ``sum_degen_moment_row`` (one entry) and ``sum_degen_moment`` (one
-coefficient, read directly when its entry is already long enough) read
-through it.
+coefficient) index what it returns.
 
 Poisson and geometric raw moments follow from the lower ones by a
 binomial recurrence (Touchard's for Poisson), one ``ratcore.dot`` each.
@@ -297,34 +296,18 @@ def _mgf_chain(model: MomentModel, scale: int, shift: int,
     Entry k is P^k e_lam^shift, P = egf_mgf_degen(model, scale, lam, ·), up
     to the highest order asked so far: coefficient n is
     E[(scale*S_k + shift)_{n,lam}].  Entry 0 is egf_degen_exp(shift, lam, ·);
-    ``sum_degen_moment_rows`` grows entry k from entry k - 1, so entries
-    0..k are present whenever entry k is, and no entry is longer than the
-    one below it: a reader that finds entry k long enough finds every
-    lower entry long enough too.  Truncation is lossless, so coefficient n
-    is the same at every order >= n.  An entry is replaced whole by a
-    longer immutable series, never changed in place, and growth reads its
-    own copy, so a race between two growers can only recompute
-    coefficients, never corrupt them.
+    ``sum_degen_moment_rows`` grows entries 0..k together, so entries
+    0..k - 1 are at least as long as entry k.  Truncation is lossless, so
+    coefficient n is the same at every order >= n.  An entry is replaced
+    whole by a longer immutable series, never changed in place.
     """
     return {}
 
 
 def sum_degen_moment(model: MomentModel, k: int, scale: int, shift: int,
                      n: int, lam: RationalLike) -> Fraction:
-    """Exact E[(scale*S_k + shift)_{n,lam}] with S_k = Y_1 + ... + Y_k.
-
-    Read as coefficient n of entry k of the one chain per
-    (model, scale, shift, lam), ``_mgf_chain``: (E-series)^k times the
-    degenerate exponential of the shift, where E-series is the scaled
-    degenerate MGF.  A valid request whose entry is long enough reads it
-    here with no further call; any other goes through
-    ``sum_degen_moment_rows``, which checks the arguments and grows the
-    entry.
-    """
-    if k >= 0 and shift >= 0 and n >= 0 and scale >= 1:
-        entry = _mgf_chain(model, scale, shift, rat(lam)).get(k)
-        if entry is not None and entry.order >= n:
-            return entry.coeffs[n]
+    """Exact E[(scale*S_k + shift)_{n,lam}] with S_k = Y_1 + ... + Y_k:
+    coefficient n of row k of ``sum_degen_moment_rows``."""
     return sum_degen_moment_rows(model, k, scale, shift, n, lam)[k][n]
 
 
@@ -341,29 +324,28 @@ def sum_degen_moment_rows(model: MomentModel, k: int, scale: int, shift: int,
     """E[(scale*S_j + shift)_{i,lam}] for j = 0..k (row j) and i = 0..n.
 
     The rows are the coefficients of entries 0..k of ``_mgf_chain``, read
-    with one argument check and one chain lookup; entry k is grown there
-    first if it is too short, which makes every lower entry long enough.
+    with one argument check and one chain lookup.  If entry k is missing
+    or too short, entries 0..k are grown to order n first, in order.
     """
     require_sum_args(k, scale, shift, n)
     lam = rat(lam)
     chain = _mgf_chain(model, scale, shift, lam)
-    # Start from the highest entry already long enough, so a warm request
-    # grows nothing and a cold one fills only the gap.
-    start = k
-    while start > 0 and (start not in chain or chain[start].order < n):
-        start -= 1
-    entry = chain.get(start)
-    if start == 0 and (entry is None or entry.order < n):
-        entry = chain[0] = egf_degen_exp(shift, lam, n)
-    if start < k:
-        base = stored_kernel(model, scale, lam, n)
-        for j in range(start + 1, k + 1):
-            # Coefficient i of entry j is sum_l C(i, l) P_l [entry j-1]_(i-l);
-            # keep the coefficients the entry already has and append the rest.
-            done = chain[j].coeffs if j in chain else ()
-            entry = EgfSeries(done + tuple(egf_mul_coeff(base, entry, i)
-                                           for i in range(len(done), n + 1)))
-            chain[j] = entry
+    if k not in chain or chain[k].order < n:
+        entry = chain.get(0)
+        if entry is None or entry.order < n:
+            entry = chain[0] = egf_degen_exp(shift, lam, n)
+        # Entry 0 reads no moment, so a custom list of one moment serves it.
+        base = stored_kernel(model, scale, lam, n) if k else None
+        for j in range(1, k + 1):
+            below, entry = entry, chain.get(j)
+            done = entry.coeffs if entry is not None else ()
+            if len(done) <= n:
+                # Coefficient i of entry j is
+                # sum_l C(i, l) P_l [entry j-1]_(i-l); keep the coefficients
+                # the entry already has and append the rest.
+                entry = chain[j] = EgfSeries(done + tuple(
+                    egf_mul_coeff(base, below, i)
+                    for i in range(len(done), n + 1)))
     stop = n + 1
     return [chain[j].coeffs[:stop] for j in range(k + 1)]
 
@@ -376,12 +358,6 @@ def require_sum_args(k: int, scale: int, shift: int, n: int) -> None:
             raise ValueError(f"{name} must be nonnegative, got {value}")
     if scale < 1:
         raise ValueError(f"scale must be a positive integer, got {scale}")
-
-
-def sum_plain_falling_moment(model: MomentModel, k: int, scale: int,
-                             shift: int, j: int) -> Fraction:
-    """Exact E[(scale*S_k + shift)_j] with the ordinary falling factorial."""
-    return sum_degen_moment(model, k, scale, shift, j, Fraction(1))
 
 
 _KIND_TO_CLS = {

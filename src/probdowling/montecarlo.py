@@ -7,7 +7,9 @@ a 5-sigma comparison, plus a float-rounding allowance, against an
 independently computed rational.  All randomness flows from an explicit
 64-bit seed through numpy's seedable, splittable PCG64 generator; a run
 is reproducible bit for bit.  numpy is imported on the first draw, not
-with this module, so the exact commands never load it.
+with this module, so the exact commands never load it.  A parameter, or
+an exact target, that leaves float range (int64 range for binomial
+trials) is a ValueError that names it.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ from .ratcore import RationalLike, rat
 
 if TYPE_CHECKING:
     import numpy as np
+
+
+_INT64_MAX = 2 ** 63 - 1
 
 
 class SamplerUnsupportedError(ValueError):
@@ -63,15 +68,19 @@ def _draw(model: MomentModel, rng: np.random.Generator,
     import numpy as np
 
     if isinstance(model, PointMass):
-        return np.full(count, float(model.c))
+        return np.full(count, _float("point mass c", model.c))
     if isinstance(model, Bernoulli):
         return (rng.random(count) < float(model.p)).astype(np.float64)
     if isinstance(model, Binomial):
+        if model.trials > _INT64_MAX:
+            raise ValueError(f"binomial trials {model.trials} leave the "
+                             "sampler's int64 range")
         return rng.binomial(model.trials, float(model.p), count).astype(np.float64)
     if isinstance(model, DiscreteUniform):
         return rng.integers(0, model.max + 1, size=count).astype(np.float64)
     if isinstance(model, Poisson):
-        return rng.poisson(float(model.rate), count).astype(np.float64)
+        rate = _float("poisson rate", model.rate)
+        return rng.poisson(rate, count).astype(np.float64)
     if isinstance(model, Geometric):
         # numpy counts trials up to and including the first success; shift
         # to failures-before-success, supported on {0, 1, 2, ...}.
@@ -80,6 +89,17 @@ def _draw(model: MomentModel, rng: np.random.Generator,
         raise SamplerUnsupportedError(
             "custom moment lists do not determine a distribution to sample")
     raise TypeError(f"not a moment model: {model!r}")
+
+
+def _float(name: str, value: Fraction | int) -> float:
+    """float(value), or a ValueError that names the value and its size if
+    it leaves float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        size = math.log10(abs(value.numerator)) - math.log10(value.denominator)
+        raise ValueError(f"{name} of magnitude about 10^{size:.0f} leaves "
+                         "float range") from None
 
 
 def sample_Y(model: MomentModel, rng_seed: int, count: int) -> np.ndarray:
@@ -111,12 +131,12 @@ def estimate_sum_degen_moment(model: MomentModel, k: int, scale: int,
 
     lam = rat(lam)
     rng = np.random.default_rng(seed)
-    lam_f = float(lam)
+    lam_f = _float("lambda", lam)
     try:
         totals = np.zeros(samples)
         for _ in range(k):
             totals += _draw(model, rng, samples)
-        arg = scale * totals + shift
+        arg = _float("scale", scale) * totals + _float("shift", shift)
         values = np.ones(samples)
         for i in range(n):
             values = values * (arg - i * lam_f)
@@ -125,5 +145,7 @@ def estimate_sum_degen_moment(model: MomentModel, k: int, scale: int,
     except MemoryError as exc:
         raise ValueError(f"{samples} samples do not fit in memory") from exc
     target = sum_degen_moment(model, k, scale, shift, n, lam)
+    # McEstimate reads the target as a float.
+    _float(f"exact target E[({scale} S_{k} + {shift})_{{{n},{lam}}}]", target)
     return McEstimate(mean=mean, std_error=std_error, samples=samples,
                       target=target)

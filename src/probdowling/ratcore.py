@@ -179,13 +179,6 @@ def stirling2(n: int, k: int) -> Fraction:
                         for j in range(k + 1)) // factorial(k))
 
 
-def binom_general(x: RationalLike, k: int) -> Fraction:
-    """Generalized binomial coefficient falling(x, k) / k! for rational x."""
-    if k < 0:
-        raise ValueError(f"index must be nonnegative, got {k}")
-    return falling(x, k) / factorial(k)
-
-
 @hash_once
 @dataclass(frozen=True)
 class Params:

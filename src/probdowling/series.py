@@ -63,11 +63,6 @@ def egf_degen_exp(x: RationalLike, lam: RationalLike, order: int) -> EgfSeries:
     return EgfSeries(tuple(coeffs))
 
 
-def egf_add(a: EgfSeries, b: EgfSeries) -> EgfSeries:
-    _require_same_order(a, b, "egf_add")
-    return EgfSeries(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
-
-
 def egf_sub(a: EgfSeries, b: EgfSeries) -> EgfSeries:
     _require_same_order(a, b, "egf_sub")
     return EgfSeries(tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
@@ -93,33 +88,6 @@ def egf_mul_coeff(a: EgfSeries, b: EgfSeries, n: int) -> Fraction:
         raise IndexError(f"coefficient index {n} out of range for orders "
                          f"{a.order} and {b.order}")
     return dot(a.coeffs[:n + 1], b.coeffs[n::-1], binomial_row(n))
-
-
-def egf_pow(a: EgfSeries, k: int) -> EgfSeries:
-    """k-fold product of a with itself; k=0 is the constant-1 series."""
-    if k < 0:
-        raise ValueError(f"exponent must be nonnegative, got {k}")
-    out = egf_const(1, a.order)
-    for _ in range(k):
-        out = egf_mul(out, a)
-    return out
-
-
-def egf_exp(a: EgfSeries) -> EgfSeries:
-    """Exponential of a series with zero constant term.
-
-    Coefficient n of the result is the complete Bell polynomial
-    B_n(a_1, ..., a_n), obtained from the recurrence
-    B_{n+1} = sum_j C(n,j) a_{j+1} B_{n-j} with B_0 = 1.
-    """
-    if a.coeffs[0] != 0:
-        raise ValueError(
-            "egf_exp requires a zero constant term; "
-            f"got {a.coeffs[0]} (the result would not be rational)")
-    bs = [Fraction(1)]
-    for n in range(a.order):
-        bs.append(dot(a.coeffs[1:n + 2], bs[::-1], binomial_row(n)))
-    return EgfSeries(tuple(bs))
 
 
 def egf_coeff(a: EgfSeries, n: int) -> Fraction:

@@ -1,16 +1,25 @@
-"""Independent brute-force oracles used to pin expected values.
+"""Independent oracles used to pin expected values.
 
-Nothing here touches the library's series pipeline: set partitions are
-enumerated directly, and expectations over finite-support models are
-computed by walking the joint support with exact probabilities.
+The brute-force ones do not touch the library's series pipeline: set
+partitions are enumerated directly, and expectations over finite-support
+models are computed by walking the joint support with exact probabilities.
+
+The series and Bell references at the end (``egf_add``, ``egf_pow``,
+``egf_exp``, ``bell_complete``, ``bell_args_series``) are built on the
+library's series type and products; no production path needs them, so
+they live here, next to the tests that compare against them.
 """
 
 from fractions import Fraction
 from itertools import product
 from math import comb
 
-from probdowling import (Bernoulli, Binomial, DiscreteUniform, PointMass,
-                         degen_falling)
+from probdowling import (Bernoulli, Binomial, DiscreteUniform, EgfSeries,
+                         PointMass, bell_partial, degen_falling, egf_const,
+                         egf_mul, rat)
+from probdowling.bell import BellArgs
+from probdowling.ratcore import binomial_row, dot
+from probdowling.series import _require_same_order
 
 
 def set_partitions(n):
@@ -104,3 +113,54 @@ def bell_numbers(n):
         row = nxt
         out.append(row[0])
     return out
+
+
+def egf_add(a: EgfSeries, b: EgfSeries) -> EgfSeries:
+    _require_same_order(a, b, "egf_add")
+    return EgfSeries(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+
+
+def egf_pow(a: EgfSeries, k: int) -> EgfSeries:
+    """k-fold product of a with itself; k=0 is the constant-1 series."""
+    if k < 0:
+        raise ValueError(f"exponent must be nonnegative, got {k}")
+    out = egf_const(1, a.order)
+    for _ in range(k):
+        out = egf_mul(out, a)
+    return out
+
+
+def egf_exp(a: EgfSeries) -> EgfSeries:
+    """Exponential of a series with zero constant term.
+
+    Coefficient n of the result is the complete Bell polynomial
+    B_n(a_1, ..., a_n), obtained from the recurrence
+    B_{n+1} = sum_j C(n,j) a_{j+1} B_{n-j} with B_0 = 1.
+    """
+    if a.coeffs[0] != 0:
+        raise ValueError(
+            "egf_exp requires a zero constant term; "
+            f"got {a.coeffs[0]} (the result would not be rational)")
+    bs = [Fraction(1)]
+    for n in range(a.order):
+        bs.append(dot(a.coeffs[1:n + 2], bs[::-1], binomial_row(n)))
+    return EgfSeries(tuple(bs))
+
+
+def bell_complete(n: int, args: BellArgs) -> Fraction:
+    """Complete Bell polynomial B_n(x_1, ..., x_n) = sum_k B_{n,k}."""
+    if n < 0:
+        raise ValueError(f"index must be nonnegative, got {n}")
+    if len(args) < n:
+        raise ValueError(f"B_{n} needs {n} arguments x_1..x_{n}, got {len(args)}")
+    return sum((bell_partial(n, k, args) for k in range(n + 1)), Fraction(0))
+
+
+def bell_args_series(args: BellArgs, order: int) -> EgfSeries:
+    """Pack x_1..x_order into the EGF 0 + x_1 t + x_2 t^2/2! + ...
+
+    Missing trailing arguments are taken as zero, which leaves every
+    B_{n,k} needing only x_1..x_{n-k+1} unchanged.
+    """
+    xs = tuple(rat(v) for v in args[:order])
+    return EgfSeries((Fraction(0),) + xs + (Fraction(0),) * (order - len(xs)))

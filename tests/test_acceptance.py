@@ -14,18 +14,19 @@ import time
 from fractions import Fraction
 
 from probdowling import (Bernoulli, Binomial, DiscreteUniform, Geometric,
-                         Params, PointMass, Poisson, bell_complete,
-                         bell_partial, bell_partial_series,
+                         Params, PointMass, Poisson, bell_partial,
+                         bell_partial_series,
                          check_bell_expansion, check_bell_rwhitney,
                          check_binom_bell, check_binomial_inversion,
                          check_convolution, check_derivative, check_recurrence,
                          check_stirling_bell, check_sum_identity,
                          degen_falling, dobinski_eval, dowling_poly_r,
-                         egf_coeff, egf_exp, estimate_sum_degen_moment,
+                         egf_coeff, estimate_sum_degen_moment,
                          falling, stirling2, stirling2_degen, stirling2_prob,
                          whitney_prob, whitney_prob_r)
-from probdowling.bell import bell_args_series
 from probdowling.dowling import WHITNEY_ROUTES
+
+from oracles import bell_args_series, bell_complete, egf_exp
 
 BUILTIN_MODELS = [
     PointMass(Fraction(1)),

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from probdowling import (EgfSeries, PolyX, bell_complete, bell_partial,
-                         bell_partial_column, bell_partial_series, egf_coeff,
-                         egf_exp)
-from probdowling.bell import _index_vectors, bell_args_series, bell_partial_row
+from probdowling import (EgfSeries, PolyX, bell_partial, bell_partial_column,
+                         bell_partial_series, egf_coeff)
+from probdowling.bell import _index_vectors, bell_partial_row
 from probdowling.dowling import POLY_ONE
 
-from oracles import bell_partial_brute, bell_brute, index_vectors_unpruned
+from oracles import (bell_args_series, bell_brute, bell_complete,
+                     bell_partial_brute, egf_exp, index_vectors_unpruned)
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 

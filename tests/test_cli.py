@@ -399,6 +399,24 @@ def test_dobinski_beyond_float_range_exits_2(capsys):
     assert "float range" in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["--model", '{"kind": "binomial", "trials": 1180591620717411303424, '
+      '"p": "1/2"}', "--max-n", "1", "--max-k", "1", "--samples", "10"],
+     "binomial trials 1180591620717411303424 leave the sampler's int64 range"),
+    (["--model", '{"kind": "pointmass", "c": "1e400"}', "--max-n", "1",
+      "--max-k", "1", "--samples", "10"],
+     "point mass c of magnitude about 10^400 leaves float range"),
+    (["--model", '{"kind": "poisson", "rate": "5"}', "--m", "10",
+      "--max-n", "200", "--max-k", "3", "--samples", "1000"],
+     "exact target E[(10 S_3 + 1)_{200,0}] of magnitude about 10^554 "
+     "leaves float range"),
+])
+def test_mc_beyond_float_or_int64_range_exits_2(capsys, argv, named):
+    code, out, err = run(capsys, "--command", "mc", *argv)
+    assert code == 2 and out == ""
+    assert err == f"configuration error: {named}\n"
+
+
 # Each argv is built from good values, then up to two bad ones are appended
 # (argparse keeps the last).  --max-n and --samples stay small, and --out
 # only ever names a path that cannot be written.

@@ -8,9 +8,9 @@ from probdowling import (Bernoulli, Binomial, Custom, DiscreteUniform,
                          Geometric, Params, PointMass, Poisson, PolyX,
                          WhitneyTriangle,
                          bell_partial_series, degen_falling, dobinski_eval,
-                         dowling_derivative, dowling_number, dowling_poly,
-                         dowling_poly_r, egf_coeff, egf_const, egf_degen_exp,
-                         egf_exp, egf_mul, egf_pow, egf_scale, egf_sub,
+                         dowling_number, dowling_poly, dowling_poly_r,
+                         egf_coeff, egf_const, egf_degen_exp, egf_mul,
+                         egf_scale, egf_sub,
                          egf_mgf_degen, falling, raw_moment, stirling2,
                          stirling2_degen, stirling2_prob, sum_degen_moment,
                          sum_degen_moment_rows, whitney_prob, whitney_prob_r)
@@ -21,7 +21,7 @@ from probdowling.moments import falling_row
 from probdowling.dowling import WHITNEY_ROUTES, POLY_ZERO
 from probdowling.series import egf_mul_coeff
 
-from oracles import bell_numbers, stirling2_brute
+from oracles import bell_numbers, egf_exp, egf_pow, stirling2_brute
 
 PM1 = PointMass(Fraction(1))
 BE = Bernoulli(Fraction(1, 2))
@@ -440,7 +440,7 @@ def test_dobinski_matches_exact_evaluation():
         pytest.approx(float(exact2), rel=1e-10)
 
 
-def test_dobinski_domain_and_cap_errors():
+def test_dobinski_domain_and_cap_errors(monkeypatch):
     with pytest.raises(ValueError):
         dobinski_eval(BE, P213, 2, Fraction(-1), 1e-10)
     with pytest.raises(ValueError):
@@ -451,27 +451,34 @@ def test_dobinski_domain_and_cap_errors():
     for tol in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="rel_tol"):
             dobinski_eval(Poisson(Fraction(1)), params, 2, 3, tol)
+    monkeypatch.setattr(dowling_mod, "DOBINSKI_MAX_TERMS", 5)
     with pytest.raises(RuntimeError):
-        dobinski_eval(BE, P213, 2, 40, 1e-12, max_terms=5)
+        dobinski_eval(BE, P213, 2, 40, 1e-12)
 
 
 def test_dobinski_rejects_a_negative_term_cap():
-    with pytest.raises(ValueError, match="max_terms"):
+    # The cap is a module constant, not an argument a caller could set
+    # below zero.
+    assert dowling_mod.DOBINSKI_MAX_TERMS == 400
+    with pytest.raises(TypeError, match="max_terms"):
         dobinski_eval(BE, Params(2, Fraction(1, 3)), 2, 1, 1e-10, max_terms=-1)
 
 
 def test_dowling_derivative():
-    assert dowling_derivative(BE, P213, 1, 1) == PolyX((Fraction(1, 2),))
-    assert dowling_derivative(PM1, P213, 2, 1) == PolyX((Fraction(11, 3), 2))
-    assert dowling_derivative(BE, P213, 3, 4) == POLY_ZERO
-    assert dowling_derivative(BE, P213, 3, 0) == dowling_poly(BE, P213, 3)
+    assert dowling_poly(BE, P213, 1).derivative(1) == PolyX((Fraction(1, 2),))
+    assert dowling_poly(PM1, P213, 2).derivative(1) == \
+        PolyX((Fraction(11, 3), 2))
+    assert dowling_poly(BE, P213, 3).derivative(4) == POLY_ZERO
+    assert dowling_poly(BE, P213, 3).derivative(0) == dowling_poly(BE, P213, 3)
+    # Coefficient j of the k-th derivative is (j + k)!/j! W(n, j + k).
     for lam in lam_values:
         params = Params(3, lam, 1)
         for n in range(1, 6):
+            poly = dowling_poly(Poisson(Fraction(1)), params, n)
             for k in range(1, n + 1):
-                got = dowling_derivative(Poisson(Fraction(1)), params, n, k)
-                assert got == dowling_poly(
-                    Poisson(Fraction(1)), params, n).derivative(k)
+                assert poly.derivative(k) == PolyX(tuple(
+                    math.perm(j + k, k) * poly.coeff(j + k)
+                    for j in range(n - k + 1)))
 
 
 def test_rows_are_memoized_until_caches_clear():

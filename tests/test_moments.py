@@ -12,16 +12,15 @@ from probdowling import (Bernoulli, Binomial, Custom, DiscreteUniform,
                          Geometric, MomentOrderError, Params, PointMass,
                          Poisson, clear_caches, degen_falling, degen_moment,
                          dobinski_eval, egf_coeff, egf_degen_exp,
-                         egf_mgf_degen, egf_pow, model_from_config,
+                         egf_mgf_degen, model_from_config,
                          model_to_config, raw_moment, stirling2,
-                         sum_degen_moment, sum_degen_moment_row,
-                         sum_plain_falling_moment)
+                         sum_degen_moment, sum_degen_moment_row)
 import probdowling.moments as moments_mod
 from probdowling.moments import falling_row
 from probdowling.series import egf_mul_coeff
 
-from oracles import bell_brute, raw_moment_brute, stirling2_brute, \
-    sum_moment_brute
+from oracles import bell_brute, egf_pow, raw_moment_brute, \
+    stirling2_brute, sum_moment_brute
 
 FINITE_MODELS = [PointMass(Fraction(1)), Bernoulli(Fraction(1, 2)),
                  Binomial(3, Fraction(1, 3)), DiscreteUniform(2)]
@@ -247,14 +246,16 @@ def test_sum_single_copy_consistency():
 
 
 def test_sum_plain_falling_moment():
-    assert sum_plain_falling_moment(Poisson(Fraction(1)), 2, 2, 1, 0) == 1
-    assert sum_plain_falling_moment(Poisson(Fraction(1)), 0, 2, 1, 2) == 0
-    assert sum_plain_falling_moment(PointMass(Fraction(1)), 1, 2, 1, 2) == 6
+    # The ordinary falling factorial is the degenerate one at lam = 1.
+    one = Fraction(1)
+    assert sum_degen_moment(Poisson(one), 2, 2, 1, 0, one) == 1
+    assert sum_degen_moment(Poisson(one), 0, 2, 1, 2, one) == 0
+    assert sum_degen_moment(PointMass(one), 1, 2, 1, 2, one) == 6
     Y = Bernoulli(Fraction(1, 2))
     for k in range(3):
         for j in range(5):
-            assert sum_plain_falling_moment(Y, k, 2, 1, j) == \
-                sum_moment_brute(Y, k, 2, 1, j, Fraction(1))
+            assert sum_degen_moment(Y, k, 2, 1, j, one) == \
+                sum_moment_brute(Y, k, 2, 1, j, one)
 
 
 def test_custom_model():

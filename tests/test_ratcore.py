@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from probdowling import (Params, binom, binom_general, degen_falling, falling,
+from probdowling import (Params, binom, degen_falling, falling,
                          format_rational, rat)
 from probdowling.ratcore import binomial_row, dot, pair_sum
 
@@ -51,12 +51,6 @@ def test_binom_frozen_values():
        k=st.integers(min_value=1, max_value=12))
 def test_binom_pascal(n, k):
     assert binom(n, k) == binom(n - 1, k - 1) + binom(n - 1, k)
-
-
-def test_binom_general_frozen_values():
-    assert binom_general(Fraction(1, 2), 2) == Fraction(-1, 8)
-    assert binom_general(Fraction(7, 3), 0) == 1
-    assert binom_general(4, 2) == binom(4, 2)
 
 
 @given(x=rationals, n=small_n, lam=rationals)

@@ -14,6 +14,11 @@ from probdowling import (Bernoulli, Params, WhitneyTriangle, bell,
                          sum_degen_moment, whitney_prob)
 
 PACKAGE_DIR = Path(probdowling.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
+# Public names kept on purpose even where no production path calls them;
+# README's "References and public API" paragraph names the same ones.
+KEPT_PUBLIC = ("bell_partial", "stirling2_degen", "falling", "degen_falling",
+               "sample_Y", "WhitneyTriangle", "McEstimate.within")
 # The benchmark's per-layer report totals memo sizes for these modules only.
 MEMO_MODULES = {"probdowling.moments", "probdowling.bell",
                 "probdowling.dowling"}
@@ -80,7 +85,7 @@ def test_no_import_inside_a_function():
 def test_hot_inner_sums_use_the_common_denominator_kernel():
     # These sums run once per coefficient or entry; builtin sum over
     # Fraction products would reduce by a gcd at every term.
-    hot = (series.egf_mul_coeff, series.egf_exp, moments.degen_moment,
+    hot = (series.egf_mul_coeff, moments.degen_moment,
            moments._grow_kernel, moments.sum_degen_moment_rows,
            dowling.dowling_poly_r, dowling.whitney_prob_r,
            bell.bell_partial_column, bell._bell_partial_cached)
@@ -91,3 +96,50 @@ def test_hot_inner_sums_use_the_common_denominator_kernel():
                   if isinstance(node, ast.Call)
                   and getattr(node.func, "id", None) == "sum"]
     assert found == []
+
+
+def _names_outside(tree, skip):
+    """Identifiers read, imported or looked up as attributes in tree,
+    outside the node skip."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_every_function_in_src_has_a_caller_in_src():
+    # Code that only tests call belongs in the tests (oracles.py for the
+    # references they compare against), not in src.
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    defined, unreferenced = set(), []
+    for tree in trees.values():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            targets = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                targets += [(f"{node.name}.{sub.name}", sub)
+                            for sub in node.body
+                            if isinstance(sub, ast.FunctionDef)
+                            and not sub.name.startswith("__")]
+            for qualname, fn in targets:
+                defined.add(qualname)
+                name = qualname.rpartition(".")[2]
+                if qualname not in KEPT_PUBLIC and not any(
+                        name == seen for module, other in trees.items()
+                        if module != "__init__.py"
+                        for seen in _names_outside(other, fn)):
+                    unreferenced.append(qualname)
+    assert unreferenced == []
+    assert set(KEPT_PUBLIC) <= defined
+    readme = README.read_text()
+    assert [name for name in KEPT_PUBLIC if f"`{name}`" not in readme] == []
