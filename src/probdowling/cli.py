@@ -15,7 +15,6 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -29,7 +28,7 @@ from .identities import (IdentityReport, check_bell_expansion,
 from .moments import (MomentModel, MomentOrderError, model_from_config,
                       model_to_config)
 from .montecarlo import estimate_sum_degen_moment
-from .ratcore import Params, format_rational, rat
+from .ratcore import Frozen, Params, format_rational, rat
 
 COMMANDS = ("table", "eval", "check", "dobinski", "mc")
 
@@ -39,8 +38,7 @@ CHECK_X_POINTS = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3),
                   Fraction(-1, 2))
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Frozen):
     command: str
     model: MomentModel
     params: Params
@@ -143,11 +141,13 @@ def _encode(value: object) -> object:
 
 
 def _json_dump(cfg: RunConfig, body: dict) -> str:
-    """One JSON document: the command/model/m/lambda/r header plus body."""
+    """One JSON document: the command/model/m/lambda/r header plus body.
+    A non-finite float is a ValueError: JSON has no Infinity or NaN."""
     header = {"command": cfg.command, "model": model_to_config(cfg.model),
               "m": cfg.params.m, "lambda": format_rational(cfg.params.lam),
               "r": cfg.params.r}
-    return json.dumps({**header, **body}, sort_keys=True, indent=2) + "\n"
+    return json.dumps({**header, **body}, sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def cmd_table(cfg: RunConfig) -> int:
@@ -209,7 +209,7 @@ def cmd_check(cfg: RunConfig) -> int:
     if cfg.corrupt and reports:
         first = reports[0]
         bad_lhs = first.lhs + 1
-        reports[0] = replace(first, lhs=bad_lhs, passed=(bad_lhs == first.rhs))
+        reports[0] = first.replace(lhs=bad_lhs, passed=(bad_lhs == first.rhs))
     ok = all(r.passed for r in reports)
     _emit(cfg, _json_dump(cfg, {
         "all_pass": ok,

@@ -26,7 +26,6 @@ is re-exported here; the memo tables here come from ``ratcore.memo``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -34,8 +33,9 @@ from .bell import bell_partial_column, bell_partial_series
 from .moments import (MomentModel, egf_mgf_degen, stored_kernel,
                       sum_degen_moment, sum_degen_moment_row,
                       sum_degen_moment_rows)
-from .ratcore import (Params, RationalLike, binomial_row, clear_caches, dot,
-                      memo, pair_sum, rat, stirling2)
+from .ratcore import (Frozen, Params, RationalLike, binomial_row,
+                      clear_caches, dot, memo, pair_sum, rat, rat_tuple,
+                      stirling2)
 from .series import egf_coeff, egf_const, egf_sub
 
 WHITNEY_ROUTES = ("egf", "alt_sum", "stirling_expand", "bell_form")
@@ -48,8 +48,7 @@ _PLAIN_LAM = Fraction(1)
 DOBINSKI_MAX_TERMS = 400
 
 
-@dataclass(frozen=True, eq=False)
-class PolyX:
+class PolyX(Frozen):
     """Dense polynomial in the Dowling argument x, ascending powers.
 
     Trailing zeros are tolerated; equality and degree ignore them.
@@ -58,7 +57,7 @@ class PolyX:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        coerced = tuple(rat(c) for c in self.coeffs) or (Fraction(0),)
+        coerced = rat_tuple(self.coeffs) or (Fraction(0),)
         object.__setattr__(self, "coeffs", coerced)
 
     @property
@@ -271,8 +270,7 @@ def _signed_binomials(k: int) -> list[int]:
     return [(-1) ** (k - j) * c for j, c in enumerate(binomial_row(k))]
 
 
-@dataclass(frozen=True)
-class WhitneyTriangle:
+class WhitneyTriangle(Frozen):
     """Materialized lower-triangular table of r-Whitney numbers.
 
     Row n holds W(n, 0), ..., W(n, n); column 0 is (r)_{n,lam} and the

@@ -20,7 +20,6 @@ Check functions are pure and independent of one another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Optional, Sequence
@@ -31,11 +30,11 @@ from .dowling import (POLY_ONE, POLY_ZERO, PolyX, dowling_number, dowling_poly,
                       whitney_prob_r)
 from .moments import (MomentModel, egf_mgf_degen, falling_row,
                       sum_degen_moment)
-from .ratcore import Params, RationalLike, binom, degen_falling, rat, stirling2
+from .ratcore import (Frozen, Params, RationalLike, binom, degen_falling, rat,
+                      stirling2)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Frozen):
     """Outcome of checking one identity at one parameter point.
 
     ``lhs`` and ``rhs`` are exact (a Fraction, a PolyX, or a bivariate

@@ -20,13 +20,16 @@ entries 0..k, grown first if entry k is too short.
 coefficient) index what it returns.
 
 Poisson and geometric raw moments follow from the lower ones by a
-binomial recurrence (Touchard's for Poisson), one ``ratcore.dot`` each.
+binomial recurrence (Touchard's for Poisson), one ``ratcore.dot`` each;
+binomial and discrete-uniform ones from their factorial moments through
+the Stirling numbers of the second kind, never by a sum over the support.
 
 Every expectation is built on ``falling_row``: (x + shift)_{n,lam} in
 powers of x, the degenerate Stirling numbers of the first kind at shift 0.
-Expectations are memoized by value (``ratcore.memo``); models compare and
-hash by their parameters, so equal models share cache entries, and each
-model keeps its hash after the first lookup (``ratcore.hash_once``).
+Expectations are memoized by value (``ratcore.memo``); models are
+``ratcore.Frozen`` values that compare and hash by their kind and
+parameters, so equal models share cache entries, and each model keeps its
+hash after the first lookup.
 ``clear_caches`` drops every memo table; recomputation is identical.
 
 The geometric model counts failures before the first success, i.e. it is
@@ -35,13 +38,11 @@ supported on {0, 1, 2, ...}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
-from math import comb
 from typing import Mapping, Sequence, Union
 
-from .ratcore import (RationalLike, binomial_row, clear_caches, dot,
-                      format_rational, hash_once, memo, rat)
+from .ratcore import (Frozen, RationalLike, binomial_row, clear_caches, dot,
+                      format_rational, memo, rat, rat_tuple, stirling2)
 # egf_mul is imported but unused: the benchmark's tracer self-test patches
 # and reads it as moments.egf_mul.
 from .series import (EgfSeries, egf_degen_exp, egf_mul,  # noqa: F401
@@ -59,9 +60,7 @@ class MomentOrderError(ValueError):
             f"declares moments up to order {available - 1}")
 
 
-@hash_once
-@dataclass(frozen=True)
-class PointMass:
+class PointMass(Frozen):
     """Deterministic variable equal to c."""
 
     c: Fraction
@@ -70,9 +69,7 @@ class PointMass:
         object.__setattr__(self, "c", rat(self.c))
 
 
-@hash_once
-@dataclass(frozen=True)
-class Bernoulli:
+class Bernoulli(Frozen):
     """Indicator variable: 1 with probability p, else 0."""
 
     p: Fraction
@@ -83,9 +80,7 @@ class Bernoulli:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
 
 
-@hash_once
-@dataclass(frozen=True)
-class Binomial:
+class Binomial(Frozen):
     """Number of successes in `trials` independent Bernoulli(p) trials."""
 
     trials: int
@@ -99,9 +94,7 @@ class Binomial:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
 
 
-@hash_once
-@dataclass(frozen=True)
-class DiscreteUniform:
+class DiscreteUniform(Frozen):
     """Uniform on the integers {0, 1, ..., max}."""
 
     max: int
@@ -111,9 +104,7 @@ class DiscreteUniform:
             raise ValueError(f"max must be a nonnegative integer, got {self.max!r}")
 
 
-@hash_once
-@dataclass(frozen=True)
-class Poisson:
+class Poisson(Frozen):
     """Poisson with rational rate >= 0."""
 
     rate: Fraction
@@ -124,9 +115,7 @@ class Poisson:
             raise ValueError(f"rate must be nonnegative, got {self.rate}")
 
 
-@hash_once
-@dataclass(frozen=True)
-class Geometric:
+class Geometric(Frozen):
     """Failures before the first success, success probability p.
 
     Supported on {0, 1, 2, ...}; p must be positive so the MGF exists
@@ -141,9 +130,7 @@ class Geometric:
             raise ValueError(f"p must lie in (0, 1], got {self.p}")
 
 
-@hash_once
-@dataclass(frozen=True)
-class Custom:
+class Custom(Frozen):
     """Explicit moment list; entry n is E[Y^n], entry 0 must be 1.
 
     Asking for a moment past the end of the list is an error, never an
@@ -153,7 +140,7 @@ class Custom:
     moments: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        ms = tuple(rat(v) for v in self.moments)
+        ms = rat_tuple(self.moments)
         if not ms or ms[0] != 1:
             raise ValueError("a custom model needs moments[0] == 1 (E[Y^0] = 1)")
         object.__setattr__(self, "moments", ms)
@@ -172,13 +159,21 @@ def raw_moment(model: MomentModel, n: int) -> Fraction:
         return model.c ** n
     if isinstance(model, Bernoulli):
         return Fraction(1) if n == 0 else model.p
-    if isinstance(model, Binomial):
-        p, q, N = model.p, 1 - model.p, model.trials
-        return sum((comb(N, j) * p**j * q**(N - j) * Fraction(j)**n
-                    for j in range(N + 1)), Fraction(0))
-    if isinstance(model, DiscreteUniform):
-        return sum((Fraction(j)**n for j in range(model.max + 1)),
-                   Fraction(0)) / (model.max + 1)
+    if isinstance(model, (Binomial, DiscreteUniform)):
+        # E[Y^n] = sum_k S(n, k) E[(Y)_k] over k <= min(n, N), from the
+        # factorial moments (N)_k p^k of a binomial and (N)_k / (k + 1) of
+        # the uniform on {0..N}: min(n, N) + 1 terms, however large N is.
+        binomial = isinstance(model, Binomial)
+        N = model.trials if binomial else model.max
+        top = min(n, N)
+        falling_N = [1]
+        for k in range(top):
+            falling_N.append(falling_N[-1] * (N - k))
+        factorial_moments = [
+            c * model.p ** k if binomial else Fraction(c, k + 1)
+            for k, c in enumerate(falling_N)]
+        return dot([stirling2(n, k) for k in range(top + 1)],
+                   factorial_moments)
     if isinstance(model, (Poisson, Geometric)):
         if n == 0:
             return Fraction(1)
@@ -377,7 +372,7 @@ def model_from_config(config: Mapping[str, object]) -> MomentModel:
     Rationals are "num/den" strings (plain "num" for integers), e.g.
     {"kind": "bernoulli", "p": "1/2"} or
     {"kind": "custom", "moments": ["1", "1/2", "1/2"]}.  The fields are
-    those of the model's dataclass, no more and no fewer; the counts
+    the model class's ``fields``, no more and no fewer; the counts
     "trials" and "max" must be JSON integers.
     """
     if not isinstance(config, Mapping):
@@ -387,7 +382,7 @@ def model_from_config(config: Mapping[str, object]) -> MomentModel:
         raise ValueError(f"unknown model kind {kind!r}; "
                          f"expected one of {sorted(_KIND_TO_CLS)}")
     cls = _KIND_TO_CLS[kind]
-    names = [f.name for f in fields(cls)]
+    names = cls.fields
     unknown = sorted(set(config) - set(names) - {"kind"})
     if unknown:
         raise ValueError(f"model config for {kind!r} has unknown fields {unknown}")
@@ -399,7 +394,7 @@ def model_from_config(config: Mapping[str, object]) -> MomentModel:
         if not isinstance(moments, Sequence) or isinstance(moments, str):
             raise ValueError("custom moments must be a list of rational strings")
         return Custom(tuple(rat(_str_or_int(v)) for v in moments))
-    # Counts go to the dataclass checks as given; the rest are rationals.
+    # Counts go to the model's checks as given; the rest are rationals.
     return cls(*(config[name] if name in ("trials", "max")
                  else rat(_str_or_int(config[name])) for name in names))
 
@@ -412,14 +407,14 @@ def model_to_config(model: MomentModel) -> dict:
     if type(model) not in _CLS_TO_KIND:
         raise TypeError(f"not a moment model: {model!r}")
     config: dict = {"kind": _CLS_TO_KIND[type(model)]}
-    for f in fields(model):
-        value = getattr(model, f.name)
+    for name in model.fields:
+        value = getattr(model, name)
         if isinstance(value, int):
-            config[f.name] = value
+            config[name] = value
         elif isinstance(value, tuple):
-            config[f.name] = [format_rational(v) for v in value]
+            config[name] = [format_rational(v) for v in value]
         else:
-            config[f.name] = format_rational(value)
+            config[name] = format_rational(value)
     return config
 
 

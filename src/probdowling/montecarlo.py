@@ -7,22 +7,21 @@ a 5-sigma comparison, plus a float-rounding allowance, against an
 independently computed rational.  All randomness flows from an explicit
 64-bit seed through numpy's seedable, splittable PCG64 generator; a run
 is reproducible bit for bit.  numpy is imported on the first draw, not
-with this module, so the exact commands never load it.  A parameter, or
-an exact target, that leaves float range (int64 range for binomial
-trials) is a ValueError that names it.
+with this module, so the exact commands never load it.  A parameter, a
+sample mean or standard error, or an exact target that leaves float
+range (int64 range for binomial trials) is a ValueError that names it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .moments import (Bernoulli, Binomial, Custom, DiscreteUniform, Geometric,
                       MomentModel, PointMass, Poisson, require_sum_args,
                       sum_degen_moment)
-from .ratcore import RationalLike, rat
+from .ratcore import Frozen, RationalLike, rat
 
 if TYPE_CHECKING:
     import numpy as np
@@ -35,8 +34,7 @@ class SamplerUnsupportedError(ValueError):
     """Raised for models that declare moments only and cannot be sampled."""
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(Frozen):
     """Monte Carlo mean with its standard error and the exact target."""
 
     mean: float
@@ -145,7 +143,12 @@ def estimate_sum_degen_moment(model: MomentModel, k: int, scale: int,
     except MemoryError as exc:
         raise ValueError(f"{samples} samples do not fit in memory") from exc
     target = sum_degen_moment(model, k, scale, shift, n, lam)
+    moment = f"E[({scale} S_{k} + {shift})_{{{n},{lam}}}]"
     # McEstimate reads the target as a float.
-    _float(f"exact target E[({scale} S_{k} + {shift})_{{{n},{lam}}}]", target)
+    _float(f"exact target {moment}", target)
+    # An infinite standard error would pass any gap.
+    for name, value in (("sample mean", mean), ("standard error", std_error)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} {value} of {moment} leaves float range")
     return McEstimate(mean=mean, std_error=std_error, samples=samples,
                       target=target)

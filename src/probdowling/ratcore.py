@@ -21,17 +21,20 @@ recovers the classical (non-degenerate) objects, and 1, which recovers
 ordinary falling factorials.
 
 The lowest layer also holds what higher layers share: ``stirling2``,
-``binomial_row``, ``hash_once``, which keeps a frozen dataclass's field
-hash after the first call, and ``memo``, which makes and registers every
-memo table for ``clear_caches``.
+``binomial_row``, ``memo``, which makes and registers every memo table
+for ``clear_caches``, and ``Frozen``, the base of every value class (the
+moment models, ``Params``, series, polynomials, reports): immutable
+fields named by the class annotations, equality within one class, and a
+hash computed once, so a memo key hashes its fields on its first lookup
+only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence, Union
 
 Rational = Fraction
@@ -51,24 +54,6 @@ def clear_caches() -> None:
     """Drop every memo table (recomputation yields identical values)."""
     for table in _MEMO_TABLES:
         table.cache_clear()
-
-
-def hash_once(cls: type) -> type:
-    """Class decorator for a frozen dataclass used as a memo key: keep its
-    field hash after the first call instead of rehashing every field (a
-    pure-Python ``Fraction.__hash__`` each) on every lookup.  Equality,
-    ``fields()`` and ``repr`` are the dataclass's own."""
-    field_hash = cls.__hash__
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", field_hash(self))
-            return self._hash
-
-    cls.__hash__ = __hash__
-    return cls
 
 
 def pair_sum(pairs: Iterable[tuple[int, int]], divisor: int = 1) -> Fraction:
@@ -121,6 +106,17 @@ def rat(value: RationalLike) -> Fraction:
         except ZeroDivisionError:
             raise ValueError(f"{value!r} has a zero denominator") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+_FRACTION_ONLY = {Fraction}
+
+
+def rat_tuple(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
+    """``rat`` of each value, as a tuple; a tuple that holds only Fractions
+    is returned as it is, without a call per entry."""
+    if type(values) is tuple and set(map(type, values)) <= _FRACTION_ONLY:
+        return values
+    return tuple(map(rat, values))
 
 
 def format_rational(value: RationalLike) -> str:
@@ -179,9 +175,95 @@ def stirling2(n: int, k: int) -> Fraction:
                         for j in range(k + 1)) // factorial(k))
 
 
-@hash_once
-@dataclass(frozen=True)
-class Params:
+_set_field = object.__setattr__
+
+
+class Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields as class annotations, in order, gives a
+    default as a class attribute, and may check or coerce the fields in
+    ``__post_init__`` (with ``object.__setattr__``).  It is built from
+    positional or keyword fields; after ``__post_init__`` it keeps one
+    key, the field value (one field) or the tuple of field values, which
+    equality and the hash read.  Values of different classes never
+    compare equal, so models of two kinds with equal parameters share no
+    memo entry; the hash is computed on first use and kept.  Assignment and
+    deletion raise AttributeError.  ``fields`` is the tuple of field
+    names; ``replace`` builds a copy with some fields changed, through
+    the same checks.
+    """
+
+    fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.fields = tuple(cls.__annotations__)
+        cls._defaults = {name: cls.__dict__[name] for name in cls.fields
+                         if name in cls.__dict__}
+        # An attrgetter binds to no instance: self._read_key(self).
+        cls._read_key = attrgetter(*cls.fields)
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.fields
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        for name, value in zip(names, args):
+            _set_field(self, name, value)
+        self.__post_init__()
+        _set_field(self, "_key", self._read_key(self))
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values in order, from positional and keyword arguments
+        and the class defaults; TypeError for an unknown, repeated or
+        missing field."""
+        values = list(args)
+        for name in cls.fields[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in cls._defaults:
+                values.append(cls._defaults[name])
+            else:
+                raise TypeError(f"{cls.__name__} is missing field {name!r}")
+        if kwargs or len(args) > len(cls.fields):
+            raise TypeError(f"{cls.__name__} takes the fields {cls.fields}, "
+                            f"got {len(args)} positional and {sorted(kwargs)}")
+        return values
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            _set_field(self, "_hash", hash(self._key))
+            return self._hash
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self.fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def replace(self, **changes) -> "Frozen":
+        """A copy with the given fields changed, checked again."""
+        return type(self)(**{**{name: getattr(self, name)
+                                for name in self.fields}, **changes})
+
+
+class Params(Frozen):
     """Shared parameter bundle: group order m >= 1, degeneracy lam, shift r >= 0.
 
     The shift r only matters to the r-generalized families; the plain

@@ -10,23 +10,20 @@ Each product coefficient is one ``ratcore.dot`` over a binomial row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratcore import RationalLike, binomial_row, dot, hash_once, rat
+from .ratcore import Frozen, RationalLike, binomial_row, dot, rat, rat_tuple
 
 
-# Memo tables key on series; hash_once hashes the coefficients once, not
-# per lookup.
-@hash_once
-@dataclass(frozen=True)
-class EgfSeries:
+# Memo tables key on series; Frozen hashes the coefficients once, not per
+# lookup.
+class EgfSeries(Frozen):
     """Immutable coefficient vector c_0..c_N of sum c_n t^n / n!."""
 
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        coerced = tuple(rat(c) for c in self.coeffs)
+        coerced = rat_tuple(self.coeffs)
         if not coerced:
             raise ValueError("a series needs at least the constant coefficient")
         object.__setattr__(self, "coeffs", coerced)

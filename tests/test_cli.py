@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import probdowling
 from probdowling import rat
-from probdowling.cli import COMMANDS, main
+from probdowling.cli import COMMANDS, _json_dump, main, parse_config
 
 
 def run(capsys, *argv):
@@ -415,6 +416,67 @@ def test_mc_beyond_float_or_int64_range_exits_2(capsys, argv, named):
     code, out, err = run(capsys, "--command", "mc", *argv)
     assert code == 2 and out == ""
     assert err == f"configuration error: {named}\n"
+
+
+@pytest.mark.parametrize("max_n", [100, 110])
+def test_mc_infinite_standard_error_exits_2(capsys, max_n):
+    # The float sample variance overflows: an infinite standard error would
+    # pass any gap, and JSON has no Infinity.
+    code, out, err = run(capsys, "--command", "mc",
+                         "--model", '{"kind": "poisson", "rate": "5"}',
+                         "--m", "10", "--max-k", "3", "--max-n", str(max_n),
+                         "--samples", "1000")
+    assert code == 2 and out == ""
+    assert err == (f"configuration error: standard error inf of "
+                   f"E[(10 S_3 + 1)_{{{max_n},0}}] leaves float range\n")
+
+
+def test_json_output_refuses_non_finite_floats():
+    cfg = parse_config(["--command", "dobinski"])
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            _json_dump(cfg, {"abs_gap": value})
+
+
+HUGE_BINOMIAL = ('{"kind": "binomial", "trials": 9223372036854775807, '
+                 '"p": "%s"}')
+
+
+def test_huge_binomial_trials_table_exits_0(capsys):
+    code, out, err = run(capsys, "--command", "table",
+                         "--model", HUGE_BINOMIAL % "1/3", "--max-n", "3",
+                         "--format", "csv")
+    assert code == 0 and err == ""
+    assert out.splitlines()[:2] == ["1", "1,9223372036854775807/3"]
+
+
+def test_huge_binomial_trials_mc_keeps_the_contract(capsys):
+    code, _, err = run(capsys, "--command", "mc",
+                       "--model", HUGE_BINOMIAL % "1/2", "--max-n", "1",
+                       "--max-k", "1", "--samples", "10")
+    assert code in (0, 1, 2, 3) and "Traceback" not in err
+
+
+def test_cold_start_loads_no_dataclasses():
+    # dataclasses and the modules it imports cost about 25 ms of every
+    # CLI start; no command needs them.
+    script = textwrap.dedent("""\
+        import contextlib, io, runpy, sys
+        sys.argv = ["probdowling", "--command", "table", "--max-n", "0"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            try:
+                runpy.run_module("probdowling", run_name="__main__")
+            except SystemExit as exc:
+                assert exc.code in (0, None), exc.code
+        loaded = [name for name in ("dataclasses", "inspect")
+                  if name in sys.modules]
+        assert loaded == [], loaded
+    """)
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(probdowling.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 # Each argv is built from good values, then up to two bad ones are appended

@@ -1,4 +1,3 @@
-from dataclasses import fields
 from fractions import Fraction
 from math import factorial
 
@@ -104,6 +103,37 @@ def test_geometric_general_p_first_moments():
 def test_finite_models_match_support_enumeration(model):
     for n in range(9):
         assert raw_moment(model, n) == raw_moment_brute(model, n)
+
+
+SUPPORT_P = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3),
+             Fraction(2, 7), Fraction(9, 10), Fraction(1, 97)]
+
+
+@pytest.mark.parametrize("size", range(9))
+def test_factorial_moment_route_matches_the_support_sum(size):
+    # Binomial and uniform moments come from factorial moments through
+    # S(n, k); the reference sums over the support.
+    models = [DiscreteUniform(size)]
+    if size:
+        models += [Binomial(size, p) for p in SUPPORT_P]
+    for model in models:
+        for n in range(13):
+            assert raw_moment(model, n) == raw_moment_brute(model, n), \
+                (model, n)
+
+
+def test_huge_binomial_moments_take_min_n_N_terms():
+    # A sum over 2^63 support points would never finish.
+    N, p = 2 ** 63 - 1, Fraction(1, 3)
+    Y = Binomial(N, p)
+    assert raw_moment(Y, 1) == N * p
+    mu, m2, m3 = (raw_moment(Y, n) for n in (1, 2, 3))
+    assert m2 - mu ** 2 == N * p * (1 - p)
+    assert m3 - 3 * mu * m2 + 2 * mu ** 3 == N * p * (1 - p) * (1 - 2 * p)
+    assert raw_moment(Y, 30) > mu ** 30
+    U = DiscreteUniform(N)
+    assert raw_moment(U, 1) == Fraction(N, 2)
+    assert raw_moment(U, 2) == Fraction(N * (2 * N + 1), 6)
 
 
 def test_degen_moment_frozen_and_zero_lambda():
@@ -290,7 +320,7 @@ def test_models_keep_their_hash_and_share_memo_entries(monkeypatch):
     monkeypatch.setattr(Fraction, "__hash__", counting_hash)
     assert hash(a) == first and calls == []
     monkeypatch.undo()
-    assert [f.name for f in fields(a)] == ["moments"]
+    assert list(a.fields) == ["moments"]
     assert repr(a) == \
         "Custom(moments=(Fraction(1, 1), Fraction(2, 5), Fraction(3, 11)))"
     assert model_to_config(a) == {"kind": "custom",
