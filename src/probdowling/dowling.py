@@ -34,8 +34,7 @@ from .moments import (MomentModel, egf_mgf_degen, stored_kernel,
                       sum_degen_moment, sum_degen_moment_row,
                       sum_degen_moment_rows)
 from .ratcore import (Frozen, Params, RationalLike, binomial_row,
-                      clear_caches, dot, memo, pair_sum, rat, rat_tuple,
-                      stirling2)
+                      clear_caches, dot, memo, pair_sum, rat, stirling2)
 from .series import egf_coeff, egf_const, egf_sub
 
 WHITNEY_ROUTES = ("egf", "alt_sum", "stirling_expand", "bell_form")
@@ -57,7 +56,7 @@ class PolyX(Frozen):
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        coerced = rat_tuple(self.coeffs) or (Fraction(0),)
+        coerced = tuple(map(rat, self.coeffs)) or (Fraction(0),)
         object.__setattr__(self, "coeffs", coerced)
 
     @property
@@ -300,7 +299,7 @@ class WhitneyTriangle(Frozen):
 
 def dowling_poly(model: MomentModel, params: Params, n: int) -> PolyX:
     """Dowling polynomial of degree n: coefficient k is W(n, k), r = 1."""
-    return dowling_poly_r(model, Params(params.m, params.lam, r=1), n)
+    return dowling_poly_r(model, Params(params.m, params.lam, 1), n)
 
 
 @memo

@@ -54,7 +54,7 @@ class IdentityReport(Frozen):
 
 def _report(theorem_id: str, model, params, bounds, lhs, rhs) -> IdentityReport:
     return IdentityReport(theorem_id, model, params, bounds, lhs, rhs,
-                          passed=(lhs == rhs))
+                          lhs == rhs)
 
 
 def check_sum_identity(model: MomentModel, params: Params, n: int,
@@ -198,7 +198,7 @@ def _bell_rwhitney_sides(model: MomentModel, params: Params,
     bell = bell_partial_row(n, args, POLY_ONE)
     sides = []
     for k in range(n + 1):
-        params_k = Params(params.m, params.lam, r=k)
+        params_k = Params(params.m, params.lam, k)
         lhs = PolyX(tuple(binom(n, k) * Fraction(k)**j
                           * whitney_prob_r(model, params_k, n - k, j)
                           for j in range(n - k + 1)))
@@ -229,7 +229,7 @@ def _stirling_bell_sides(model: MomentModel, params: Params,
     bell = bell_partial_row(n, args, POLY_ONE)
     sides = []
     for k in range(n + 1):
-        params_k = Params(params.m, params.lam, r=k)
+        params_k = Params(params.m, params.lam, k)
         rhs = PolyX(tuple(stirling2(j, k)
                           * whitney_prob_r(model, params_k, n, j)
                           for j in range(n + 1)))
@@ -245,7 +245,7 @@ def _x_report(theorem_id: str, model, params, bounds,
     lhs, rhs, equal = sides
     value = lhs.evaluate(x)
     return IdentityReport(theorem_id, model, params, bounds, value,
-                          value if equal else rhs.evaluate(x), passed=equal)
+                          value if equal else rhs.evaluate(x), equal)
 
 
 def _require_indices(**indices: int) -> None:
@@ -284,7 +284,7 @@ def check_derivative(model: MomentModel, params: Params, n: int,
             * dowling_poly(model, params, j)
     ok = lhs == rhs and dowling_poly(model, params, n).derivative(1) == first
     return IdentityReport("derivative", model, params, {"n": n, "k": k},
-                          lhs, rhs, passed=ok)
+                          lhs, rhs, ok)
 
 
 def check_binomial_inversion(seq: Sequence[RationalLike]) -> IdentityReport:

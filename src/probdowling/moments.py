@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .ratcore import (Frozen, RationalLike, binomial_row, clear_caches, dot,
-                      format_rational, memo, rat, rat_tuple, stirling2)
+                      format_rational, memo, rat, stirling2)
 # egf_mul is imported but unused: the benchmark's tracer self-test patches
 # and reads it as moments.egf_mul.
 from .series import (EgfSeries, egf_degen_exp, egf_mul,  # noqa: F401
@@ -140,7 +140,7 @@ class Custom(Frozen):
     moments: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        ms = rat_tuple(self.moments)
+        ms = tuple(map(rat, self.moments))
         if not ms or ms[0] != 1:
             raise ValueError("a custom model needs moments[0] == 1 (E[Y^0] = 1)")
         object.__setattr__(self, "moments", ms)

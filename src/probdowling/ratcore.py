@@ -108,17 +108,6 @@ def rat(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-_FRACTION_ONLY = {Fraction}
-
-
-def rat_tuple(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    """``rat`` of each value, as a tuple; a tuple that holds only Fractions
-    is returned as it is, without a call per entry."""
-    if type(values) is tuple and set(map(type, values)) <= _FRACTION_ONLY:
-        return values
-    return tuple(map(rat, values))
-
-
 def format_rational(value: RationalLike) -> str:
     """Render a rational as "num" or "num/den", omitting denominator 1."""
     q = rat(value)
@@ -184,11 +173,13 @@ class Frozen:
     A subclass names its fields as class annotations, in order, gives a
     default as a class attribute, and may check or coerce the fields in
     ``__post_init__`` (with ``object.__setattr__``).  It is built from
-    positional or keyword fields; after ``__post_init__`` it keeps one
-    key, the field value (one field) or the tuple of field values, which
-    equality and the hash read.  Values of different classes never
-    compare equal, so models of two kinds with equal parameters share no
-    memo entry; the hash is computed on first use and kept.  Assignment and
+    positional or keyword fields.  Equality and the hash read one key,
+    the field value (one field) or the tuple of field values; the first
+    hash keeps the key and its hash, so a memo lookup reads the fields
+    once, and a value never hashed (or a class with its own equality and
+    hash) never stores one.  Values of different classes never compare
+    equal, so models of two kinds with equal parameters share no memo
+    entry.  Assignment and
     deletion raise AttributeError.  ``fields`` is the tuple of field
     names; ``replace`` builds a copy with some fields changed, through
     the same checks.
@@ -211,7 +202,6 @@ class Frozen:
         for name, value in zip(names, args):
             _set_field(self, name, value)
         self.__post_init__()
-        _set_field(self, "_key", self._read_key(self))
 
     @classmethod
     def _bind(cls, args: tuple, kwargs: dict) -> list:
@@ -236,14 +226,19 @@ class Frozen:
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self._key == other._key
+            try:
+                return self._key == other._key
+            except AttributeError:  # a side not hashed yet
+                return self._read_key(self) == other._read_key(other)
         return NotImplemented
 
     def __hash__(self) -> int:
         try:
             return self._hash
         except AttributeError:
-            _set_field(self, "_hash", hash(self._key))
+            key = self._read_key(self)
+            _set_field(self, "_key", key)
+            _set_field(self, "_hash", hash(key))
             return self._hash
 
     def __setattr__(self, name: str, value: object) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ratcore import Frozen, RationalLike, binomial_row, dot, rat, rat_tuple
+from .ratcore import Frozen, RationalLike, binomial_row, dot, rat
 
 
 # Memo tables key on series; Frozen hashes the coefficients once, not per
@@ -23,7 +23,7 @@ class EgfSeries(Frozen):
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        coerced = rat_tuple(self.coeffs)
+        coerced = tuple(map(rat, self.coeffs))
         if not coerced:
             raise ValueError("a series needs at least the constant coefficient")
         object.__setattr__(self, "coeffs", coerced)

@@ -99,27 +99,19 @@ def test_geometric_general_p_first_moments():
     assert raw_moment(Y, 2) == q / p + 2 * (q / p) ** 2
 
 
-@pytest.mark.parametrize("model", FINITE_MODELS)
-def test_finite_models_match_support_enumeration(model):
-    for n in range(9):
-        assert raw_moment(model, n) == raw_moment_brute(model, n)
-
-
 SUPPORT_P = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3),
              Fraction(2, 7), Fraction(9, 10), Fraction(1, 97)]
+# Binomial and uniform moments come from factorial moments through S(n, k);
+# the reference sums over the support.
+SUPPORT_GRID = ([DiscreteUniform(size) for size in range(9)]
+                + [Binomial(size, p) for size in range(1, 9)
+                   for p in SUPPORT_P])
 
 
-@pytest.mark.parametrize("size", range(9))
-def test_factorial_moment_route_matches_the_support_sum(size):
-    # Binomial and uniform moments come from factorial moments through
-    # S(n, k); the reference sums over the support.
-    models = [DiscreteUniform(size)]
-    if size:
-        models += [Binomial(size, p) for p in SUPPORT_P]
-    for model in models:
-        for n in range(13):
-            assert raw_moment(model, n) == raw_moment_brute(model, n), \
-                (model, n)
+@pytest.mark.parametrize("model", FINITE_MODELS + SUPPORT_GRID)
+def test_finite_models_match_support_enumeration(model):
+    for n in range(13):
+        assert raw_moment(model, n) == raw_moment_brute(model, n), n
 
 
 def test_huge_binomial_moments_take_min_n_N_terms():

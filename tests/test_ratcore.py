@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from probdowling import (Params, binom, degen_falling, falling,
                          format_rational, rat)
-from probdowling.ratcore import binomial_row, dot, pair_sum, rat_tuple
+from probdowling.ratcore import binomial_row, dot, pair_sum
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
 small_n = st.integers(min_value=0, max_value=9)
@@ -68,17 +68,6 @@ def test_rat_and_format_round_trip():
     assert rat(format_rational(Fraction(-5, 15))) == Fraction(-1, 3)
     with pytest.raises(TypeError):
         rat(0.5)
-
-
-def test_rat_tuple_coerces_each_value_and_keeps_an_exact_tuple():
-    exact = (Fraction(1), Fraction(-2, 3))
-    assert rat_tuple(exact) is exact
-    for values in ([1, "-2/3"], (1, Fraction(-2, 3)), iter(["1", "-2/3"])):
-        got = rat_tuple(values)
-        assert got == exact and all(type(v) is Fraction for v in got)
-    assert rat_tuple(()) == ()
-    with pytest.raises(TypeError):
-        rat_tuple((Fraction(1), 0.5))
 
 
 def test_params_validation():

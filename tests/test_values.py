@@ -48,6 +48,9 @@ def test_equal_values_compare_and_hash_equal(cls):
             hash(a)
     else:
         assert hash(a) == hash(b)
+        # A hashed value keeps its key; one never hashed reads its fields.
+        fresh = BUILDERS[cls]()
+        assert a == fresh and fresh == a
 
 
 @pytest.mark.parametrize("cls", BUILDERS, ids=lambda cls: cls.__name__)
@@ -88,6 +91,9 @@ def test_repr_names_every_field_in_order(cls):
 def test_replace_runs_the_checks_again():
     params = Params(2, HALF, 1)
     assert params.replace(r=3) == Params(2, HALF, 3)
+    assert params.replace(r=3) != params
+    hash(params)
+    assert params.replace(r=3) != params
     assert params.replace(lam="1/3").lam == Fraction(1, 3)
     with pytest.raises(ValueError):
         params.replace(m=0)
