@@ -21,10 +21,10 @@ from .moments import (Bernoulli, Binomial, Custom, DiscreteUniform, Geometric,
                       sum_degen_moment, sum_degen_moment_row,
                       sum_degen_moment_rows)
 from .montecarlo import McEstimate, estimate_sum_degen_moment, sample_Y
-from .ratcore import (Params, Rational, binom, clear_caches, degen_falling,
-                      falling, format_rational, rat, stirling2)
+from .ratcore import (Params, binom, clear_caches, degen_falling, falling,
+                      format_rational, rat, stirling2)
 from .series import (EgfSeries, egf_coeff, egf_const, egf_degen_exp, egf_mul,
-                     egf_scale, egf_sub)
+                     egf_scale)
 
 __version__ = "0.1.0"
 

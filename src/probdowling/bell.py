@@ -36,16 +36,10 @@ def bell_partial(n: int, k: int, args: BellArgs) -> Fraction:
 
     args[i-1] holds x_i; zero when k > n, and B_{0,0} = 1.
     """
-    if n < 0 or k < 0:
-        raise ValueError(f"indices must be nonnegative, got ({n}, {k})")
+    width = _require_bell_args(n, k, args)
     if k > n:
         return Fraction(0)
-    needed = n - k + 1 if k > 0 else 0
-    if len(args) < needed:
-        raise ValueError(
-            f"B_({n},{k}) needs {needed} arguments x_1..x_{needed}, "
-            f"got {len(args)}")
-    xs = tuple(rat(v) for v in args[:needed])
+    xs = tuple(rat(v) for v in args[:width])
     return _bell_partial_cached(n, k, tuple(x.numerator for x in xs),
                                 tuple(x.denominator for x in xs))
 
@@ -59,20 +53,25 @@ def bell_partial_column(n: int, k: int,
     are read once per call, and each l is one enumeration memo lookup on
     prefixes of those integer tuples, so no lookup hashes a Fraction.
     """
-    if n < 0 or k < 0:
-        raise ValueError(f"indices must be nonnegative, got ({n}, {k})")
-    if k > n:
-        return []
-    width = n - k + 1 if k > 0 else 0
-    if len(args) < width:
-        raise ValueError(
-            f"B_({n},{k}) needs {width} arguments x_1..x_{width}, "
-            f"got {len(args)}")
-    xs = args[:width]
+    xs = args[:_require_bell_args(n, k, args)]
     nums = tuple(x.numerator for x in xs)
     dens = tuple(x.denominator for x in xs)
     return [_bell_partial_cached(l, k, nums[:l - k + 1], dens[:l - k + 1])
             for l in range(k, n + 1)]
+
+
+def _require_bell_args(n: int, k: int, args: BellArgs) -> int:
+    """The number of arguments B_{n,k} reads, n - k + 1 for 1 <= k <= n
+    and none otherwise; ValueError for a negative index, or for fewer
+    arguments than that."""
+    if n < 0 or k < 0:
+        raise ValueError(f"indices must be nonnegative, got ({n}, {k})")
+    width = n - k + 1 if 0 < k <= n else 0
+    if len(args) < width:
+        raise ValueError(
+            f"B_({n},{k}) needs {width} arguments x_1..x_{width}, "
+            f"got {len(args)}")
+    return width
 
 
 @memo

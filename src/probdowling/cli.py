@@ -25,33 +25,14 @@ from .identities import (IdentityReport, check_bell_expansion,
                          check_binomial_inversion, check_convolution,
                          check_derivative, check_recurrence,
                          check_stirling_bell, check_sum_identity)
-from .moments import (MomentModel, MomentOrderError, model_from_config,
-                      model_to_config)
+from .moments import MomentOrderError, model_from_config, model_to_config
 from .montecarlo import estimate_sum_degen_moment
-from .ratcore import Frozen, Params, format_rational, rat
-
-COMMANDS = ("table", "eval", "check", "dobinski", "mc")
+from .ratcore import Params, format_rational, rat
 
 # x values at which `check` prints the sides of the identities in x.  Each
 # verdict is polynomial equality, so the points choose only what is printed.
 CHECK_X_POINTS = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3),
                   Fraction(-1, 2))
-
-
-class RunConfig(Frozen):
-    command: str
-    model: MomentModel
-    params: Params
-    max_n: int
-    max_k: Optional[int]
-    N: Optional[int]
-    x: Fraction
-    fmt: str
-    seed: int
-    tol: float
-    samples: int
-    out: str
-    corrupt: bool = False
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,7 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def parse_config(argv: Optional[Sequence[str]]) -> RunConfig:
+def parse_config(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """The parsed options, with ``model``, ``x`` and ``params`` (from
+    --m, --lambda and --r, which leave the namespace) as exact values."""
     args = build_parser().parse_args(argv)
     model_text = args.model
     if not model_text.lstrip().startswith("{"):
@@ -97,8 +80,9 @@ def parse_config(argv: Optional[Sequence[str]]) -> RunConfig:
         model_obj = json.loads(model_text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"model is not valid JSON: {exc}") from exc
-    model = model_from_config(model_obj)
-    params = Params(args.m, rat(args.lam), args.r)
+    args.model = model_from_config(model_obj)
+    args.params = Params(args.m, rat(args.lam), args.r)
+    del args.m, args.lam, args.r
     if args.max_n < 0:
         raise ValueError(f"--max-n must be nonnegative, got {args.max_n}")
     if args.max_k is not None and args.max_k < 0:
@@ -109,14 +93,11 @@ def parse_config(argv: Optional[Sequence[str]]) -> RunConfig:
         raise ValueError(f"--tol must be positive and finite, got {args.tol}")
     if args.samples < 2:
         raise ValueError(f"--samples must be at least 2, got {args.samples}")
-    return RunConfig(command=args.command, model=model, params=params,
-                     max_n=args.max_n, max_k=args.max_k, N=args.N,
-                     x=rat(args.x), fmt=args.fmt, seed=args.seed,
-                     tol=args.tol, samples=args.samples, out=args.out,
-                     corrupt=args.corrupt)
+    args.x = rat(args.x)
+    return args
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+def _emit(cfg: argparse.Namespace, text: str) -> None:
     if cfg.out == "-":
         sys.stdout.write(text)
         return
@@ -140,7 +121,7 @@ def _encode(value: object) -> object:
     return value
 
 
-def _json_dump(cfg: RunConfig, body: dict) -> str:
+def _json_dump(cfg: argparse.Namespace, body: dict) -> str:
     """One JSON document: the command/model/m/lambda/r header plus body.
     A non-finite float is a ValueError: JSON has no Infinity or NaN."""
     header = {"command": cfg.command, "model": model_to_config(cfg.model),
@@ -150,7 +131,7 @@ def _json_dump(cfg: RunConfig, body: dict) -> str:
                       allow_nan=False) + "\n"
 
 
-def cmd_table(cfg: RunConfig) -> int:
+def cmd_table(cfg: argparse.Namespace) -> int:
     """Emit the r-Whitney triangle (equivalently the Dowling coefficient
     rows) for n <= max_n."""
     cap = None if cfg.max_k is None else cfg.max_k + 1
@@ -164,7 +145,7 @@ def cmd_table(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_eval(cfg: RunConfig) -> int:
+def cmd_eval(cfg: argparse.Namespace) -> int:
     """Evaluate the r-Dowling polynomials at the configured x, n <= max_n."""
     values = [format_rational(
                   dowling_poly_r(cfg.model, cfg.params, n).evaluate(cfg.x))
@@ -177,7 +158,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     return 0
 
 
-def _check_reports(cfg: RunConfig) -> list[IdentityReport]:
+def _check_reports(cfg: argparse.Namespace) -> list[IdentityReport]:
     Y, params, max_n = cfg.model, cfg.params, cfg.max_n
     N = cfg.N if cfg.N is not None else max_n
     reports: list[IdentityReport] = []
@@ -203,7 +184,7 @@ def _check_reports(cfg: RunConfig) -> list[IdentityReport]:
     return reports
 
 
-def cmd_check(cfg: RunConfig) -> int:
+def cmd_check(cfg: argparse.Namespace) -> int:
     """Run the identity battery; exit 0 only if every report passes."""
     reports = _check_reports(cfg)
     if cfg.corrupt and reports:
@@ -224,7 +205,7 @@ def cmd_check(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def cmd_dobinski(cfg: RunConfig) -> int:
+def cmd_dobinski(cfg: argparse.Namespace) -> int:
     """Compare the truncated moment series against exact evaluation."""
     rows = []
     ok = True
@@ -248,7 +229,7 @@ def cmd_dobinski(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def cmd_mc(cfg: RunConfig) -> int:
+def cmd_mc(cfg: argparse.Namespace) -> int:
     """Monte Carlo estimate vs the exact sum-moment, judged by the one
     acceptance rule, ``McEstimate.passes``."""
     k = cfg.max_k if cfg.max_k is not None else 2
@@ -278,6 +259,8 @@ _DISPATCH = {
     "dobinski": cmd_dobinski,
     "mc": cmd_mc,
 }
+
+COMMANDS = tuple(_DISPATCH)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -19,8 +19,7 @@ value at x = 1 is a Dowling number.  ``dobinski_eval`` sums the
 exponentially weighted moment series for the same polynomial numerically,
 with the exact polynomial value available as the oracle.
 
-``stirling2`` lives in ``ratcore``, which ``identities`` also reads, and
-is re-exported here; the memo tables here come from ``ratcore.memo``.
+The memo tables here come from ``ratcore.memo``.
 """
 
 from __future__ import annotations
@@ -30,12 +29,11 @@ from fractions import Fraction
 from typing import Callable
 
 from .bell import bell_partial_column, bell_partial_series
-from .moments import (MomentModel, egf_mgf_degen, stored_kernel,
-                      sum_degen_moment, sum_degen_moment_row,
-                      sum_degen_moment_rows)
+from .moments import (MomentModel, stored_kernel, sum_degen_moment,
+                      sum_degen_moment_row, sum_degen_moment_rows)
 from .ratcore import (Frozen, Params, RationalLike, binomial_row,
-                      clear_caches, dot, memo, pair_sum, rat, stirling2)
-from .series import egf_coeff, egf_const, egf_sub
+                      clear_caches, dot, memo, pair_sum, rat)
+from .series import EgfSeries, egf_coeff
 
 WHITNEY_ROUTES = ("egf", "alt_sum", "stirling_expand", "bell_form")
 
@@ -174,8 +172,8 @@ def stirling2_prob(model: MomentModel, n: int, k: int,
         raise ValueError(f"indices must be nonnegative, got ({n}, {k})")
     if k > n:
         return Fraction(0)
-    lam = rat(lam)
-    inner = egf_sub(egf_mgf_degen(model, 1, lam, n), egf_const(1, n))
+    # The kernel E[e_lam^Y(t)] at order n, less its constant term 1.
+    inner = EgfSeries((0,) + stored_kernel(model, 1, lam, n).coeffs[1:n + 1])
     return egf_coeff(bell_partial_series(k, inner), n)
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .bell import bell_partial_row
 from .dowling import (POLY_ONE, POLY_ZERO, PolyX, dowling_number, dowling_poly,
@@ -157,11 +157,8 @@ def check_binom_bell(model: MomentModel, params: Params, n: int,
         = sum_k C(x,k) k! B_{n,k}(D(1), ..., D(n-k+1)),
     where D(j) are Dowling numbers (the polynomials at 1).
     """
-    _require_indices(n=n)
-    x = rat(x)
-    sides = polynomial_sides(_binom_bell_sides, model, params, n)[0]
-    return _x_report("binomial_bell", model, params, {"n": n, "x": x},
-                     sides, x)
+    return _x_report("binomial_bell", _binom_bell_sides, model, params, x,
+                     n=n)
 
 
 def _binom_bell_sides(model: MomentModel, params: Params,
@@ -185,11 +182,8 @@ def check_bell_rwhitney(model: MomentModel, params: Params, n: int, k: int,
     sum_{j<=n-k} C(n,k) k^j x^j W_(r=k)(n-k, j)
         = B_{n,k}(1*D(0,x), 2*D(1,x), ..., (n-k+1)*D(n-k,x)).
     """
-    _require_indices(n=n, k=k)
-    x = rat(x)
-    sides = polynomial_sides(_bell_rwhitney_sides, model, params, n)[k]
-    return _x_report("bell_r_whitney", model, params,
-                     {"n": n, "k": k, "x": x}, sides, x)
+    return _x_report("bell_r_whitney", _bell_rwhitney_sides, model, params,
+                     x, n=n, k=k)
 
 
 def _bell_rwhitney_sides(model: MomentModel, params: Params,
@@ -214,11 +208,8 @@ def check_stirling_bell(model: MomentModel, params: Params, n: int, k: int,
     B_{n,k}(D(1,x) - (1)_{1,lam}, ..., D(n-k+1,x) - (1)_{n-k+1,lam})
         = sum_{j=k}^n S2(j,k) W_(r=k)(n, j) x^j.
     """
-    _require_indices(n=n, k=k)
-    x = rat(x)
-    sides = polynomial_sides(_stirling_bell_sides, model, params, n)[k]
-    return _x_report("stirling_bell", model, params,
-                     {"n": n, "k": k, "x": x}, sides, x)
+    return _x_report("stirling_bell", _stirling_bell_sides, model, params,
+                     x, n=n, k=k)
 
 
 def _stirling_bell_sides(model: MomentModel, params: Params,
@@ -237,15 +228,20 @@ def _stirling_bell_sides(model: MomentModel, params: Params,
     return tuple(sides)
 
 
-def _x_report(theorem_id: str, model, params, bounds,
-              sides: tuple[PolyX, PolyX, bool], x: Fraction) -> IdentityReport:
-    """Report the two sides' values at x; ``passed`` is the stored equality
-    of the polynomials, so it holds for every x or for none, and equal
-    polynomials are evaluated once."""
-    lhs, rhs, equal = sides
+def _x_report(theorem_id: str, sides: Callable, model: MomentModel,
+              params: Params, x: RationalLike,
+              **indices: int) -> IdentityReport:
+    """Check the indices (n, and k if given), then report the two sides of
+    column k (0 without k) of ``sides`` at degree n, valued at x.
+    ``passed`` is the stored equality of the polynomials, so it holds for
+    every x or for none, and equal polynomials are evaluated once."""
+    _require_indices(**indices)
+    x = rat(x)
+    lhs, rhs, equal = polynomial_sides(sides, model, params,
+                                       indices["n"])[indices.get("k", 0)]
     value = lhs.evaluate(x)
-    return IdentityReport(theorem_id, model, params, bounds, value,
-                          value if equal else rhs.evaluate(x), equal)
+    return IdentityReport(theorem_id, model, params, {**indices, "x": x},
+                          value, value if equal else rhs.evaluate(x), equal)
 
 
 def _require_indices(**indices: int) -> None:

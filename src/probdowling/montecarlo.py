@@ -135,11 +135,14 @@ def estimate_sum_degen_moment(model: MomentModel, k: int, scale: int,
         for _ in range(k):
             totals += _draw(model, rng, samples)
         arg = _float("scale", scale) * totals + _float("shift", shift)
-        values = np.ones(samples)
-        for i in range(n):
-            values = values * (arg - i * lam_f)
-        mean = float(values.mean())
-        std_error = float(values.std(ddof=1) / math.sqrt(samples))
+        # Values out of float range become inf or nan without a numpy
+        # warning: a non-finite mean or standard error is an error below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.ones(samples)
+            for i in range(n):
+                values = values * (arg - i * lam_f)
+            mean = float(values.mean())
+            std_error = float(values.std(ddof=1) / math.sqrt(samples))
     except MemoryError as exc:
         raise ValueError(f"{samples} samples do not fit in memory") from exc
     target = sum_degen_moment(model, k, scale, shift, n, lam)

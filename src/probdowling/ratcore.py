@@ -37,7 +37,6 @@ from math import comb, factorial, gcd
 from operator import attrgetter
 from typing import Callable, Iterable, Sequence, Union
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 _MEMO_TABLES: list = []

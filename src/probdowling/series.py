@@ -32,9 +32,6 @@ class EgfSeries(Frozen):
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coeff(self, n: int) -> Fraction:
-        return egf_coeff(self, n)
-
 
 def egf_const(value: RationalLike, order: int) -> EgfSeries:
     """Constant series value + 0*t + ... up to the given order."""
@@ -58,11 +55,6 @@ def egf_degen_exp(x: RationalLike, lam: RationalLike, order: int) -> EgfSeries:
     for i in range(order):
         coeffs.append(coeffs[-1] * (x - i * lam))
     return EgfSeries(tuple(coeffs))
-
-
-def egf_sub(a: EgfSeries, b: EgfSeries) -> EgfSeries:
-    _require_same_order(a, b, "egf_sub")
-    return EgfSeries(tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
 
 
 def egf_scale(c: RationalLike, a: EgfSeries) -> EgfSeries:

@@ -4,10 +4,11 @@ The brute-force ones do not touch the library's series pipeline: set
 partitions are enumerated directly, and expectations over finite-support
 models are computed by walking the joint support with exact probabilities.
 
-The series and Bell references at the end (``egf_add``, ``egf_pow``,
-``egf_exp``, ``bell_complete``, ``bell_args_series``) are built on the
-library's series type and products; no production path needs them, so
-they live here, next to the tests that compare against them.
+The series and Bell references at the end (``egf_add``, ``egf_sub``,
+``egf_pow``, ``egf_exp``, ``bell_complete``, ``bell_args_series``) are
+built on the library's series type and products; no production path
+needs them, so they live here, next to the tests that compare against
+them.
 """
 
 from fractions import Fraction
@@ -118,6 +119,11 @@ def bell_numbers(n):
 def egf_add(a: EgfSeries, b: EgfSeries) -> EgfSeries:
     _require_same_order(a, b, "egf_add")
     return EgfSeries(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+
+
+def egf_sub(a: EgfSeries, b: EgfSeries) -> EgfSeries:
+    _require_same_order(a, b, "egf_sub")
+    return EgfSeries(tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
 
 
 def egf_pow(a: EgfSeries, k: int) -> EgfSeries:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,11 @@ from probdowling.cli import COMMANDS, _json_dump, main, parse_config
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    # pytest records warnings instead of printing them, so a warning that
+    # a command would print to stderr is raised here instead.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -429,6 +434,30 @@ def test_mc_infinite_standard_error_exits_2(capsys, max_n):
     assert code == 2 and out == ""
     assert err == (f"configuration error: standard error inf of "
                    f"E[(10 S_3 + 1)_{{{max_n},0}}] leaves float range\n")
+
+
+@pytest.mark.parametrize("argv, code, prefix", [
+    (["--command", "table", "--max-n", "2"], 0, None),
+    (["--command", "check", "--max-n", "1", "--corrupt"], 1, None),
+    (["--command", "eval", "--lambda=1/0"], 2, "configuration error:"),
+    (["--command", "table", "--max-n", "5",
+      "--model", '{"kind": "custom", "moments": ["1", "1/2"]}'],
+     3, "moment shortfall:"),
+], ids=["exit-0", "exit-1", "exit-2", "exit-3"])
+def test_stderr_of_a_fresh_interpreter(argv, code, prefix):
+    # A warning printed by the interpreter itself, outside sys.stderr
+    # redirection, shows only in a separate process.
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(probdowling.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-m", "probdowling", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == code
+    lines = done.stderr.splitlines()
+    if prefix is None:
+        assert done.stderr == ""
+    else:
+        assert len(lines) == 1 and lines[0].startswith(prefix), done.stderr
 
 
 def test_json_output_refuses_non_finite_floats():

@@ -10,7 +10,7 @@ from probdowling import (Bernoulli, Binomial, Custom, DiscreteUniform,
                          bell_partial_series, degen_falling, dobinski_eval,
                          dowling_number, dowling_poly, dowling_poly_r,
                          egf_coeff, egf_const, egf_degen_exp, egf_mul,
-                         egf_scale, egf_sub,
+                         egf_scale,
                          egf_mgf_degen, falling, raw_moment, stirling2,
                          stirling2_degen, stirling2_prob, sum_degen_moment,
                          sum_degen_moment_rows, whitney_prob, whitney_prob_r)
@@ -21,7 +21,8 @@ from probdowling.moments import falling_row
 from probdowling.dowling import WHITNEY_ROUTES, POLY_ZERO
 from probdowling.series import egf_mul_coeff
 
-from oracles import bell_numbers, egf_exp, egf_pow, stirling2_brute
+from oracles import (bell_numbers, egf_exp, egf_pow, egf_sub,
+                     stirling2_brute)
 
 PM1 = PointMass(Fraction(1))
 BE = Bernoulli(Fraction(1, 2))

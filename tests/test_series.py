@@ -5,10 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from probdowling import (EgfSeries, degen_falling, egf_coeff, egf_const,
-                         egf_degen_exp, egf_mul, egf_scale, egf_sub)
+                         egf_degen_exp, egf_mul, egf_scale)
 from probdowling.series import egf_mul_coeff
 
-from oracles import bell_brute, egf_add, egf_exp, egf_pow
+from oracles import bell_brute, egf_add, egf_exp, egf_pow, egf_sub
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=10)
 

@@ -18,7 +18,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # Public names kept on purpose even where no production path calls them;
 # README's "References and public API" paragraph names the same ones.
 KEPT_PUBLIC = ("bell_partial", "stirling2_degen", "falling", "degen_falling",
-               "sample_Y", "WhitneyTriangle", "McEstimate.within")
+               "sample_Y", "WhitneyTriangle", "WhitneyTriangle.entry",
+               "McEstimate.within")
 # The benchmark's per-layer report totals memo sizes for these modules only.
 MEMO_MODULES = {"probdowling.moments", "probdowling.bell",
                 "probdowling.dowling"}
@@ -98,28 +99,37 @@ def test_hot_inner_sums_use_the_common_denominator_kernel():
     assert found == []
 
 
-def _names_outside(tree, skip):
-    """Identifiers read, imported or looked up as attributes in tree,
-    outside the node skip."""
+def _names_outside(tree, skip, attributes_only=False):
+    """Identifiers read (not assigned), imported or looked up as
+    attributes in tree, outside the node skip; with attributes_only, only
+    the names looked up as attributes (``obj.name``)."""
     stack = [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             yield node.attr
+        elif attributes_only:
+            pass
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
         elif isinstance(node, ast.alias):
             yield node.name
         stack.extend(ast.iter_child_nodes(node))
 
 
+def _src_trees():
+    return {path.name: ast.parse(path.read_text())
+            for path in sorted(PACKAGE_DIR.glob("*.py"))}
+
+
 def test_every_function_in_src_has_a_caller_in_src():
     # Code that only tests call belongs in the tests (oracles.py for the
-    # references they compare against), not in src.
-    trees = {path.name: ast.parse(path.read_text())
-             for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    # references they compare against), not in src.  A method counts as
+    # called only where it is looked up as an attribute, so a local
+    # variable of the same name is no caller.
+    trees = _src_trees()
     defined, unreferenced = set(), []
     for tree in trees.values():
         for node in tree.body:
@@ -137,9 +147,22 @@ def test_every_function_in_src_has_a_caller_in_src():
                 if qualname not in KEPT_PUBLIC and not any(
                         name == seen for module, other in trees.items()
                         if module != "__init__.py"
-                        for seen in _names_outside(other, fn)):
+                        for seen in _names_outside(other, fn,
+                                                   "." in qualname)):
                     unreferenced.append(qualname)
     assert unreferenced == []
     assert set(KEPT_PUBLIC) <= defined
     readme = README.read_text()
     assert [name for name in KEPT_PUBLIC if f"`{name}`" not in readme] == []
+
+
+def test_every_exported_name_is_read_in_src():
+    # An export that no other module of the package reads or imports is
+    # dead, unless it is kept public on purpose (KEPT_PUBLIC).
+    trees = _src_trees()
+    exported = [alias.name for node in trees.pop("__init__.py").body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    read = {name for tree in trees.values()
+            for name in _names_outside(tree, None)}
+    assert [name for name in exported
+            if name not in read and name not in KEPT_PUBLIC] == []

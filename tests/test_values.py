@@ -8,7 +8,7 @@ from probdowling import (Bernoulli, Binomial, Custom, DiscreteUniform,
                          EgfSeries, Geometric, IdentityReport, McEstimate,
                          Params, PointMass, Poisson, PolyX, WhitneyTriangle,
                          clear_caches, raw_moment)
-from probdowling.cli import RunConfig, parse_config
+from probdowling.cli import parse_config
 from probdowling.ratcore import Frozen
 
 HALF = Fraction(1, 2)
@@ -31,7 +31,6 @@ BUILDERS = {
                                            passed=True),
     McEstimate: lambda: McEstimate(mean=1.0, std_error=0.5, samples=10,
                                    target=Fraction(1)),
-    RunConfig: lambda: parse_config(["--command", "table"]),
 }
 
 
