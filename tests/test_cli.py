@@ -453,10 +453,10 @@ def test_stderr_of_a_fresh_interpreter(argv, code, prefix):
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == code
-    lines = done.stderr.splitlines()
     if prefix is None:
         assert done.stderr == ""
     else:
+        lines = done.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith(prefix), done.stderr
 
 
