@@ -2,7 +2,8 @@
 battery, and the numeric validations, with machine-readable output.
 
 Exit codes form a contract for scripted use: 0 success, 1 an identity or
-tolerance failure, 2 a configuration error, 3 a moment-order shortfall.
+tolerance failure, 2 a configuration error (a request that does not fit
+in memory included), 3 a moment-order shortfall.
 Rationals serialize as "num/den" strings in both CSV and JSON; output is
 deterministic given the configuration (plus seed for sampling), byte for
 byte.
@@ -264,8 +265,10 @@ COMMANDS = tuple(_DISPATCH)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    request = "the request"
     try:
         cfg = parse_config(argv)
+        request = f"--command {cfg.command} with --max-n {cfg.max_n}"
         return _DISPATCH[cfg.command](cfg)
     except MomentOrderError as exc:
         print(f"moment shortfall: {exc}", file=sys.stderr)
@@ -276,6 +279,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except RuntimeError as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        pass
+    # Reported once the handler has let go of the failed frames and what
+    # they held, so the message itself finds memory.
+    print(f"configuration error: {request} does not fit in memory",
+          file=sys.stderr)
+    return 2
 
 
 def entry() -> None:

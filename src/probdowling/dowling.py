@@ -6,13 +6,17 @@ Whitney numbers attached to a moment model Y: coefficient n of
 family.  The production route ("egf", the default) does not expand that
 generating function: ``dowling_poly_r`` builds each row from the earlier
 rows by the paper's degree-raising recurrence, and the generating
-function itself is a test oracle.  The same numbers fall out of three
-other computations (an alternating binomial sum over sums of copies, an
-expansion through degenerate Stirling numbers, and a partial-Bell-
-polynomial form), which are kept as first-class routes of
+function itself is a test oracle.  The rows are grown in integers,
+V(n, k) = k! m^k L^n W(n, k) with L the kernel's scale
+(``moments.scaled_kernel``), in one store per (model, params), and
+divided once into ``PolyX`` rows of Fractions.  The same numbers fall
+out of three other computations (an alternating binomial sum over sums
+of copies, an expansion through degenerate Stirling numbers, and a
+partial-Bell-polynomial form), which are kept as first-class routes of
 ``whitney_prob_r`` for every shift r >= 0: agreement of the routes is the
 library's correctness argument, so none of them is allowed to decay into
-a wrapper around another.
+a wrapper around another.  The oracle routes read the integer sum-moment
+chain (``moments.scaled_chain``) and divide once.
 
 Dowling polynomials are the row polynomials sum_k W(n, k) x^k; their
 value at x = 1 is a Dowling number.  ``dobinski_eval`` sums the
@@ -29,10 +33,10 @@ from fractions import Fraction
 from typing import Callable
 
 from .bell import bell_partial_column, bell_partial_series
-from .moments import (MomentModel, stored_kernel, sum_degen_moment,
-                      sum_degen_moment_row, sum_degen_moment_rows)
+from .moments import (MomentModel, scaled_chain, scaled_kernel, stored_kernel,
+                      sum_degen_moment)
 from .ratcore import (Frozen, Params, RationalLike, binomial_row,
-                      clear_caches, dot, memo, pair_sum, rat)
+                      clear_caches, dot, exact_int, memo, rat, sumprod)
 from .series import EgfSeries, egf_coeff
 
 WHITNEY_ROUTES = ("egf", "alt_sum", "stirling_expand", "bell_form")
@@ -196,31 +200,33 @@ def whitney_prob_r(model: MomentModel, params: Params, n: int, k: int,
 
     All four routes return the same rational for every r >= 0:
 
-    - "egf": entry k of the memoized row ``dowling_poly_r``, which the
-      degree-raising recurrence builds from the earlier rows (production
-      path; the name is kept because every caller passes it);
+    - "egf": entry k of the stored row ``dowling_poly_r``, which the
+      degree-raising recurrence builds from the earlier rows in integers
+      (production path; the name is kept because every caller passes it);
     - "alt_sum": (1/(m^k k!)) sum_j C(k,j) (-1)^(k-j) E[(m S_j + r)_{n,lam}],
-      column n of the rows of chain entries 0..k, read in one chain
-      lookup (``sum_degen_moment_rows``) and weighted by signed integers;
+      column n of the integer chain entries 0..k, L^n E[(m S_j + r)_{n,lam}],
+      read in one chain lookup (``scaled_chain``) and weighted by signed
+      integers;
     - "stirling_expand": the same alternating sum pushed through the
       degenerate Stirling expansion of the falling factorial, so only
       ordinary falling-factorial moments of the copy sums appear: it
-      reads the lam = 1 chain rows of copy counts 0..k, every order up to
-      n, in one lookup (``sum_degen_moment_rows``), and the Carlitz row
-      ``_stirling2_degen_row(n, lam)`` once, and sums only the orders
-      j >= k (the alternating sum of every lower order vanishes);
+      reads the lam = 1 integer chain entries of copy counts 0..k, every
+      order up to n, in one lookup (``scaled_chain``), and the Carlitz row
+      ``_stirling2_degen_row(n, lam)`` once, each entry S(n, j) times
+      den(lam)^(n-j), checked integral, and sums only the orders j >= k
+      (the alternating sum of every lower order vanishes);
     - "bell_form": partial Bell polynomials of the kernel coefficients
       E[(mY)_{j,lam}], sliced from the stored kernel (``stored_kernel``)
       and evaluated by partition enumeration through one
       ``bell_partial_column`` call, whose memo lookups hash no Fraction,
-      weighted by (r)_{n-l,lam}, read off the stored row
-      ``sum_degen_moment_row(model, 0, m, r, n - k, lam)``: entry 0 of the
-      sum-moment chain, the degenerate exponential of r, which reads no
-      moment.
+      weighted by (r)_{n-l,lam}, read as the integers L^i (r)_{i,lam} of
+      entry 0 of the sum-moment chain (``scaled_chain`` with no copies),
+      the degenerate exponential of r, which reads no moment.
 
-    Each oracle route ends with one sum over a common denominator
-    (``ratcore.dot`` or ``pair_sum``) that divides by m^k k! (m^k for
-    "bell_form") in the same reduction.
+    Each oracle route divides once at its end: "alt_sum" and
+    "stirling_expand" build one Fraction from an integer sum, and
+    "bell_form" ends with one ``ratcore.dot`` over a common denominator,
+    which divides by m^k L^(n-k) in the same reduction.
 
     k > n returns 0: the generating kernel's series starts at t^k.
     """
@@ -235,31 +241,40 @@ def whitney_prob_r(model: MomentModel, params: Params, n: int, k: int,
     if route == "egf":
         return dowling_poly_r(model, params, n).coeff(k)
     if route == "alt_sum":
-        rows = sum_degen_moment_rows(model, k, m, r, n, lam)
-        return dot(_signed_binomials(k), [row[n] for row in rows],
-                   divisor=m ** k * math.factorial(k))
+        chain, base = scaled_chain(model, k, m, r, n, lam)
+        return Fraction(
+            sumprod(_signed_binomials(k), [chain[j][n] for j in range(k + 1)]),
+            m ** k * math.factorial(k) * base ** n)
     if route == "stirling_expand":
-        s = _stirling2_degen_row(n, lam)[k:]
+        # Column j of the lam = 1 chain holds D^j E[(m S_l + r)_j] for
+        # l = 0..k, a polynomial of degree <= j in l (coefficient j of
+        # P^l e_1^r, P_0 = 1), so its k-th difference, the signed sum, is
+        # 0 for j < k: only the columns j = k..n are summed.  The Carlitz
+        # entry S(n, j) is a polynomial of degree n - j in lam with integer
+        # coefficients, so den(lam)^(n-j) S(n, j) is an integer, and every
+        # term is an integer over (den(lam) D)^n.
+        chain, base = scaled_chain(model, k, m, r, n, _PLAIN_LAM)
+        den = lam.denominator
+        scaled = [exact_int(s, den ** (n - j)) * den ** j * base ** (n - j)
+                  for j, s in enumerate(_stirling2_degen_row(n, lam)[k:],
+                                        start=k)]
         signed = _signed_binomials(k)
-        rows = sum_degen_moment_rows(model, k, m, r, n, _PLAIN_LAM)
-        # Column j holds E[(m S_l + r)_j] for l = 0..k, a polynomial of
-        # degree <= j in l (coefficient j of P^l e_1^r, P_0 = 1), so its
-        # k-th difference, the signed sum, is 0 for j < k: only the
-        # columns j = k..n are summed, every term s_j w_l E[(m S_l + r)_j]
-        # in one sum over a common denominator.
-        columns = zip(*(row[k:] for row in rows))
-        return pair_sum(((sj.numerator * w * e.numerator,
-                          sj.denominator * e.denominator)
-                         for sj, column in zip(s, columns) if sj
-                         for w, e in zip(signed, column)),
-                        m ** k * math.factorial(k))
+        columns = zip(*(chain[l][k:n + 1] for l in range(k + 1)))
+        return Fraction(
+            sumprod(scaled, [sumprod(signed, column) for column in columns]),
+            (den * base) ** n * m ** k * math.factorial(k))
     # route == "bell_form"
     # B_{l,k} reads x_1..x_(l-k+1) for k >= 1, and no argument for k = 0.
     width = n - k + 1 if k else 0
     kernel = stored_kernel(model, m, lam, width).coeffs
-    shifted = sum_degen_moment_row(model, 0, m, r, n - k, lam)  # (r)_{i,lam}
+    # Entry 0 of the chain: L^i (r)_{i,lam}, the degenerate exponential of
+    # r, which reads no moment; term l is over L^(n-l), so over L^(n-k).
+    chain, base = scaled_chain(model, 0, m, r, n - k, lam)
+    shifted = chain[0]
     bells = bell_partial_column(n, k, kernel[1:width + 1])
-    return dot(bells, shifted[::-1], binomial_row(n)[k:], divisor=m ** k)
+    weights = [c * shifted[n - l] * base ** (l - k)
+               for l, c in enumerate(binomial_row(n)[k:], start=k)]
+    return dot(bells, weights, divisor=m ** k * base ** (n - k))
 
 
 def _signed_binomials(k: int) -> list[int]:
@@ -300,42 +315,85 @@ def dowling_poly(model: MomentModel, params: Params, n: int) -> PolyX:
     return dowling_poly_r(model, Params(params.m, params.lam, 1), n)
 
 
-@memo
 def dowling_poly_r(model: MomentModel, params: Params, n: int) -> PolyX:
     """r-Dowling polynomial: coefficient k is the r-Whitney number W(n, k).
 
-    The one memoized producer of exact Whitney rows.  Row n comes from
-    rows 0..n-1 by the degree-raising recurrence, which is (1 + lam t) d/dt
+    The one producer of exact Whitney rows, read from the store
+    ``_whitney_rows`` of (model, params) and grown there first if row n
+    is missing (``_grow_whitney``, in integers).  Row n comes from rows
+    0..n-1 by the degree-raising recurrence, which is (1 + lam t) d/dt
     applied to (1/k!) K^k e_lam^r(t) with K = (E[e_lam^(mY)(t)] - 1)/m:
 
         W(n, k) = (r - (n-1) lam) W(n-1, k)
                   + (1/m) sum_l C(n-1, l) W(l, k-1) g_(n-1-l),
 
     with g_j = E[mY (mY)_{j,lam}] = c_(j+1) + j lam c_j and
-    c_j = E[(mY)_{j,lam}], coefficient j of the stored kernel
-    (``stored_kernel``, the series of ``egf_mgf_degen``).  A table
-    up to N costs about N^3/6 products.
+    c_j = E[(mY)_{j,lam}], coefficient j of the stored kernel.  Row n is
+    grown as V(n, k) = k! m^k L^n W(n, k), an integer, and divided once
+    into a PolyX of Fractions.  A table up to N costs about N^3/6 integer
+    products.
     """
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
-    if n == 0:
-        return POLY_ONE
-    m, lam = params.m, params.lam
-    # Ascending calls: each earlier row finds its own predecessors memoized,
-    # so a cold call at large n never nests more than two rows deep.
-    rows = [dowling_poly_r(model, params, l).coeffs for l in range(n)]
-    c = stored_kernel(model, m, lam, n).coeffs
-    # weights[l] = C(n-1, l) g_(n-1-l) / m
-    weights = [b * (c[n - l] + (n - 1 - l) * lam * c[n - 1 - l]) / m
-               for l, b in enumerate(binomial_row(n - 1))]
-    shift = params.r - (n - 1) * lam
-    prev = rows[n - 1]
-    row = [shift * prev[0]]
-    for k in range(1, n + 1):
-        carried = shift * prev[k] if k < n else Fraction(0)
-        row.append(carried + dot(weights[k - 1:],
-                                 [rows[l][k - 1] for l in range(k - 1, n)]))
-    return PolyX(tuple(row))
+    store = _whitney_rows(model, params)
+    polys = store[0]
+    if len(polys) <= n:
+        cols, base = _grow_whitney(model, params, store[1], n)
+        units = [math.factorial(k) * params.m ** k for k in range(n + 1)]
+        new = []
+        for row in range(len(polys), n + 1):
+            # V(row, k) sits at index row - k of column k.
+            den = base ** row
+            new.append(PolyX(tuple(Fraction(cols[k][row - k], units[k] * den)
+                                   for k in range(row + 1))))
+        polys = polys + tuple(new)
+        store[:] = polys, cols
+    return polys[n]
+
+
+@memo
+def _whitney_rows(model: MomentModel, params: Params) -> list:
+    """The Whitney rows of (model, params), shared by every degree.
+
+    One slot [polys, cols]: polys[n] is the ``dowling_poly_r`` row n, and
+    cols[k] holds V(n, k) = k! m^k L^n W(n, k) for n = k, k + 1, ... up
+    to the highest row grown, with L the kernel's scale.  Both are
+    replaced whole, in one step, by longer ones, never changed in place,
+    so a failed growth leaves the store as it was.
+    """
+    return [(POLY_ONE,), [[1]]]
+
+
+def _grow_whitney(model: MomentModel, params: Params,
+                  cols: list[list[int]], n: int
+                  ) -> tuple[list[list[int]], int]:
+    """New columns of V through row n, and the scale L.
+
+    V(n, k) = (rL - (n-1) lam L) V(n-1, k)
+              + k sum_l C(n-1, l) G_(n-1-l) V(l, k-1),
+    G_j = K_(j+1) + j lam L K_j, with K the kernel's scaled integers
+    (``scaled_kernel``): W's recurrence times k! m^k L^n, with no division.
+    The stored columns are copied, never extended in place.
+    """
+    _, ints, base = scaled_kernel(model, params.m, params.lam, n)
+    step = exact_int(params.lam, base)
+    G = [ints[j + 1] + j * step * ints[j] for j in range(n)]
+    cols = [col[:] for col in cols]
+    for row in range(len(cols), n + 1):
+        # weights[l] = C(row-1, l) G_(row-1-l); column k-1 holds
+        # V(l, k-1) for l = k-1..row-1, the terms of column k.
+        weights = [b * G[row - 1 - l]
+                   for l, b in enumerate(binomial_row(row - 1))]
+        shift = params.r * base - (row - 1) * step
+        cols.append([])
+        # k runs downward, so column k - 1 is read before it gains its
+        # entry of this row.
+        for k in range(row, 0, -1):
+            carried = shift * cols[k][-1] if k < row else 0
+            cols[k].append(carried
+                           + k * sumprod(weights[k - 1:], cols[k - 1]))
+        cols[0].append(shift * cols[0][-1])
+    return cols, base
 
 
 def dowling_number(model: MomentModel, params: Params, n: int) -> Fraction:

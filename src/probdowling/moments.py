@@ -9,15 +9,23 @@ expectation of the product over independent copies.  That series, the
 Whitney kernel ``egf_mgf_degen``, is stored once per (model, scale, lam),
 ``_mgf_kernel``, grown to the highest order asked with one ``degen_moment``
 per new coefficient, and read whole or as a prefix; ``stored_kernel``
-returns the stored series itself, for callers that slice it.  Its powers
-times the degenerate exponential of a shift are the sum moments
-themselves, stored once in one chain per (model, scale, shift, lam),
-``_mgf_chain``, grown the same way, so nothing is rebuilt or kept per
-order.  ``sum_degen_moment_rows`` is the one reader of a chain: one
-argument check and one chain lookup return the coefficients 0..n of
-entries 0..k, grown first if entry k is too short.
-``sum_degen_moment_row`` (one entry) and ``sum_degen_moment`` (one
-coefficient) index what it returns.
+returns the stored series itself, for callers that slice it.
+
+Beside the series the store keeps integers.  Each model has a
+denominator base D (``moment_base``) with D^n E[Y^n] an integer for
+every n, and L = lcm(den lam, D) is one scale per (model, lam): every
+K_n = L^n E[(scale*Y)_{n,lam}] is an integer, checked as it is grown
+(a non-integer raises ArithmeticError, never truncates), and
+``scaled_kernel`` returns the series, K and L.  The kernel's powers
+times the degenerate exponential of a shift are the sum moments, stored
+once, as the integers L^n E[(scale*S_k + shift)_{n,lam}], in one chain
+per (model, scale, shift, lam), ``_mgf_chain``, grown the same way by
+integer binomial convolutions, so nothing is rebuilt or kept per order.
+``scaled_chain`` is the one chain function: one argument check and one
+chain lookup return the integer entries 0..k to order n, grown first if
+entry k is too short.  ``sum_degen_moment`` (one coefficient),
+``sum_degen_moment_row`` (one entry) and ``sum_degen_moment_rows``
+(entries 0..k) divide what it returns into Fractions.
 
 Poisson and geometric raw moments follow from the lower ones by a
 binomial recurrence (Touchard's for Poisson), one ``ratcore.dot`` each;
@@ -41,12 +49,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
+from math import lcm
+
 from .ratcore import (Frozen, RationalLike, binomial_row, clear_caches, dot,
-                      format_rational, memo, rat, stirling2)
+                      exact_int, format_rational, memo, rat, stirling2,
+                      sumprod)
 # egf_mul is imported but unused: the benchmark's tracer self-test patches
 # and reads it as moments.egf_mul.
-from .series import (EgfSeries, egf_degen_exp, egf_mul,  # noqa: F401
-                     egf_mul_coeff)
+from .series import EgfSeries, egf_mul  # noqa: F401
 
 
 class MomentOrderError(ValueError):
@@ -245,104 +255,171 @@ def stored_kernel(model: MomentModel, scale: int, lam: Fraction,
     `order`.  The arguments are checked before the store is read, so a
     caller that slices the coefficients builds no prefix series.
     """
+    return scaled_kernel(model, scale, lam, order)[0]
+
+
+def scaled_kernel(model: MomentModel, scale: int, lam: Fraction, order: int
+                  ) -> tuple[EgfSeries, tuple[int, ...], int]:
+    """(series, K, L) of the ``_mgf_kernel`` slot of (model, scale, lam),
+    grown there first if it is shorter than `order`: the stored series,
+    the integers K_n = L^n E[(scale*Y)_{n,lam}] for every n up to at least
+    `order`, and L = lcm(den lam, D) with D the model's ``moment_base``.
+    The arguments are checked before the store is read.
+    """
     if scale < 1:
         raise ValueError(f"scale must be a positive integer, got {scale}")
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     lam = rat(lam)
-    store = _mgf_kernel(model, scale, lam)
-    kernel = store[0]
-    if kernel.order < order:
-        kernel = store[0] = _grow_kernel(model, scale, lam, kernel, order)
-    return kernel
+    slot = _mgf_kernel(model, scale, lam)
+    if slot[0].order < order:
+        _grow_kernel(model, scale, lam, slot, order)
+    return tuple(slot)
+
+
+def moment_base(model: MomentModel) -> int:
+    """A positive integer D with D^n E[Y^n] an integer for every n: the
+    denominator of c for a point mass, of p for Bernoulli and binomial, of
+    the rate for Poisson, the numerator of p for the geometric (whose
+    factorial moments are n! ((1-p)/p)^n), max + 1 for the discrete
+    uniform, and the lcm of the list's denominators for a custom model."""
+    if isinstance(model, PointMass):
+        return model.c.denominator
+    if isinstance(model, (Bernoulli, Binomial)):
+        return model.p.denominator
+    if isinstance(model, DiscreteUniform):
+        return model.max + 1
+    if isinstance(model, Poisson):
+        return model.rate.denominator
+    if isinstance(model, Geometric):
+        return model.p.numerator
+    if isinstance(model, Custom):
+        return lcm(*(v.denominator for v in model.moments))
+    raise TypeError(f"not a moment model: {model!r}")
 
 
 @memo
-def _mgf_kernel(model: MomentModel, scale: int,
-                lam: Fraction) -> list[EgfSeries]:
+def _mgf_kernel(model: MomentModel, scale: int, lam: Fraction) -> list:
     """The kernel of (model, scale, lam), shared by every truncation order.
 
-    One slot holding the series of E[(scale*Y)_{n,lam}] up to the highest
-    order asked so far; it starts at order 0, whose coefficient 1 reads no
-    moment.  Like an ``_mgf_chain`` entry, the slot is replaced whole by a
-    longer immutable series (``_grow_kernel``), never changed in place, so
-    a failed growth leaves it as it was and a reader in another thread sees
-    an old or a new series, both correct.
+    One slot [series, K, L]: the series of E[(scale*Y)_{n,lam}] up to the
+    highest order asked so far, the integers K_n = L^n E[(scale*Y)_{n,lam}]
+    beside it, and the scale L = lcm(den lam, D) of (model, lam), with D
+    the ``moment_base``: every E[(scale*Y)_{n,lam}] is a sum of terms
+    lam^(n-i) scale^i E[Y^i] with integer weights, so L^n clears its
+    denominator.  It starts at order 0, whose coefficient 1 reads no
+    moment.  Like an ``_mgf_chain`` entry, the series and K are replaced
+    whole, in one step, by longer immutable ones (``_grow_kernel``), never
+    changed in place, so a failed growth leaves the slot as it was and a
+    reader in another thread sees old or new values, all correct.
     """
-    return [EgfSeries((Fraction(1),))]
+    return [EgfSeries((Fraction(1),)), (1,),
+            lcm(lam.denominator, moment_base(model))]
 
 
 def _grow_kernel(model: MomentModel, scale: int, lam: Fraction,
-                 kernel: EgfSeries, order: int) -> EgfSeries:
-    """kernel extended to `order`: coefficient n is E[(scale*Y)_{n,lam}]
-    = scale^n E[(Y)_{n,lam/scale}], one ``degen_moment`` per new n."""
+                 slot: list, order: int) -> None:
+    """slot extended to `order`: coefficient n is E[(scale*Y)_{n,lam}]
+    = scale^n E[(Y)_{n,lam/scale}], one ``degen_moment`` per new n, and
+    K_n is that times L^n, checked integral (``ratcore.exact_int``)."""
     mu = lam / scale
-    done = kernel.coeffs
-    return EgfSeries(done + tuple(scale ** n * degen_moment(model, n, mu)
-                                  for n in range(len(done), order + 1)))
+    kernel, ints, base = slot
+    new = tuple(scale ** n * degen_moment(model, n, mu)
+                for n in range(len(ints), order + 1))
+    slot[:2] = (EgfSeries(kernel.coeffs + new), ints + tuple(
+        exact_int(c, base ** n) for n, c in enumerate(new, start=len(ints))))
 
 
 @memo
 def _mgf_chain(model: MomentModel, scale: int, shift: int,
-               lam: Fraction) -> dict[int, EgfSeries]:
+               lam: Fraction) -> tuple[int, dict[int, tuple[int, ...]]]:
     """The sum moments of (model, scale, shift, lam), shared by every copy
-    count and truncation order.
+    count and truncation order, scaled to integers.
 
-    Entry k is P^k e_lam^shift, P = egf_mgf_degen(model, scale, lam, ·), up
-    to the highest order asked so far: coefficient n is
-    E[(scale*S_k + shift)_{n,lam}].  Entry 0 is egf_degen_exp(shift, lam, ·);
-    ``sum_degen_moment_rows`` grows entries 0..k together, so entries
+    (L, entries): L is the kernel's scale lcm(den lam, D), and coefficient i
+    of entry k is A_k[i] = L^i E[(scale*S_k + shift)_{i,lam}], the
+    coefficients of P^k e_lam^shift with P the kernel, up to the highest
+    order asked so far.  Entry 0 is prod_{t<i} (shift L - t lam L) and reads
+    no moment; ``scaled_chain`` grows entries 0..k together, so entries
     0..k - 1 are at least as long as entry k.  Truncation is lossless, so
-    coefficient n is the same at every order >= n.  An entry is replaced
-    whole by a longer immutable series, never changed in place.
+    coefficient i is the same at every order >= i.  An entry is replaced
+    whole by a longer tuple, never changed in place.
     """
-    return {}
+    return lcm(lam.denominator, moment_base(model)), {}
+
+
+def scaled_chain(model: MomentModel, k: int, scale: int, shift: int, n: int,
+                 lam: RationalLike
+                 ) -> tuple[dict[int, tuple[int, ...]], int]:
+    """(entries, L) of the ``_mgf_chain`` of (model, scale, shift, lam),
+    read with one argument check and one chain lookup: entries 0..k hold
+    the integers L^i E[(scale*S_j + shift)_{i,lam}] for every i up to at
+    least n.  If entry k is missing or too short, entries 0..k are grown
+    to order n first, in order, by
+    A_j[i] = sum_l C(i, l) K_l A_(j-1)[i - l] over the kernel's K.
+    """
+    require_sum_args(k, scale, shift, n)
+    lam = rat(lam)
+    base, chain = _mgf_chain(model, scale, shift, lam)
+    if k not in chain or len(chain[k]) <= n:
+        # Entries get no longer as j grows, so every entry from the first
+        # short one through k is grown, and none below it is read twice.
+        first = k
+        while first and len(chain.get(first - 1, ())) <= n:
+            first -= 1
+        if first == 0:
+            root, step = shift * base, exact_int(lam, base)
+            entry = [1]
+            for t in range(n):
+                entry.append(entry[-1] * (root - t * step))
+            chain[0] = tuple(entry)
+            first = 1
+        if first <= k:
+            # Entry 0 reads no moment, so a custom list of one moment
+            # serves it.  weighted[i][l] = C(i, l) K_l, the same for every
+            # entry; entry k is the shortest, so rows below its length are
+            # never read.
+            ints = scaled_kernel(model, scale, lam, n)[1]
+            start = len(chain.get(k, ()))
+            weighted = [()] * start + [
+                [c * K for c, K in zip(binomial_row(i), ints)]
+                for i in range(start, n + 1)]
+        for j in range(first, k + 1):
+            below, entry = chain[j - 1], chain.get(j, ())
+            chain[j] = entry + tuple(sumprod(weighted[i], below[i::-1])
+                                     for i in range(len(entry), n + 1))
+    return chain, base
+
+
+def _unscaled(entry: tuple[int, ...], base: int,
+              stop: int) -> tuple[Fraction, ...]:
+    """Coefficients 0..stop - 1 of a chain entry, each divided by L^i."""
+    return tuple(Fraction(a, base ** i) for i, a in enumerate(entry[:stop]))
 
 
 def sum_degen_moment(model: MomentModel, k: int, scale: int, shift: int,
                      n: int, lam: RationalLike) -> Fraction:
     """Exact E[(scale*S_k + shift)_{n,lam}] with S_k = Y_1 + ... + Y_k:
-    coefficient n of row k of ``sum_degen_moment_rows``."""
-    return sum_degen_moment_rows(model, k, scale, shift, n, lam)[k][n]
+    coefficient n of entry k of ``scaled_chain``, divided by L^n."""
+    chain, base = scaled_chain(model, k, scale, shift, n, lam)
+    return Fraction(chain[k][n], base ** n)
 
 
 def sum_degen_moment_row(model: MomentModel, k: int, scale: int, shift: int,
                          n: int, lam: RationalLike) -> tuple[Fraction, ...]:
-    """E[(scale*S_k + shift)_{i,lam}] for i = 0..n: row k of
-    ``sum_degen_moment_rows``."""
-    return sum_degen_moment_rows(model, k, scale, shift, n, lam)[k]
+    """E[(scale*S_k + shift)_{i,lam}] for i = 0..n: entry k of
+    ``scaled_chain``, coefficient i divided by L^i."""
+    chain, base = scaled_chain(model, k, scale, shift, n, lam)
+    return _unscaled(chain[k], base, n + 1)
 
 
 def sum_degen_moment_rows(model: MomentModel, k: int, scale: int, shift: int,
                           n: int, lam: RationalLike
                           ) -> list[tuple[Fraction, ...]]:
-    """E[(scale*S_j + shift)_{i,lam}] for j = 0..k (row j) and i = 0..n.
-
-    The rows are the coefficients of entries 0..k of ``_mgf_chain``, read
-    with one argument check and one chain lookup.  If entry k is missing
-    or too short, entries 0..k are grown to order n first, in order.
-    """
-    require_sum_args(k, scale, shift, n)
-    lam = rat(lam)
-    chain = _mgf_chain(model, scale, shift, lam)
-    if k not in chain or chain[k].order < n:
-        entry = chain.get(0)
-        if entry is None or entry.order < n:
-            entry = chain[0] = egf_degen_exp(shift, lam, n)
-        # Entry 0 reads no moment, so a custom list of one moment serves it.
-        base = stored_kernel(model, scale, lam, n) if k else None
-        for j in range(1, k + 1):
-            below, entry = entry, chain.get(j)
-            done = entry.coeffs if entry is not None else ()
-            if len(done) <= n:
-                # Coefficient i of entry j is
-                # sum_l C(i, l) P_l [entry j-1]_(i-l); keep the coefficients
-                # the entry already has and append the rest.
-                entry = chain[j] = EgfSeries(done + tuple(
-                    egf_mul_coeff(base, below, i)
-                    for i in range(len(done), n + 1)))
-    stop = n + 1
-    return [chain[j].coeffs[:stop] for j in range(k + 1)]
+    """E[(scale*S_j + shift)_{i,lam}] for j = 0..k (row j) and i = 0..n:
+    entries 0..k of ``scaled_chain``, coefficient i divided by L^i."""
+    chain, base = scaled_chain(model, k, scale, shift, n, lam)
+    return [_unscaled(chain[j], base, n + 1) for j in range(k + 1)]
 
 
 def require_sum_args(k: int, scale: int, shift: int, n: int) -> None:

@@ -1,20 +1,25 @@
 """Exact rational scalars, factorial-family primitives, and the memo registry.
 
-Every number in this package is a ``fractions.Fraction``: arithmetic is
-exact, results are always in lowest terms with a positive denominator, and
-values are immutable (safe to share between threads).  Hot sums of
-products do not add Fractions term by term, which reduces by a gcd at
-every step: ``dot`` and ``pair_sum`` accumulate integer numerators over
-one running common denominator (the lcm of the terms') and reduce once,
-returning the same Fraction; a final integer divisor joins that one
-reduction.
+Every value this package returns is a ``fractions.Fraction`` (or an int):
+arithmetic is exact, results are always in lowest terms with a positive
+denominator, and values are immutable (safe to share between threads).
+The growing stores keep integers over one known denominator instead and
+divide when a value leaves them: ``sumprod`` is their integer dot
+product, and ``exact_int`` scales a Fraction to an integer, raising
+ArithmeticError rather than truncating.  Hot sums of Fraction products
+do not add Fractions term by term, which reduces by a gcd at every step:
+``dot`` and ``pair_sum`` accumulate integer numerators over one running
+common denominator (the lcm of the terms') and reduce once, returning
+the same Fraction; a final integer divisor joins that one reduction.
 
-Memo tables hold immutable values too.  Two tables hold entries that
+Memo tables hold immutable values too.  Three tables hold entries that
 grow: the Whitney kernel ``moments._mgf_kernel`` (one per model, scale
-and lam, the series of E[(scale*Y)_{n,lam}]) and the sum-moment chain
-``moments._mgf_chain`` (one per model, scale, shift and lam, whose entry
-k is the series of E[(scale*S_k + shift)_{n,lam}]).  Each replaces an
-entry whole by a longer immutable series, so a reader in another thread
+and lam: the series of E[(scale*Y)_{n,lam}] and its scaled integers),
+the sum-moment chain ``moments._mgf_chain`` (one per model, scale, shift
+and lam, whose entry k holds the scaled integers of
+E[(scale*S_k + shift)_{n,lam}]) and the Whitney rows
+``dowling._whitney_rows`` (one per model and parameters).  Each replaces
+an entry whole by a longer immutable one, so a reader in another thread
 sees an old or a new entry, both correct, and never a half-built one.
 The degeneracy parameter ``lam`` may be any rational including 0, which
 recovers the classical (non-degenerate) objects, and 1, which recovers
@@ -34,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd
-from operator import attrgetter
+from operator import attrgetter, mul
 from typing import Callable, Iterable, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -90,6 +95,23 @@ def dot(xs: Sequence[Fraction | int], ys: Sequence[Fraction | int],
                   w.denominator * x.denominator * y.denominator)
                  for w, x, y in zip(weights, xs, ys, strict=True))
     return pair_sum(pairs, divisor)
+
+
+def sumprod(xs: Iterable[int], ys: Iterable[int]) -> int:
+    """sum_i x_i y_i over two integer sequences of one length, the
+    integer dot product of the scaled stores, which hold no Fraction and
+    so need no common denominator.  Unlike ``dot`` it does not check the
+    lengths: its callers build both operands to one length."""
+    return sum(map(mul, xs, ys))
+
+
+def exact_int(value: Fraction | int, factor: int) -> int:
+    """value * factor, which must be an integer: ArithmeticError if it is
+    not, so a wrong scale raises instead of truncating."""
+    whole, rest = divmod(value.numerator * factor, value.denominator)
+    if rest:
+        raise ArithmeticError(f"{value} times {factor} is not an integer")
+    return whole
 
 
 def rat(value: RationalLike) -> Fraction:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import textwrap
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import probdowling
+import probdowling.dowling as dowling_mod
 from probdowling import rat
 from probdowling.cli import COMMANDS, _json_dump, main, parse_config
 
@@ -458,6 +460,36 @@ def test_stderr_of_a_fresh_interpreter(argv, code, prefix):
     else:
         lines = done.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith(prefix), done.stderr
+
+
+def test_memory_exhaustion_in_a_fresh_interpreter_exits_2():
+    # The child caps its own address space before it starts; a shift of
+    # 4001 digits makes every row about 13,000 bits longer than the one
+    # before, so the table leaves 64 MiB within seconds.
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (64 << 20, 64 << 20))
+
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(probdowling.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-m", "probdowling",
+                           "--command", "table", "--r", "1" + "0" * 4000,
+                           "--max-n", "100000", "--format", "csv"],
+                          env=env, capture_output=True, text=True,
+                          timeout=120, preexec_fn=cap_address_space)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == ("configuration error: --command table with "
+                           "--max-n 100000 does not fit in memory\n")
+
+
+def test_memory_exhaustion_exits_2_with_one_line(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(dowling_mod, "dowling_poly_r", exhausted)
+    code, out, err = run(capsys, "--command", "table", "--max-n", "3")
+    assert (code, out) == (2, "")
+    assert err == ("configuration error: --command table with --max-n 3 "
+                   "does not fit in memory\n")
 
 
 def test_json_output_refuses_non_finite_floats():

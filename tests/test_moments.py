@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, lcm
 
 import random
 
@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from probdowling import (Bernoulli, Binomial, Custom, DiscreteUniform,
                          Geometric, MomentOrderError, Params, PointMass,
                          Poisson, clear_caches, degen_falling, degen_moment,
-                         dobinski_eval, egf_coeff, egf_degen_exp,
-                         egf_mgf_degen, model_from_config,
+                         dobinski_eval, dowling_poly_r, egf_coeff,
+                         egf_degen_exp, egf_mgf_degen, model_from_config,
                          model_to_config, raw_moment, stirling2,
-                         sum_degen_moment, sum_degen_moment_row)
+                         sum_degen_moment, sum_degen_moment_row,
+                         whitney_prob_r)
 import probdowling.moments as moments_mod
 from probdowling.moments import falling_row
 from probdowling.series import egf_mul_coeff
@@ -424,6 +425,34 @@ def test_dobinski_rows_share_one_power_chain():
     assert moments_mod._mgf_chain.cache_info().currsize == 1
 
 
+def test_one_more_copy_reads_only_the_entry_below(monkeypatch):
+    # Entries 0..k-1 already reach order n: the call for copy count k
+    # reads entry k - 1 and grows entry k, so a sweep over k is linear.
+    Y, lam = Bernoulli(Fraction(1, 2)), Fraction(1, 3)
+    clear_caches()
+    for k in range(60):
+        sum_degen_moment(Y, k, 2, 1, 3, lam)
+    base, chain = moments_mod._mgf_chain(Y, 2, 1, lam)
+    reads = []
+
+    class Counted(dict):
+        def get(self, key, default=None):
+            reads.append(key)
+            return super().get(key, default)
+
+        def __getitem__(self, key):
+            reads.append(key)
+            return super().__getitem__(key)
+
+    monkeypatch.setattr(moments_mod, "_mgf_chain",
+                        lambda *key: (base, Counted(chain)))
+    got = sum_degen_moment(Y, 60, 2, 1, 3, lam)
+    assert set(reads) == {59, 60}
+    # S_60 of Bernoulli(1/2) is binomial(60, 1/2).
+    assert got == sum(Fraction(comb(60, j), 2 ** 60)
+                      * degen_falling(2 * j + 1, 3, lam) for j in range(61))
+
+
 @pytest.mark.parametrize("call", [
     lambda Y: sum_degen_moment(Y, 2, 0, 1, 3, Fraction(1, 3)),
     lambda Y: sum_degen_moment(Y, 2, 2, 1, -1, Fraction(1, 3)),
@@ -458,3 +487,56 @@ def test_negative_arguments_are_rejected_by_name(call, name):
     # A negative n is not the empty product: it must not read as 1.
     with pytest.raises(ValueError, match=f"^{name} must be nonnegative"):
         call(Bernoulli(Fraction(1, 2)))
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=9)
+unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=12)
+MODELS = st.one_of(
+    st.builds(PointMass, small_fractions),
+    st.builds(Bernoulli, unit_fractions),
+    st.builds(Binomial, st.integers(min_value=1, max_value=6), unit_fractions),
+    st.builds(DiscreteUniform, st.integers(min_value=0, max_value=6)),
+    st.builds(Poisson, st.fractions(min_value=0, max_value=4,
+                                    max_denominator=9)),
+    st.builds(Geometric, unit_fractions.filter(bool)),
+    st.builds(Custom, st.lists(small_fractions, min_size=30, max_size=30)
+              .map(lambda tail: (Fraction(1), *tail))))
+LAMBDAS = st.one_of(st.just(Fraction(0)), small_fractions)
+
+
+@given(model=MODELS, n=st.integers(min_value=0, max_value=30))
+def test_moment_base_clears_every_raw_moment(model, n):
+    base = moments_mod.moment_base(model)
+    assert base >= 1
+    for j in range(n + 1):
+        assert (base ** j * raw_moment(model, j)).denominator == 1, j
+
+
+@given(model=MODELS, m=st.integers(min_value=1, max_value=4), lam=LAMBDAS,
+       n=st.integers(min_value=0, max_value=30))
+def test_scaled_kernel_holds_the_kernel_times_the_scale(model, m, lam, n):
+    # K_j = c_j L^j is an integer, with L = lcm(den lam, D); the store
+    # keeps exactly those integers beside the series.
+    _, ints, base = moments_mod.scaled_kernel(model, m, lam, n)
+    assert base == lcm(lam.denominator, moments_mod.moment_base(model))
+    for j, c in enumerate(egf_mgf_degen(model, m, lam, n).coeffs):
+        scaled = c * base ** j
+        assert scaled.denominator == 1 and ints[j] == scaled, j
+
+
+@pytest.mark.parametrize("call", [
+    lambda Y: egf_mgf_degen(Y, 1, 0, 3),
+    lambda Y: sum_degen_moment(Y, 2, 1, 1, 3, 0),
+    lambda Y: dowling_poly_r(Y, Params(1, 0, 1), 3),
+    lambda Y: whitney_prob_r(Y, Params(1, 0, 1), 3, 1, "alt_sum"),
+    lambda Y: whitney_prob_r(Y, Params(1, 0, 1), 3, 1, "stirling_expand"),
+], ids=["kernel", "sum-moment", "rows", "alt_sum", "stirling_expand"])
+def test_a_scale_too_small_raises_instead_of_truncating(monkeypatch, call):
+    # Poisson(1/2) needs D = 2: with D = 1, K_1 = 1/2 is no integer.
+    clear_caches()
+    monkeypatch.setattr(moments_mod, "moment_base", lambda model: 1)
+    try:
+        with pytest.raises(ArithmeticError, match="not an integer"):
+            call(Poisson(Fraction(1, 2)))
+    finally:
+        clear_caches()

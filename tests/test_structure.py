@@ -19,7 +19,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # README's "References and public API" paragraph names the same ones.
 KEPT_PUBLIC = ("bell_partial", "stirling2_degen", "falling", "degen_falling",
                "sample_Y", "WhitneyTriangle", "WhitneyTriangle.entry",
-               "McEstimate.within")
+               "McEstimate.within", "sum_degen_moment_row",
+               "sum_degen_moment_rows", "egf_degen_exp")
 # The benchmark's per-layer report totals memo sizes for these modules only.
 MEMO_MODULES = {"probdowling.moments", "probdowling.bell",
                 "probdowling.dowling"}
@@ -83,19 +84,34 @@ def test_no_import_inside_a_function():
     assert found == []
 
 
+def _calls(tree, names):
+    return [node.func.id for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) in names]
+
+
 def test_hot_inner_sums_use_the_common_denominator_kernel():
     # These sums run once per coefficient or entry; builtin sum over
     # Fraction products would reduce by a gcd at every term.
     hot = (series.egf_mul_coeff, moments.degen_moment,
-           moments._grow_kernel, moments.sum_degen_moment_rows,
-           dowling.dowling_poly_r, dowling.whitney_prob_r,
+           moments._grow_kernel, moments.scaled_chain,
+           dowling.dowling_poly_r, dowling._grow_whitney,
+           dowling.whitney_prob_r,
            bell.bell_partial_column, bell._bell_partial_cached)
+    # The scaled growth loops hold integers, summed by ratcore.sumprod:
+    # no Fraction is built inside them.
+    scaled = (moments._grow_kernel, moments.scaled_chain,
+              dowling._grow_whitney)
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
     found = []
     for fn in hot:
         tree = ast.parse(inspect.getsource(inspect.unwrap(fn)).lstrip())
-        found += [fn.__name__ for node in ast.walk(tree)
-                  if isinstance(node, ast.Call)
-                  and getattr(node.func, "id", None) == "sum"]
+        found += [fn.__name__ for _ in _calls(tree, {"sum"})]
+        if fn in scaled:
+            found += [f"{fn.__name__}: {name}"
+                      for loop in ast.walk(tree) if isinstance(loop, loops)
+                      for name in _calls(loop, {"Fraction"})]
     assert found == []
 
 
