@@ -1,34 +1,43 @@
-"""Partial Bell polynomials on rational argument lists.
+"""Partial Bell polynomials on rational or integer argument lists.
 
 Two independent routes are provided on purpose.  ``bell_partial``
 enumerates partition index vectors directly (Comtet, *Advanced
 Combinatorics*, 3.3): tuples (l_1, ..., l_{n-k+1}) with l_1 + l_2 + ... = k
 blocks and l_1 + 2*l_2 + ... = n elements, each contributing the integer
-n!/prod(i!^{l_i} l_i!) times prod x_i^{l_i}, kept as one integer pair
-(numerator, denominator) so the terms add over one common denominator
-(``ratcore.pair_sum``).  The walk drops a branch as soon as its remaining
-blocks cannot hold its remaining elements.  The enumeration is memoized
-by the arguments' integer numerators and denominators, so a lookup hashes
-no Fraction; ``bell_partial_column`` reads them once for every
-l = k..n of one column, the ``bell_form`` Whitney route.  The series route
-``bell_partial_series`` reads the same numbers off the k-th power of an
-EGF; ``dowling.stirling2_prob`` reads it.  ``bell_partial_row`` runs the
-same power chain unmemoized for every k of one n, over rationals or
-polynomials in x; the identity battery reads its Bell sides from it.  The
-enumeration is the oracle for both, and the ``bell_form`` Whitney route.
+n!/prod(i!^{l_i} l_i!) times prod x_i^{l_i}.  The walk drops a branch as
+soon as its remaining blocks cannot hold its remaining elements.  The
+shapes of one (n, k, width), each vector's nonzero block counts with its
+integer count, are enumerated once and memoized (``_bell_shapes``), so
+the table does not grow with the argument lists it is evaluated on.  A
+value is an integer sum over the shapes at integer arguments
+(``_shape_sum``); rational arguments are scaled to their common
+denominator q first, and since B_{n,k} is homogeneous of degree k
+(B_{n,k}(a x) = a^k B_{n,k}(x)) the sum is divided by q^k once.
+``bell_column_ints`` gives one integer column B_{l,k}, l = k..n, for the
+``bell_form`` Whitney route, which passes the kernel's scaled integers;
+``bell_partial_column`` is the same column at rational arguments.  The
+series route ``bell_partial_series`` reads the same numbers off the k-th
+power of an EGF; ``dowling.stirling2_prob`` reads it.
+``bell_partial_row`` runs the same power chain unmemoized for every k of
+one n, over rationals or polynomials in x; the identity battery reads its
+Bell sides from it.  The enumeration is the oracle for both, and the
+``bell_form`` Whitney route.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Sequence, TypeVar
 
-from .ratcore import RationalLike, clear_caches, memo, pair_sum, rat
+from .ratcore import RationalLike, clear_caches, memo, rat
 from .series import EgfSeries, egf_const, egf_mul, egf_scale
 
 BellArgs = Sequence[RationalLike]
 Ring = TypeVar("Ring")
+# One shape of B_{n,k}: its integer count n!/prod(i!^l_i l_i!) and the
+# pairs (i - 1, l_i) of its nonzero block counts.
+Shape = tuple[int, tuple[tuple[int, int], ...]]
 
 
 def bell_partial(n: int, k: int, args: BellArgs) -> Fraction:
@@ -39,9 +48,8 @@ def bell_partial(n: int, k: int, args: BellArgs) -> Fraction:
     width = _require_bell_args(n, k, args)
     if k > n:
         return Fraction(0)
-    xs = tuple(rat(v) for v in args[:width])
-    return _bell_partial_cached(n, k, tuple(x.numerator for x in xs),
-                                tuple(x.denominator for x in xs))
+    ys, q = _common_scale([rat(v) for v in args[:width]])
+    return Fraction(_shape_sum(n, k, ys), q ** k)
 
 
 def bell_partial_column(n: int, k: int,
@@ -50,17 +58,22 @@ def bell_partial_column(n: int, k: int,
 
     args[i-1] holds x_i as a Fraction or an int, for i up to n - k + 1
     (no argument is read when k = 0).  Their numerators and denominators
-    are read once per call, and each l is one enumeration memo lookup on
-    prefixes of those integer tuples, so no lookup hashes a Fraction.
+    are read once per call, scaled to integers over their common
+    denominator q, and each l is one integer shape sum divided by q^k.
     """
-    xs = args[:_require_bell_args(n, k, args)]
-    nums = tuple(x.numerator for x in xs)
-    dens = tuple(x.denominator for x in xs)
-    return [_bell_partial_cached(l, k, nums[:l - k + 1], dens[:l - k + 1])
-            for l in range(k, n + 1)]
+    ys, q = _common_scale(args[:_require_bell_args(n, k, args)])
+    scale = q ** k
+    return [Fraction(b, scale) for b in bell_column_ints(n, k, ys)]
 
 
-def _require_bell_args(n: int, k: int, args: BellArgs) -> int:
+def bell_column_ints(n: int, k: int, ys: Sequence[int]) -> list[int]:
+    """B_{l,k}(y_1, ..., y_{l-k+1}) for l = k..n at integer arguments, as
+    ints (empty when k > n); ys[i-1] holds y_i, read up to n - k + 1."""
+    ys = ys[:_require_bell_args(n, k, ys)]
+    return [_shape_sum(l, k, ys[:l - k + 1]) for l in range(k, n + 1)]
+
+
+def _require_bell_args(n: int, k: int, args: Sequence) -> int:
     """The number of arguments B_{n,k} reads, n - k + 1 for 1 <= k <= n
     and none otherwise; ValueError for a negative index, or for fewer
     arguments than that."""
@@ -74,23 +87,36 @@ def _require_bell_args(n: int, k: int, args: BellArgs) -> int:
     return width
 
 
+def _common_scale(xs: Sequence[Fraction | int]) -> tuple[tuple[int, ...], int]:
+    """(y, q): q the lcm of the x_i's denominators, and y_i = q x_i."""
+    q = lcm(*(x.denominator for x in xs))
+    return tuple(x.numerator * (q // x.denominator) for x in xs), q
+
+
+def _shape_sum(n: int, k: int, ys: Sequence[int]) -> int:
+    """B_{n,k} at the integers ys, over the shapes of (n, k, len(ys)):
+    sum of count * prod y_i^l_i, in integers."""
+    total = 0
+    for count, blocks in _bell_shapes(n, k, len(ys)):
+        for i, l in blocks:
+            count *= ys[i] ** l
+        total += count
+    return total
+
+
 @memo
-def _bell_partial_cached(n: int, k: int, nums: tuple[int, ...],
-                         dens: tuple[int, ...]) -> Fraction:
-    """B_{n,k} at x_i = nums[i-1]/dens[i-1], keyed by those integers: a
-    lookup hashes no Fraction, and a key holds the arguments' own ints."""
-    n_fact, terms = factorial(n), []
-    for ls in _index_vectors(n, k, len(nums)):
-        # n!/prod(i!^l_i l_i!) set partitions have l_i blocks of size i;
-        # each contributes prod x_i^l_i = prod p_i^l_i / prod q_i^l_i.
-        count, num, den = 1, 1, 1
-        for i, (p, q, l) in enumerate(zip(nums, dens, ls), start=1):
+def _bell_shapes(n: int, k: int, width: int) -> tuple[Shape, ...]:
+    """The shapes of B_{n,k} over `width` arguments, one per index vector:
+    n!/prod(i!^l_i l_i!) set partitions have l_i blocks of size i."""
+    n_fact, shapes = factorial(n), []
+    for ls in _index_vectors(n, k, width):
+        count, blocks = 1, []
+        for i, l in enumerate(ls):
             if l:
-                count *= factorial(i) ** l * factorial(l)
-                num *= p ** l
-                den *= q ** l
-        terms.append((n_fact // count * num, den))
-    return pair_sum(terms)
+                count *= factorial(i + 1) ** l * factorial(l)
+                blocks.append((i, l))
+        shapes.append((n_fact // count, tuple(blocks)))
+    return tuple(shapes)
 
 
 def _index_vectors(n: int, k: int, width: int) -> list[tuple[int, ...]]:

@@ -32,11 +32,11 @@ import math
 from fractions import Fraction
 from typing import Callable
 
-from .bell import bell_partial_column, bell_partial_series
+from .bell import bell_column_ints, bell_partial_series
 from .moments import (MomentModel, scaled_chain, scaled_kernel, stored_kernel,
                       sum_degen_moment)
 from .ratcore import (Frozen, Params, RationalLike, binomial_row,
-                      clear_caches, dot, exact_int, memo, rat, sumprod)
+                      clear_caches, exact_int, memo, rat, sumprod)
 from .series import EgfSeries, egf_coeff
 
 WHITNEY_ROUTES = ("egf", "alt_sum", "stirling_expand", "bell_form")
@@ -139,30 +139,39 @@ def stirling2_degen(n: int, k: int, lam: RationalLike) -> Fraction:
 
     Coefficient n of (1/k!) (e_lam(t) - 1)^k; connects the generalized
     falling factorial to the ordinary falling-factorial basis, and
-    reduces to stirling2 at lam = 0.  Read off a memoized row built by
-    Carlitz's recurrence, so it shares no computation with stirling2_prob.
+    reduces to stirling2 at lam = 0.  Read off a memoized integer row
+    built by Carlitz's recurrence, entry k over den(lam)^(n-k), so it
+    shares no computation with stirling2_prob.
     """
     if n < 0 or k < 0:
         raise ValueError(f"indices must be nonnegative, got ({n}, {k})")
     if k > n:
         return Fraction(0)
-    return _stirling2_degen_row(n, rat(lam))[k]
+    lam = rat(lam)
+    return Fraction(_stirling2_degen_row(n, lam)[k],
+                    lam.denominator ** (n - k))
 
 
 @memo
-def _stirling2_degen_row(n: int, lam: Fraction) -> tuple[Fraction, ...]:
-    """Row n of the degenerate Stirling numbers of the second kind, by
-    S(n, k) = S(n-1, k-1) + (k - (n-1) lam) S(n-1, k)."""
+def _stirling2_degen_row(n: int, lam: Fraction) -> tuple[int, ...]:
+    """Row n of the degenerate Stirling numbers of the second kind, each
+    entry scaled to the integer T(n, j) = q^(n-j) S(n, j) for lam = p/q.
+
+    Carlitz's recurrence S(n, j) = S(n-1, j-1) + (j - (n-1) lam) S(n-1, j),
+    times q^(n-j), is T(n, j) = T(n-1, j-1) + (j q - (n-1) p) T(n-1, j),
+    which has no division.
+    """
     if n == 0:
-        return (Fraction(1),)
+        return (1,)
     # Fill the lower rows upward first, so the call for row n - 1 is a memo
     # hit (or one frame deep) however large n is.
     for l in range(n - 1):
         _stirling2_degen_row(l, lam)
-    prev = _stirling2_degen_row(n - 1, lam) + (Fraction(0),)
-    shift = (n - 1) * lam
-    return (Fraction(0),) + tuple(prev[k - 1] + (k - shift) * prev[k]
-                                  for k in range(1, n + 1))
+    prev = _stirling2_degen_row(n - 1, lam) + (0,)
+    p, q = lam.numerator, lam.denominator
+    shift = (n - 1) * p
+    return (0,) + tuple(prev[j - 1] + (j * q - shift) * prev[j]
+                        for j in range(1, n + 1))
 
 
 def stirling2_prob(model: MomentModel, n: int, k: int,
@@ -211,22 +220,24 @@ def whitney_prob_r(model: MomentModel, params: Params, n: int, k: int,
       degenerate Stirling expansion of the falling factorial, so only
       ordinary falling-factorial moments of the copy sums appear: it
       reads the lam = 1 integer chain entries of copy counts 0..k, every
-      order up to n, in one lookup (``scaled_chain``), and the Carlitz row
-      ``_stirling2_degen_row(n, lam)`` once, each entry S(n, j) times
-      den(lam)^(n-j), checked integral, and sums only the orders j >= k
-      (the alternating sum of every lower order vanishes);
+      order up to n, in one lookup (``scaled_chain``), and the integer
+      Carlitz row ``_stirling2_degen_row(n, lam)`` once, whose entry j is
+      den(lam)^(n-j) S(n, j), weighted by powers of den(lam) and of the
+      chain's scale grown by running products, and sums only the orders
+      j >= k (the alternating sum of every lower order vanishes);
     - "bell_form": partial Bell polynomials of the kernel coefficients
-      E[(mY)_{j,lam}], sliced from the stored kernel (``stored_kernel``)
-      and evaluated by partition enumeration through one
-      ``bell_partial_column`` call, whose memo lookups hash no Fraction,
-      weighted by (r)_{n-l,lam}, read as the integers L^i (r)_{i,lam} of
-      entry 0 of the sum-moment chain (``scaled_chain`` with no copies),
-      the degenerate exponential of r, which reads no moment.
+      c_i = E[(mY)_{i,lam}], evaluated by partition enumeration at the
+      kernel's integers K_i = L^i c_i (``scaled_kernel``) through one
+      ``bell_column_ints`` call: B_{l,k}(c) = B_{l,k}(K) / L^l by
+      homogeneity.  Each is weighted by C(n, l) (r)_{n-l,lam}, read as
+      the integers L^i (r)_{i,lam} of entry 0 of the sum-moment chain
+      (``scaled_chain`` with no copies), the degenerate exponential of r,
+      which reads no moment, so every term is an integer over L^n.
 
-    Each oracle route divides once at its end: "alt_sum" and
-    "stirling_expand" build one Fraction from an integer sum, and
-    "bell_form" ends with one ``ratcore.dot`` over a common denominator,
-    which divides by m^k L^(n-k) in the same reduction.
+    Each oracle route builds one Fraction from an integer sum at its end:
+    "alt_sum" and "bell_form" over m^k L^n (times k! for "alt_sum"), and
+    "stirling_expand" over den(lam)^(n-k) D^n m^k k!, with D the scale
+    of the lam = 1 chain.
 
     k > n returns 0: the generating kernel's series starts at t^k.
     """
@@ -249,32 +260,36 @@ def whitney_prob_r(model: MomentModel, params: Params, n: int, k: int,
         # Column j of the lam = 1 chain holds D^j E[(m S_l + r)_j] for
         # l = 0..k, a polynomial of degree <= j in l (coefficient j of
         # P^l e_1^r, P_0 = 1), so its k-th difference, the signed sum, is
-        # 0 for j < k: only the columns j = k..n are summed.  The Carlitz
-        # entry S(n, j) is a polynomial of degree n - j in lam with integer
-        # coefficients, so den(lam)^(n-j) S(n, j) is an integer, and every
-        # term is an integer over (den(lam) D)^n.
+        # 0 for j < k: only the columns j = k..n are summed.  Column j
+        # weighs S(n, j) / D^j = T(n, j) / (den(lam)^(n-j) D^j) with the
+        # Carlitz integer T(n, j), so over den(lam)^(n-k) D^n its weight
+        # is T(n, j) den(lam)^(j-k) D^(n-j), both powers grown by products.
         chain, base = scaled_chain(model, k, m, r, n, _PLAIN_LAM)
         den = lam.denominator
-        scaled = [exact_int(s, den ** (n - j)) * den ** j * base ** (n - j)
-                  for j, s in enumerate(_stirling2_degen_row(n, lam)[k:],
-                                        start=k)]
+        ups, downs = [1], [1]
+        for _ in range(n - k):
+            ups.append(ups[-1] * den)
+            downs.append(downs[-1] * base)
+        scaled = [t * u * d for t, u, d in
+                  zip(_stirling2_degen_row(n, lam)[k:], ups, reversed(downs))]
         signed = _signed_binomials(k)
         columns = zip(*(chain[l][k:n + 1] for l in range(k + 1)))
         return Fraction(
             sumprod(scaled, [sumprod(signed, column) for column in columns]),
-            (den * base) ** n * m ** k * math.factorial(k))
+            ups[-1] * base ** n * m ** k * math.factorial(k))
     # route == "bell_form"
-    # B_{l,k} reads x_1..x_(l-k+1) for k >= 1, and no argument for k = 0.
+    # B_{l,k} reads K_1..K_(l-k+1) for k >= 1, and no argument for k = 0.
     width = n - k + 1 if k else 0
-    kernel = stored_kernel(model, m, lam, width).coeffs
+    ints = scaled_kernel(model, m, lam, width)[1]
     # Entry 0 of the chain: L^i (r)_{i,lam}, the degenerate exponential of
-    # r, which reads no moment; term l is over L^(n-l), so over L^(n-k).
+    # r, which reads no moment.  Its L is the kernel's, so term l,
+    # C(n, l) L^(n-l) (r)_{n-l,lam} B_{l,k}(K), is over L^n.
     chain, base = scaled_chain(model, 0, m, r, n - k, lam)
     shifted = chain[0]
-    bells = bell_partial_column(n, k, kernel[1:width + 1])
-    weights = [c * shifted[n - l] * base ** (l - k)
+    weights = [c * shifted[n - l]
                for l, c in enumerate(binomial_row(n)[k:], start=k)]
-    return dot(bells, weights, divisor=m ** k * base ** (n - k))
+    bells = bell_column_ints(n, k, ints[1:width + 1])
+    return Fraction(sumprod(weights, bells), m ** k * base ** n)
 
 
 def _signed_binomials(k: int) -> list[int]:

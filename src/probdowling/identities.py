@@ -62,14 +62,18 @@ def check_sum_identity(model: MomentModel, params: Params, n: int,
     """Partial sums of E[(m S_k + 1)_{n,lam}] against weighted Whitney numbers.
 
     sum_{k<=N} E[(m S_k + 1)_{n,lam}]
-        = sum_{l<=N} l! m^l C(N+1, l+1) W(n, l).
+        = sum_{l<=N} l! m^l C(N+1, l+1) W(n, l),
+
+    whose terms with l > n vanish (W(n, l) = 0), so the right side sums
+    l <= min(n, N) only.
     """
     _require_indices(n=n, N=N)
     m, lam = params.m, params.lam
     lhs = sum((sum_degen_moment(model, k, m, 1, n, lam) for k in range(N + 1)),
               Fraction(0))
     rhs = sum((factorial(l) * Fraction(m)**l * binom(N + 1, l + 1)
-               * whitney_prob(model, params, n, l) for l in range(N + 1)),
+               * whitney_prob(model, params, n, l)
+               for l in range(min(n, N) + 1)),
               Fraction(0))
     return _report("sum_moment_identity", model, params, {"n": n, "N": N},
                    lhs, rhs)

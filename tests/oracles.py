@@ -116,6 +116,19 @@ def bell_numbers(n):
     return out
 
 
+def stirling2_degen_carlitz(n, lam):
+    """Row n of the degenerate Stirling numbers of the second kind, in
+    Fractions, by Carlitz's recurrence
+    S(n, k) = S(n-1, k-1) + (k - (n-1) lam) S(n-1, k)."""
+    lam = Fraction(lam)
+    row = [Fraction(1)]
+    for top in range(1, n + 1):
+        prev = row + [Fraction(0)]
+        row = [Fraction(0)] + [prev[k - 1] + (k - (top - 1) * lam) * prev[k]
+                               for k in range(1, top + 1)]
+    return row
+
+
 def egf_add(a: EgfSeries, b: EgfSeries) -> EgfSeries:
     _require_same_order(a, b, "egf_add")
     return EgfSeries(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from probdowling import (EgfSeries, PolyX, bell_partial, bell_partial_column,
                          bell_partial_series, egf_coeff)
+from probdowling import bell as bell_mod
 from probdowling.bell import _index_vectors, bell_partial_row
 from probdowling.dowling import POLY_ONE
 
@@ -36,6 +37,29 @@ def test_partial_matches_set_partition_enumeration():
         args = random_args(rng, max(n, 1))
         for k in range(n + 1):
             assert bell_partial(n, k, args) == bell_partial_brute(n, k, args)
+
+
+def test_partial_with_mixed_denominators_matches_set_partitions():
+    # The arguments are scaled to one common denominator (here 2520) and
+    # the integer sum is divided by its k-th power once.
+    args = [Fraction(1, 2), Fraction(-2, 3), 3, Fraction(5, 7), "-1/4",
+            Fraction(7, 9), Fraction(-11, 6), Fraction(3, 5)]
+    for n in range(9):
+        for k in range(n + 1):
+            assert bell_partial(n, k, args) == bell_partial_brute(n, k, args)
+
+
+def test_shape_table_is_keyed_by_shape_not_by_arguments():
+    # A second argument list for the same (n, k) reads the same shapes:
+    # the table gains no entry, and the values differ as they should.
+    first = [Fraction(1, 2), 2, Fraction(-3, 5), 4, 5]
+    second = [3, Fraction(-1, 4), 1, Fraction(2, 9), 7]
+    bell_mod.clear_caches()
+    assert bell_partial(7, 3, first) == bell_partial_brute(7, 3, first)
+    size = bell_mod._bell_shapes.cache_info().currsize
+    assert size > 0
+    assert bell_partial(7, 3, second) == bell_partial_brute(7, 3, second)
+    assert bell_mod._bell_shapes.cache_info().currsize == size
 
 
 def test_partial_matches_series_route():

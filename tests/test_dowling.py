@@ -22,7 +22,7 @@ from probdowling.dowling import WHITNEY_ROUTES, POLY_ZERO
 from probdowling.series import egf_mul_coeff
 
 from oracles import (bell_numbers, egf_exp, egf_pow, egf_sub,
-                     stirling2_brute)
+                     stirling2_brute, stirling2_degen_carlitz)
 
 PM1 = PointMass(Fraction(1))
 BE = Bernoulli(Fraction(1, 2))
@@ -93,6 +93,18 @@ def test_stirling2_prob_point_mass_bridge(lam):
         for k in range(n + 1):
             assert stirling2_prob(PM1, n, k, lam) == \
                 stirling2_degen(n, k, lam)
+
+
+@pytest.mark.parametrize("lam", [Fraction(-3, 2), Fraction(-1, 3),
+                                 Fraction(0), Fraction(2, 5), Fraction(1)])
+def test_stirling2_degen_matches_the_fraction_carlitz_rows(lam):
+    # The stored row holds the integers den(lam)^(n-k) S(n, k); each read
+    # divides once, and must equal the recurrence run in Fractions.
+    for n in range(13):
+        assert [stirling2_degen(n, k, lam) for k in range(n + 1)] == \
+            stirling2_degen_carlitz(n, lam), n
+        assert all(type(t) is int
+                   for t in dowling_mod._stirling2_degen_row(n, lam)), n
 
 
 def test_stirling_bridge_sides_reach_different_memo_tables():

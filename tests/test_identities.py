@@ -9,7 +9,8 @@ from probdowling import (Bernoulli, DiscreteUniform, Geometric, Params,
                          check_bell_rwhitney, check_binom_bell,
                          check_binomial_inversion, check_convolution,
                          check_derivative, check_recurrence,
-                         check_stirling_bell, check_sum_identity, dowling_poly)
+                         check_stirling_bell, check_sum_identity, dowling_poly,
+                         whitney_prob)
 from probdowling import dowling as dowling_mod
 from probdowling import identities
 from probdowling.cli import CHECK_X_POINTS
@@ -40,6 +41,26 @@ def test_sum_identity_frozen_value():
     assert rep.lhs == 14 and rep.passed
     rep0 = check_sum_identity(Bernoulli(Fraction(1, 2)), Params(2, 0, 1), 0, 3)
     assert rep0.lhs == 4 and rep0.passed
+
+
+@pytest.mark.parametrize("n, N, value", [
+    (4, 30, Fraction(63901726, 9)), (5, 2, Fraction(11690, 27))])
+def test_sum_identity_reads_whitney_columns_up_to_n_only(monkeypatch, n, N,
+                                                        value):
+    # W(n, l) = 0 for l > n, so the right side reads min(n, N) + 1 columns
+    # however large N is; the pinned values are those of the full sum.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return whitney_prob(*args)
+
+    monkeypatch.setattr(identities, "whitney_prob", counted)
+    Y, params = Bernoulli(Fraction(1, 2)), Params(2, Fraction(1, 3), 1)
+    rep = check_sum_identity(Y, params, n, N)
+    assert len(calls) == min(n, N) + 1
+    assert rep.passed and rep.lhs == rep.rhs == value
+    assert rep.bounds == {"n": n, "N": N}
 
 
 @pytest.mark.parametrize("params", PARAM_GRID)

@@ -17,7 +17,8 @@ PACKAGE_DIR = Path(probdowling.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
 # Public names kept on purpose even where no production path calls them;
 # README's "References and public API" paragraph names the same ones.
-KEPT_PUBLIC = ("bell_partial", "stirling2_degen", "falling", "degen_falling",
+KEPT_PUBLIC = ("bell_partial", "bell_partial_column", "stirling2_degen",
+               "falling", "degen_falling",
                "sample_Y", "WhitneyTriangle", "WhitneyTriangle.entry",
                "McEstimate.within", "sum_degen_moment_row",
                "sum_degen_moment_rows", "egf_degen_exp")
@@ -96,12 +97,13 @@ def test_hot_inner_sums_use_the_common_denominator_kernel():
     hot = (series.egf_mul_coeff, moments.degen_moment,
            moments._grow_kernel, moments.scaled_chain,
            dowling.dowling_poly_r, dowling._grow_whitney,
-           dowling.whitney_prob_r,
-           bell.bell_partial_column, bell._bell_partial_cached)
-    # The scaled growth loops hold integers, summed by ratcore.sumprod:
-    # no Fraction is built inside them.
+           dowling.whitney_prob_r, dowling._stirling2_degen_row,
+           bell.bell_partial_column, bell.bell_column_ints, bell._shape_sum)
+    # The scaled growth loops and the integer Bell and Carlitz sums hold
+    # integers: no Fraction is built inside their loops.
     scaled = (moments._grow_kernel, moments.scaled_chain,
-              dowling._grow_whitney)
+              dowling._grow_whitney, dowling._stirling2_degen_row,
+              bell.bell_column_ints, bell._shape_sum)
     loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
              ast.GeneratorExp)
     found = []
