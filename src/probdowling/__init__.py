@@ -4,8 +4,7 @@ exact moment sequences; every structural identity of the family is
 checkable by multi-route computation to exact rational equality.
 """
 
-from .bell import (bell_partial, bell_partial_column, bell_partial_row,
-                   bell_partial_series)
+from .bell import bell_partial, bell_partial_row, bell_partial_series
 from .dowling import (PolyX, WhitneyTriangle, dobinski_eval, dowling_number,
                       dowling_poly, dowling_poly_r, stirling2_degen,
                       stirling2_prob, whitney_prob, whitney_prob_r)
@@ -17,9 +16,7 @@ from .identities import (IdentityReport, check_bell_expansion,
 from .moments import (Bernoulli, Binomial, Custom, DiscreteUniform, Geometric,
                       MomentModel, MomentOrderError, PointMass, Poisson,
                       degen_moment, egf_mgf_degen, model_from_config,
-                      model_to_config, raw_moment, stored_kernel,
-                      sum_degen_moment, sum_degen_moment_row,
-                      sum_degen_moment_rows)
+                      model_to_config, raw_moment, sum_degen_moment)
 from .montecarlo import McEstimate, estimate_sum_degen_moment, sample_Y
 from .ratcore import (Params, binom, clear_caches, degen_falling, falling,
                       format_rational, rat, stirling2)

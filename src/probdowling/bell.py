@@ -13,10 +13,10 @@ value is an integer sum over the shapes at integer arguments
 (``_shape_sum``); rational arguments are scaled to their common
 denominator q first, and since B_{n,k} is homogeneous of degree k
 (B_{n,k}(a x) = a^k B_{n,k}(x)) the sum is divided by q^k once.
+``bell_partial`` is the one reader at rational arguments, and
 ``bell_column_ints`` gives one integer column B_{l,k}, l = k..n, for the
-``bell_form`` Whitney route, which passes the kernel's scaled integers;
-``bell_partial_column`` is the same column at rational arguments.  The
-series route ``bell_partial_series`` reads the same numbers off the k-th
+``bell_form`` Whitney route, which passes the kernel's scaled integers.
+The series route ``bell_partial_series`` reads the same numbers off the k-th
 power of an EGF; ``dowling.stirling2_prob`` reads it.
 ``bell_partial_row`` runs the same power chain unmemoized for every k of
 one n, over rationals or polynomials in x; the identity battery reads its
@@ -52,20 +52,6 @@ def bell_partial(n: int, k: int, args: BellArgs) -> Fraction:
     return Fraction(_shape_sum(n, k, ys), q ** k)
 
 
-def bell_partial_column(n: int, k: int,
-                        args: Sequence[Fraction | int]) -> list[Fraction]:
-    """B_{l,k}(x_1, ..., x_{l-k+1}) for l = k..n (empty when k > n).
-
-    args[i-1] holds x_i as a Fraction or an int, for i up to n - k + 1
-    (no argument is read when k = 0).  Their numerators and denominators
-    are read once per call, scaled to integers over their common
-    denominator q, and each l is one integer shape sum divided by q^k.
-    """
-    ys, q = _common_scale(args[:_require_bell_args(n, k, args)])
-    scale = q ** k
-    return [Fraction(b, scale) for b in bell_column_ints(n, k, ys)]
-
-
 def bell_column_ints(n: int, k: int, ys: Sequence[int]) -> list[int]:
     """B_{l,k}(y_1, ..., y_{l-k+1}) for l = k..n at integer arguments, as
     ints (empty when k > n); ys[i-1] holds y_i, read up to n - k + 1."""
@@ -87,7 +73,7 @@ def _require_bell_args(n: int, k: int, args: Sequence) -> int:
     return width
 
 
-def _common_scale(xs: Sequence[Fraction | int]) -> tuple[tuple[int, ...], int]:
+def _common_scale(xs: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     """(y, q): q the lcm of the x_i's denominators, and y_i = q x_i."""
     q = lcm(*(x.denominator for x in xs))
     return tuple(x.numerator * (q // x.denominator) for x in xs), q

@@ -33,8 +33,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .bell import bell_column_ints, bell_partial_series
-from .moments import (MomentModel, scaled_chain, scaled_kernel, stored_kernel,
-                      sum_degen_moment)
+from .moments import (MomentModel, egf_mgf_degen, scaled_chain,
+                      scaled_kernel, sum_degen_moment)
 from .ratcore import (Frozen, Params, RationalLike, binomial_row,
                       clear_caches, exact_int, memo, rat, sumprod)
 from .series import EgfSeries, egf_coeff
@@ -186,7 +186,7 @@ def stirling2_prob(model: MomentModel, n: int, k: int,
     if k > n:
         return Fraction(0)
     # The kernel E[e_lam^Y(t)] at order n, less its constant term 1.
-    inner = EgfSeries((0,) + stored_kernel(model, 1, lam, n).coeffs[1:n + 1])
+    inner = EgfSeries((0,) + egf_mgf_degen(model, 1, lam, n).coeffs[1:])
     return egf_coeff(bell_partial_series(k, inner), n)
 
 
@@ -280,7 +280,7 @@ def whitney_prob_r(model: MomentModel, params: Params, n: int, k: int,
     # route == "bell_form"
     # B_{l,k} reads K_1..K_(l-k+1) for k >= 1, and no argument for k = 0.
     width = n - k + 1 if k else 0
-    ints = scaled_kernel(model, m, lam, width)[1]
+    ints = scaled_kernel(model, m, lam, width)[0]
     # Entry 0 of the chain: L^i (r)_{i,lam}, the degenerate exponential of
     # r, which reads no moment.  Its L is the kernel's, so term l,
     # C(n, l) L^(n-l) (r)_{n-l,lam} B_{l,k}(K), is over L^n.
@@ -390,7 +390,7 @@ def _grow_whitney(model: MomentModel, params: Params,
     (``scaled_kernel``): W's recurrence times k! m^k L^n, with no division.
     The stored columns are copied, never extended in place.
     """
-    _, ints, base = scaled_kernel(model, params.m, params.lam, n)
+    ints, base = scaled_kernel(model, params.m, params.lam, n)
     step = exact_int(params.lam, base)
     G = [ints[j + 1] + j * step * ints[j] for j in range(n)]
     cols = [col[:] for col in cols]

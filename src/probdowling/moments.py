@@ -5,27 +5,25 @@ moment E[Y^n].  Built-in models all have a moment generating function in a
 neighborhood of 0.  Sums S_k = Y_1 + ... + Y_k of independent copies are
 handled through EGF powers: the series with coefficient n equal to
 E[(scale*Y)_{n,lam}] is raised to the k-th power, which is exactly the
-expectation of the product over independent copies.  That series, the
-Whitney kernel ``egf_mgf_degen``, is stored once per (model, scale, lam),
-``_mgf_kernel``, grown to the highest order asked with one ``degen_moment``
-per new coefficient, and read whole or as a prefix; ``stored_kernel``
-returns the stored series itself, for callers that slice it.
+expectation of the product over independent copies.
 
-Beside the series the store keeps integers.  Each model has a
-denominator base D (``moment_base``) with D^n E[Y^n] an integer for
-every n, and L = lcm(den lam, D) is one scale per (model, lam): every
-K_n = L^n E[(scale*Y)_{n,lam}] is an integer, checked as it is grown
-(a non-integer raises ArithmeticError, never truncates), and
-``scaled_kernel`` returns the series, K and L.  The kernel's powers
-times the degenerate exponential of a shift are the sum moments, stored
-once, as the integers L^n E[(scale*S_k + shift)_{n,lam}], in one chain
-per (model, scale, shift, lam), ``_mgf_chain``, grown the same way by
-integer binomial convolutions, so nothing is rebuilt or kept per order.
+Each model has a denominator base D (``moment_base``) with D^n E[Y^n]
+an integer for every n, and L = lcm(den lam, D) is one scale per
+(model, lam).  The Whitney kernel is stored once per (model, scale, lam),
+``_mgf_kernel``, as integers only: K_n = L^n E[(scale*Y)_{n,lam}], grown
+to the highest order asked with one ``degen_moment`` per new coefficient
+and checked as it is grown (a non-integer raises ArithmeticError, never
+truncates).  ``scaled_kernel`` returns K and L, and ``egf_mgf_degen``,
+its one Fraction reader, divides K_n by L^n into the series whole or as
+a prefix.  The kernel's powers times the degenerate exponential of a
+shift are the sum moments, stored once, as the integers
+L^n E[(scale*S_k + shift)_{n,lam}], in one chain per (model, scale,
+shift, lam), ``_mgf_chain``, grown the same way by integer binomial
+convolutions, so nothing is rebuilt or kept per order.
 ``scaled_chain`` is the one chain function: one argument check and one
 chain lookup return the integer entries 0..k to order n, grown first if
-entry k is too short.  ``sum_degen_moment`` (one coefficient),
-``sum_degen_moment_row`` (one entry) and ``sum_degen_moment_rows``
-(entries 0..k) divide what it returns into Fractions.
+entry k is too short.  ``sum_degen_moment``, its one Fraction reader,
+divides one coefficient by L^n.
 
 Poisson and geometric raw moments follow from the lower ones by a
 binomial recurrence (Touchard's for Poisson), one ``ratcore.dot`` each;
@@ -239,31 +237,23 @@ def egf_mgf_degen(model: MomentModel, scale: int, lam: Fraction,
 
     This is the expectation of the degenerate exponential of scale*Y,
     the generating kernel of the probabilistic Whitney families: the
-    stored kernel (``stored_kernel``) whole, or its prefix.
+    integers K_n of ``scaled_kernel`` for n up to `order`, each divided
+    by L^n, with the power of L kept as a running product.
     """
-    kernel = stored_kernel(model, scale, lam, order)
-    if kernel.order == order:
-        return kernel
-    return EgfSeries(kernel.coeffs[:order + 1])
-
-
-def stored_kernel(model: MomentModel, scale: int, lam: Fraction,
-                  order: int) -> EgfSeries:
-    """The one kernel per (model, scale, lam), ``_mgf_kernel``, grown there
-    first if it is shorter than `order`: coefficient n is
-    E[(scale*Y)_{n,lam}] for every n up to its order, which may exceed
-    `order`.  The arguments are checked before the store is read, so a
-    caller that slices the coefficients builds no prefix series.
-    """
-    return scaled_kernel(model, scale, lam, order)[0]
+    ints, base = scaled_kernel(model, scale, lam, order)
+    coeffs, power = [], 1
+    for K in ints[:order + 1]:
+        coeffs.append(Fraction(K, power))
+        power *= base
+    return EgfSeries(coeffs)
 
 
 def scaled_kernel(model: MomentModel, scale: int, lam: Fraction, order: int
-                  ) -> tuple[EgfSeries, tuple[int, ...], int]:
-    """(series, K, L) of the ``_mgf_kernel`` slot of (model, scale, lam),
-    grown there first if it is shorter than `order`: the stored series,
-    the integers K_n = L^n E[(scale*Y)_{n,lam}] for every n up to at least
-    `order`, and L = lcm(den lam, D) with D the model's ``moment_base``.
+                  ) -> tuple[tuple[int, ...], int]:
+    """(K, L) of the ``_mgf_kernel`` slot of (model, scale, lam), grown
+    there first if it is shorter than `order`: the integers
+    K_n = L^n E[(scale*Y)_{n,lam}] for every n up to at least `order`,
+    and L = lcm(den lam, D) with D the model's ``moment_base``.
     The arguments are checked before the store is read.
     """
     if scale < 1:
@@ -272,7 +262,7 @@ def scaled_kernel(model: MomentModel, scale: int, lam: Fraction, order: int
         raise ValueError(f"order must be nonnegative, got {order}")
     lam = rat(lam)
     slot = _mgf_kernel(model, scale, lam)
-    if slot[0].order < order:
+    if len(slot[0]) <= order:
         _grow_kernel(model, scale, lam, slot, order)
     return tuple(slot)
 
@@ -302,32 +292,29 @@ def moment_base(model: MomentModel) -> int:
 def _mgf_kernel(model: MomentModel, scale: int, lam: Fraction) -> list:
     """The kernel of (model, scale, lam), shared by every truncation order.
 
-    One slot [series, K, L]: the series of E[(scale*Y)_{n,lam}] up to the
-    highest order asked so far, the integers K_n = L^n E[(scale*Y)_{n,lam}]
-    beside it, and the scale L = lcm(den lam, D) of (model, lam), with D
-    the ``moment_base``: every E[(scale*Y)_{n,lam}] is a sum of terms
-    lam^(n-i) scale^i E[Y^i] with integer weights, so L^n clears its
-    denominator.  It starts at order 0, whose coefficient 1 reads no
-    moment.  Like an ``_mgf_chain`` entry, the series and K are replaced
-    whole, in one step, by longer immutable ones (``_grow_kernel``), never
-    changed in place, so a failed growth leaves the slot as it was and a
-    reader in another thread sees old or new values, all correct.
+    One slot [K, L]: the integers K_n = L^n E[(scale*Y)_{n,lam}] up to the
+    highest order asked so far, and the scale L = lcm(den lam, D) of
+    (model, lam), with D the ``moment_base``: every E[(scale*Y)_{n,lam}]
+    is a sum of terms lam^(n-i) scale^i E[Y^i] with integer weights, so
+    L^n clears its denominator.  It starts at order 0, whose coefficient
+    1 reads no moment.  Like an ``_mgf_chain`` entry, K is replaced whole,
+    in one step, by a longer tuple (``_grow_kernel``), never changed in
+    place, so a failed growth leaves the slot as it was and a reader in
+    another thread sees the old or the new K, both correct.
     """
-    return [EgfSeries((Fraction(1),)), (1,),
-            lcm(lam.denominator, moment_base(model))]
+    return [(1,), lcm(lam.denominator, moment_base(model))]
 
 
 def _grow_kernel(model: MomentModel, scale: int, lam: Fraction,
                  slot: list, order: int) -> None:
-    """slot extended to `order`: coefficient n is E[(scale*Y)_{n,lam}]
-    = scale^n E[(Y)_{n,lam/scale}], one ``degen_moment`` per new n, and
-    K_n is that times L^n, checked integral (``ratcore.exact_int``)."""
+    """slot's K extended to `order`: K_n = L^n E[(scale*Y)_{n,lam}]
+    = (scale L)^n E[(Y)_{n,lam/scale}], one ``degen_moment`` per new n,
+    checked integral (``ratcore.exact_int``)."""
     mu = lam / scale
-    kernel, ints, base = slot
-    new = tuple(scale ** n * degen_moment(model, n, mu)
-                for n in range(len(ints), order + 1))
-    slot[:2] = (EgfSeries(kernel.coeffs + new), ints + tuple(
-        exact_int(c, base ** n) for n, c in enumerate(new, start=len(ints))))
+    ints, base = slot
+    slot[0] = ints + tuple(exact_int(degen_moment(model, n, mu),
+                                     (scale * base) ** n)
+                           for n in range(len(ints), order + 1))
 
 
 @memo
@@ -379,7 +366,7 @@ def scaled_chain(model: MomentModel, k: int, scale: int, shift: int, n: int,
             # serves it.  weighted[i][l] = C(i, l) K_l, the same for every
             # entry; entry k is the shortest, so rows below its length are
             # never read.
-            ints = scaled_kernel(model, scale, lam, n)[1]
+            ints = scaled_kernel(model, scale, lam, n)[0]
             start = len(chain.get(k, ()))
             weighted = [()] * start + [
                 [c * K for c, K in zip(binomial_row(i), ints)]
@@ -391,35 +378,12 @@ def scaled_chain(model: MomentModel, k: int, scale: int, shift: int, n: int,
     return chain, base
 
 
-def _unscaled(entry: tuple[int, ...], base: int,
-              stop: int) -> tuple[Fraction, ...]:
-    """Coefficients 0..stop - 1 of a chain entry, each divided by L^i."""
-    return tuple(Fraction(a, base ** i) for i, a in enumerate(entry[:stop]))
-
-
 def sum_degen_moment(model: MomentModel, k: int, scale: int, shift: int,
                      n: int, lam: RationalLike) -> Fraction:
     """Exact E[(scale*S_k + shift)_{n,lam}] with S_k = Y_1 + ... + Y_k:
     coefficient n of entry k of ``scaled_chain``, divided by L^n."""
     chain, base = scaled_chain(model, k, scale, shift, n, lam)
     return Fraction(chain[k][n], base ** n)
-
-
-def sum_degen_moment_row(model: MomentModel, k: int, scale: int, shift: int,
-                         n: int, lam: RationalLike) -> tuple[Fraction, ...]:
-    """E[(scale*S_k + shift)_{i,lam}] for i = 0..n: entry k of
-    ``scaled_chain``, coefficient i divided by L^i."""
-    chain, base = scaled_chain(model, k, scale, shift, n, lam)
-    return _unscaled(chain[k], base, n + 1)
-
-
-def sum_degen_moment_rows(model: MomentModel, k: int, scale: int, shift: int,
-                          n: int, lam: RationalLike
-                          ) -> list[tuple[Fraction, ...]]:
-    """E[(scale*S_j + shift)_{i,lam}] for j = 0..k (row j) and i = 0..n:
-    entries 0..k of ``scaled_chain``, coefficient i divided by L^i."""
-    chain, base = scaled_chain(model, k, scale, shift, n, lam)
-    return [_unscaled(chain[j], base, n + 1) for j in range(k + 1)]
 
 
 def require_sum_args(k: int, scale: int, shift: int, n: int) -> None:

@@ -10,15 +10,16 @@ ArithmeticError rather than truncating.  Hot sums of Fraction products
 do not add Fractions term by term, which reduces by a gcd at every step:
 ``dot`` and ``pair_sum`` accumulate integer numerators over one running
 common denominator (the lcm of the terms') and reduce once, returning
-the same Fraction; a final integer divisor joins that one reduction.
+the same Fraction.
 
 Memo tables hold immutable values too.  Three tables hold entries that
-grow: the Whitney kernel ``moments._mgf_kernel`` (one per model, scale
-and lam: the series of E[(scale*Y)_{n,lam}] and its scaled integers),
-the sum-moment chain ``moments._mgf_chain`` (one per model, scale, shift
-and lam, whose entry k holds the scaled integers of
-E[(scale*S_k + shift)_{n,lam}]) and the Whitney rows
-``dowling._whitney_rows`` (one per model and parameters).  Each replaces
+grow, integers over one known denominator: the Whitney kernel
+``moments._mgf_kernel`` (one per model, scale and lam, the scaled
+integers of E[(scale*Y)_{n,lam}]), the sum-moment chain
+``moments._mgf_chain`` (one per model, scale, shift and lam, whose entry
+k holds the scaled integers of E[(scale*S_k + shift)_{n,lam}]) and the
+Whitney rows ``dowling._whitney_rows`` (one per model and parameters,
+the scaled integers beside the ``PolyX`` rows divided from them).  Each replaces
 an entry whole by a longer immutable one, so a reader in another thread
 sees an old or a new entry, both correct, and never a half-built one.
 The degeneracy parameter ``lam`` may be any rational including 0, which
@@ -60,13 +61,11 @@ def clear_caches() -> None:
         table.cache_clear()
 
 
-def pair_sum(pairs: Iterable[tuple[int, int]], divisor: int = 1) -> Fraction:
-    """sum of num/den over integer pairs (num, den) with den > 0, divided
-    by the positive integer `divisor`.
+def pair_sum(pairs: Iterable[tuple[int, int]]) -> Fraction:
+    """sum of num/den over integer pairs (num, den) with den > 0.
 
     Numerators accumulate over a running common denominator, the lcm of
-    the pairs' denominators so far, and the total is reduced once, the
-    divisor included.
+    the pairs' denominators so far, and the total is reduced once.
     """
     num, den = 0, 1
     for n, d in pairs:
@@ -78,13 +77,12 @@ def pair_sum(pairs: Iterable[tuple[int, int]], divisor: int = 1) -> Fraction:
             g = gcd(den, d)
             num = num * (d // g) + n * (den // g)
             den = den // g * d
-    return Fraction(num, den * divisor)
+    return Fraction(num, den)
 
 
 def dot(xs: Sequence[Fraction | int], ys: Sequence[Fraction | int],
-        weights: Sequence[Fraction | int] | None = None,
-        divisor: int = 1) -> Fraction:
-    """sum_i w_i x_i y_i / divisor (w_i = 1 without weights) for ints and
+        weights: Sequence[Fraction | int] | None = None) -> Fraction:
+    """sum_i w_i x_i y_i (w_i = 1 without weights) for ints and
     Fractions, exactly, through ``pair_sum``.  Operands of different
     lengths raise ValueError, so a short one never truncates the sum."""
     if weights is None:
@@ -94,7 +92,7 @@ def dot(xs: Sequence[Fraction | int], ys: Sequence[Fraction | int],
         pairs = ((w.numerator * x.numerator * y.numerator,
                   w.denominator * x.denominator * y.denominator)
                  for w, x, y in zip(weights, xs, ys, strict=True))
-    return pair_sum(pairs, divisor)
+    return pair_sum(pairs)
 
 
 def sumprod(xs: Iterable[int], ys: Iterable[int]) -> int:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from probdowling import (EgfSeries, PolyX, bell_partial, bell_partial_column,
-                         bell_partial_series, egf_coeff)
+from probdowling import (EgfSeries, PolyX, bell_partial, bell_partial_series,
+                         egf_coeff)
 from probdowling import bell as bell_mod
 from probdowling.bell import _index_vectors, bell_partial_row
 from probdowling.dowling import POLY_ONE
@@ -155,20 +155,3 @@ def test_pruned_index_walk_matches_the_unpruned_walk():
             for width in range(n + 2):
                 assert list(_index_vectors(n, k, width)) == \
                     list(index_vectors_unpruned(n, k, width)), (n, k, width)
-
-
-def test_column_matches_one_enumeration_per_row():
-    # One column B_{l,k}, l = k..n, from one read of the arguments' integer
-    # numerators and denominators, with ints and Fractions mixed.
-    rng = random.Random(31)
-    for n in range(9):
-        for k in range(n + 2):
-            args = random_args(rng, n + 1)
-            args[::3] = [int(x * 2) for x in args[::3]]
-            assert bell_partial_column(n, k, args) == \
-                [bell_partial(l, k, args) for l in range(k, n + 1)], (n, k)
-    assert bell_partial_column(2, 0, []) == [1, 0, 0]
-    with pytest.raises(ValueError, match="3 arguments"):
-        bell_partial_column(4, 2, [1, 2])
-    with pytest.raises(ValueError, match="nonnegative"):
-        bell_partial_column(3, -1, [1, 2, 3])

@@ -1,6 +1,9 @@
+import ast
 import math
+import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +16,7 @@ from probdowling import (Bernoulli, Binomial, Custom, DiscreteUniform,
                          egf_scale,
                          egf_mgf_degen, falling, raw_moment, stirling2,
                          stirling2_degen, stirling2_prob, sum_degen_moment,
-                         sum_degen_moment_rows, whitney_prob, whitney_prob_r)
+                         whitney_prob, whitney_prob_r)
 from probdowling import bell as bell_mod
 from probdowling import dowling as dowling_mod
 from probdowling import moments as moments_mod
@@ -33,6 +36,31 @@ lam_values = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-1, 3)]
 # points pin a polynomial of that degree exactly.
 def xpoints(degree):
     return [Fraction(i, 2) for i in range(-1, degree + 1)]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_example_returns_the_values_it_states():
+    # Run README's library example statement by statement: each
+    # expression's value must be the Fraction its comment names.
+    text = README.read_text().split("## Library example", 1)[1]
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace, values = {}, []
+    for stmt in ast.parse(block).body:
+        code = ast.get_source_segment(block, stmt)
+        if not isinstance(stmt, ast.Expr):
+            exec(code, namespace)
+            continue
+        value = eval(code, namespace)
+        stated = re.search(r"#.*Fraction\((\d+), (\d+)\)",
+                           lines[stmt.lineno - 1])
+        if stated:
+            assert value == Fraction(int(stated[1]), int(stated[2])), code
+        values.append(value)
+    assert values == [Fraction(11, 6), Fraction(11, 6), Fraction(23, 6),
+                      Fraction(11, 4)]
 
 
 def test_polyx_behavior():
@@ -318,7 +346,8 @@ def test_stirling_expand_skips_only_vanishing_orders(model):
     # exactly 0 for every j < k.
     for m in (1, 2, 3):
         for r in (0, 1, 2):
-            rows = sum_degen_moment_rows(model, 8, m, r, 7, 1)
+            rows = [[sum_degen_moment(model, l, m, r, j, 1)
+                     for j in range(8)] for l in range(9)]
             for k in range(1, 9):
                 signed = [(-1) ** (k - l) * math.comb(k, l)
                           for l in range(k + 1)]

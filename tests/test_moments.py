@@ -13,8 +13,7 @@ from probdowling import (Bernoulli, Binomial, Custom, DiscreteUniform,
                          dobinski_eval, dowling_poly_r, egf_coeff,
                          egf_degen_exp, egf_mgf_degen, model_from_config,
                          model_to_config, raw_moment, stirling2,
-                         sum_degen_moment, sum_degen_moment_row,
-                         whitney_prob_r)
+                         sum_degen_moment, whitney_prob_r)
 import probdowling.moments as moments_mod
 from probdowling.moments import falling_row
 from probdowling.series import egf_mul_coeff
@@ -80,16 +79,6 @@ def test_poisson_and_geometric_moments_match_stirling_sums(model):
             expected = sum(stirling2(n, k) * factorial(k) * ratio ** k
                            for k in range(n + 1))
         assert raw_moment(model, n) == expected, n
-
-
-def test_sum_degen_moment_row_is_every_order_of_one_entry():
-    Y, lam = Geometric(Fraction(1, 3)), Fraction(-1, 2)
-    row = sum_degen_moment_row(Y, 3, 2, 1, 6, lam)
-    assert row == tuple(sum_degen_moment(Y, 3, 2, 1, n, lam)
-                        for n in range(7))
-    # A longer entry stored since is cut back to the orders asked.
-    sum_degen_moment(Y, 3, 2, 1, 9, lam)
-    assert sum_degen_moment_row(Y, 3, 2, 1, 6, lam) == row
 
 
 def test_geometric_general_p_first_moments():
@@ -209,7 +198,7 @@ def test_kernel_past_a_custom_list_fails_and_keeps_its_prefix():
     egf_mgf_degen(Y, 2, lam, 1)
     with pytest.raises(MomentOrderError):
         egf_mgf_degen(Y, 2, lam, 5)
-    assert moments_mod._mgf_kernel(Y, 2, lam)[0].order == 1
+    assert len(moments_mod._mgf_kernel(Y, 2, lam)[0]) == 2
     # E[(2Y)_{n,lam}] = 2^n E[(Y)_{n,lam/2}] from the declared moments.
     expected = tuple(2 ** n * degen_moment(Y, n, lam / 2) for n in range(4))
     assert egf_mgf_degen(Y, 2, lam, 3).coeffs == expected
@@ -458,7 +447,7 @@ def test_one_more_copy_reads_only_the_entry_below(monkeypatch):
     lambda Y: sum_degen_moment(Y, 2, 2, 1, -1, Fraction(1, 3)),
     lambda Y: sum_degen_moment(Y, 0, 0, 1, 3, Fraction(1, 3)),
     lambda Y: sum_degen_moment(Y, -1, 2, 1, 3, Fraction(1, 3)),
-    lambda Y: sum_degen_moment_row(Y, 1, 2, -1, 3, Fraction(1, 3)),
+    lambda Y: sum_degen_moment(Y, 1, 2, -1, 3, Fraction(1, 3)),
 ], ids=["scale", "order", "scale-k0", "copies", "row-shift"])
 def test_invalid_chain_requests_leave_no_chain_entry(call):
     clear_caches()
@@ -516,12 +505,17 @@ def test_moment_base_clears_every_raw_moment(model, n):
        n=st.integers(min_value=0, max_value=30))
 def test_scaled_kernel_holds_the_kernel_times_the_scale(model, m, lam, n):
     # K_j = c_j L^j is an integer, with L = lcm(den lam, D); the store
-    # keeps exactly those integers beside the series.
-    _, ints, base = moments_mod.scaled_kernel(model, m, lam, n)
+    # keeps exactly those integers, and the series is K_j / L^j.
+    ints, base = moments_mod.scaled_kernel(model, m, lam, n)
     assert base == lcm(lam.denominator, moments_mod.moment_base(model))
-    for j, c in enumerate(egf_mgf_degen(model, m, lam, n).coeffs):
-        scaled = c * base ** j
-        assert scaled.denominator == 1 and ints[j] == scaled, j
+    assert len(ints) > n and all(type(K) is int for K in ints)
+    # The series reads the store; both are checked against the
+    # definition E[(mY)_{j,lam}] = m^j E[(Y)_{j,lam/m}].
+    series = egf_mgf_degen(model, m, lam, n)
+    assert series.order == n
+    for j, c in enumerate(series.coeffs):
+        assert c == Fraction(ints[j], base ** j), j
+        assert c == m ** j * degen_moment(model, j, lam / m), j
 
 
 @pytest.mark.parametrize("call", [

@@ -118,15 +118,6 @@ def test_pair_sum_equals_the_fraction_sum(pairs):
     assert got == sum((Fraction(n, d) for n, d in pairs), Fraction(0))
 
 
-@given(terms=triples, divisor=st.integers(min_value=1, max_value=10**6))
-def test_dot_divides_inside_its_one_reduction(terms, divisor):
-    ws, xs, ys = ([t[i] for t in terms] for i in range(3))
-    for got, whole in ((dot(xs, ys, divisor=divisor), dot(xs, ys)),
-                       (dot(xs, ys, ws, divisor), dot(xs, ys, ws))):
-        assert type(got) is Fraction and got == whole / divisor
-        assert gcd(got.numerator, got.denominator) == 1
-
-
 def test_dot_of_nothing_is_zero_and_lengths_must_match():
     assert dot([], []) == 0 and type(dot([], [], [])) is Fraction
     assert pair_sum([]) == 0
