@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 from .bell import bell_column_ints, bell_partial_series
-from .moments import (MomentModel, egf_mgf_degen, scaled_chain,
+from .moments import (MomentModel, egf_mgf_degen, pascal_row, scaled_chain,
                       scaled_kernel, sum_degen_moment)
-from .ratcore import (Frozen, Params, RationalLike, binomial_row,
-                      clear_caches, exact_int, memo, rat, sumprod)
+from .ratcore import (Frozen, Params, RationalLike, clear_caches, exact_int,
+                      memo, rat, sumprod)
 from .series import EgfSeries, egf_coeff
 
 WHITNEY_ROUTES = ("egf", "alt_sum", "stirling_expand", "bell_form")
@@ -148,14 +148,16 @@ def stirling2_degen(n: int, k: int, lam: RationalLike) -> Fraction:
     if k > n:
         return Fraction(0)
     lam = rat(lam)
-    return Fraction(_stirling2_degen_row(n, lam)[k],
-                    lam.denominator ** (n - k))
+    q = lam.denominator
+    return Fraction(_stirling2_degen_row(n, lam.numerator, q)[k],
+                    q ** (n - k))
 
 
 @memo
-def _stirling2_degen_row(n: int, lam: Fraction) -> tuple[int, ...]:
-    """Row n of the degenerate Stirling numbers of the second kind, each
-    entry scaled to the integer T(n, j) = q^(n-j) S(n, j) for lam = p/q.
+def _stirling2_degen_row(n: int, p: int, q: int) -> tuple[int, ...]:
+    """Row n of the degenerate Stirling numbers of the second kind for
+    lam = p/q, keyed by the integers p and q, each entry scaled to the
+    integer T(n, j) = q^(n-j) S(n, j).
 
     Carlitz's recurrence S(n, j) = S(n-1, j-1) + (j - (n-1) lam) S(n-1, j),
     times q^(n-j), is T(n, j) = T(n-1, j-1) + (j q - (n-1) p) T(n-1, j),
@@ -166,9 +168,8 @@ def _stirling2_degen_row(n: int, lam: Fraction) -> tuple[int, ...]:
     # Fill the lower rows upward first, so the call for row n - 1 is a memo
     # hit (or one frame deep) however large n is.
     for l in range(n - 1):
-        _stirling2_degen_row(l, lam)
-    prev = _stirling2_degen_row(n - 1, lam) + (0,)
-    p, q = lam.numerator, lam.denominator
+        _stirling2_degen_row(l, p, q)
+    prev = _stirling2_degen_row(n - 1, p, q) + (0,)
     shift = (n - 1) * p
     return (0,) + tuple(prev[j - 1] + (j * q - shift) * prev[j]
                         for j in range(1, n + 1))
@@ -195,8 +196,11 @@ def whitney_prob(model: MomentModel, params: Params, n: int, k: int,
     """Probabilistic degenerate Whitney number W(n, k): the r = 1 family.
 
     ``whitney_prob_r`` with shift 1 (params.r is ignored), by any of the
-    same four routes; params with r = 1 pass through as they are, so their
-    kept hash serves every memo lookup.
+    same four routes; params with r = 1 pass through as they are.  A
+    ``Params`` keeps its hash and an integer key after its first lookup,
+    and the stores are keyed by lam's numerator and denominator, so every
+    memo lookup of a warm call, on fresh but equal params or model too,
+    hashes and compares integers only.
     """
     if params.r != 1:
         params = Params(params.m, params.lam, 1)
@@ -214,14 +218,14 @@ def whitney_prob_r(model: MomentModel, params: Params, n: int, k: int,
       (production path; the name is kept because every caller passes it);
     - "alt_sum": (1/(m^k k!)) sum_j C(k,j) (-1)^(k-j) E[(m S_j + r)_{n,lam}],
       column n of the integer chain entries 0..k, L^n E[(m S_j + r)_{n,lam}],
-      read in one chain lookup (``scaled_chain``) and weighted by signed
-      integers;
+      read in one chain lookup (``scaled_chain``) and weighted by the
+      signed stored Pascal row of k (``moments.pascal_row``);
     - "stirling_expand": the same alternating sum pushed through the
       degenerate Stirling expansion of the falling factorial, so only
       ordinary falling-factorial moments of the copy sums appear: it
       reads the lam = 1 integer chain entries of copy counts 0..k, every
       order up to n, in one lookup (``scaled_chain``), and the integer
-      Carlitz row ``_stirling2_degen_row(n, lam)`` once, whose entry j is
+      Carlitz row ``_stirling2_degen_row`` of (n, lam) once, whose entry j is
       den(lam)^(n-j) S(n, j), weighted by powers of den(lam) and of the
       chain's scale grown by running products, and sums only the orders
       j >= k (the alternating sum of every lower order vanishes);
@@ -253,9 +257,8 @@ def whitney_prob_r(model: MomentModel, params: Params, n: int, k: int,
         return dowling_poly_r(model, params, n).coeff(k)
     if route == "alt_sum":
         chain, base = scaled_chain(model, k, m, r, n, lam)
-        return Fraction(
-            sumprod(_signed_binomials(k), [chain[j][n] for j in range(k + 1)]),
-            m ** k * math.factorial(k) * base ** n)
+        return Fraction(_alternating(k, [chain[j][n] for j in range(k + 1)]),
+                        m ** k * math.factorial(k) * base ** n)
     if route == "stirling_expand":
         # Column j of the lam = 1 chain holds D^j E[(m S_l + r)_j] for
         # l = 0..k, a polynomial of degree <= j in l (coefficient j of
@@ -264,19 +267,20 @@ def whitney_prob_r(model: MomentModel, params: Params, n: int, k: int,
         # weighs S(n, j) / D^j = T(n, j) / (den(lam)^(n-j) D^j) with the
         # Carlitz integer T(n, j), so over den(lam)^(n-k) D^n its weight
         # is T(n, j) den(lam)^(j-k) D^(n-j), both powers grown by products.
+        # The double sum is taken entry by entry: each copy count's weighted
+        # sum over j, then one signed sum over the copy counts.
         chain, base = scaled_chain(model, k, m, r, n, _PLAIN_LAM)
         den = lam.denominator
         ups, downs = [1], [1]
         for _ in range(n - k):
             ups.append(ups[-1] * den)
             downs.append(downs[-1] * base)
+        carlitz = _stirling2_degen_row(n, lam.numerator, den)
         scaled = [t * u * d for t, u, d in
-                  zip(_stirling2_degen_row(n, lam)[k:], ups, reversed(downs))]
-        signed = _signed_binomials(k)
-        columns = zip(*(chain[l][k:n + 1] for l in range(k + 1)))
-        return Fraction(
-            sumprod(scaled, [sumprod(signed, column) for column in columns]),
-            ups[-1] * base ** n * m ** k * math.factorial(k))
+                  zip(carlitz[k:], ups, reversed(downs))]
+        weighted = [sumprod(scaled, chain[l][k:n + 1]) for l in range(k + 1)]
+        return Fraction(_alternating(k, weighted),
+                        ups[-1] * base ** n * m ** k * math.factorial(k))
     # route == "bell_form"
     # B_{l,k} reads K_1..K_(l-k+1) for k >= 1, and no argument for k = 0.
     width = n - k + 1 if k else 0
@@ -287,14 +291,18 @@ def whitney_prob_r(model: MomentModel, params: Params, n: int, k: int,
     chain, base = scaled_chain(model, 0, m, r, n - k, lam)
     shifted = chain[0]
     weights = [c * shifted[n - l]
-               for l, c in enumerate(binomial_row(n)[k:], start=k)]
+               for l, c in enumerate(pascal_row(n)[k:], start=k)]
     bells = bell_column_ints(n, k, ints[1:width + 1])
     return Fraction(sumprod(weights, bells), m ** k * base ** n)
 
 
-def _signed_binomials(k: int) -> list[int]:
-    """(-1)^(k-j) C(k, j) for j = 0..k, the alternating-sum weights."""
-    return [(-1) ** (k - j) * c for j, c in enumerate(binomial_row(k))]
+def _alternating(k: int, xs: Sequence[int]) -> int:
+    """sum_j (-1)^(k-j) C(k, j) xs[j] over j = 0..k (xs of length k + 1),
+    in integers, from the stored Pascal row of k: the terms j = k, k-2,
+    ... add and the others subtract, so no signed row is built."""
+    row, plus = pascal_row(k), k % 2
+    return (sumprod(row[plus::2], xs[plus::2])
+            - sumprod(row[1 - plus::2], xs[1 - plus::2]))
 
 
 class WhitneyTriangle(Frozen):
@@ -398,7 +406,7 @@ def _grow_whitney(model: MomentModel, params: Params,
         # weights[l] = C(row-1, l) G_(row-1-l); column k-1 holds
         # V(l, k-1) for l = k-1..row-1, the terms of column k.
         weights = [b * G[row - 1 - l]
-                   for l, b in enumerate(binomial_row(row - 1))]
+                   for l, b in enumerate(pascal_row(row - 1))]
         shift = params.r * base - (row - 1) * step
         cols.append([])
         # k runs downward, so column k - 1 is read before it gains its

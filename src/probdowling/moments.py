@@ -11,15 +11,16 @@ Each model has a denominator base D (``moment_base``) with D^n E[Y^n]
 an integer for every n, and L = lcm(den lam, D) is one scale per
 (model, lam).  The Whitney kernel is stored once per (model, scale, lam),
 ``_mgf_kernel``, as integers only: K_n = L^n E[(scale*Y)_{n,lam}], grown
-to the highest order asked with one ``degen_moment`` per new coefficient
-and checked as it is grown (a non-integer raises ArithmeticError, never
-truncates).  ``scaled_kernel`` returns K and L, and ``egf_mgf_degen``,
-its one Fraction reader, divides K_n by L^n into the series whole or as
-a prefix.  The kernel's powers times the degenerate exponential of a
-shift are the sum moments, stored once, as the integers
-L^n E[(scale*S_k + shift)_{n,lam}], in one chain per (model, scale,
-shift, lam), ``_mgf_chain``, grown the same way by integer binomial
-convolutions, so nothing is rebuilt or kept per order.
+to the highest order asked in integers: each new K_n is the integer
+falling row of prod_{i<n} (x - i lam L) against the raw moments scaled
+to R_j = (scale L)^j E[Y^j], checked as they are scaled (a non-integer
+raises ArithmeticError, never truncates).  ``scaled_kernel`` returns K
+and L, and ``egf_mgf_degen``, its one Fraction reader, divides K_n by
+L^n into the series whole or as a prefix.  The kernel's powers times
+the degenerate exponential of a shift are the sum moments, stored once,
+as the integers L^n E[(scale*S_k + shift)_{n,lam}], in one chain per
+(model, scale, shift, lam), ``_mgf_chain``, grown the same way by
+integer binomial convolutions, so nothing is rebuilt or kept per order.
 ``scaled_chain`` is the one chain function: one argument check and one
 chain lookup return the integer entries 0..k to order n, grown first if
 entry k is too short.  ``sum_degen_moment``, its one Fraction reader,
@@ -30,12 +31,19 @@ binomial recurrence (Touchard's for Poisson), one ``ratcore.dot`` each;
 binomial and discrete-uniform ones from their factorial moments through
 the Stirling numbers of the second kind, never by a sum over the support.
 
-Every expectation is built on ``falling_row``: (x + shift)_{n,lam} in
-powers of x, the degenerate Stirling numbers of the first kind at shift 0.
-Expectations are memoized by value (``ratcore.memo``); models are
+Every expectation is built on one integer table of falling rows,
+``_falling_ints``: prod_{i<n} (y + root - i*step) in powers of y for
+integers root and step.  ``falling_row`` divides it into the rational
+(x + shift)_{n,lam}, the degenerate Stirling numbers of the first kind at
+shift 0, and the kernel reads it at step lam L.  The binomial
+convolutions of the stores, here and in ``dowling``, read their Pascal
+rows from one table, ``pascal_row``, so no call rebuilds a row that
+depends only on its index.  Expectations are memoized by value
+(``ratcore.memo``), and every table keyed by lam takes integers (its
+numerator and denominator, or lam scaled to an integer); models are
 ``ratcore.Frozen`` values that compare and hash by their kind and
 parameters, so equal models share cache entries, and each model keeps its
-hash after the first lookup.
+hash and integer key after the first lookup.
 ``clear_caches`` drops every memo table; recomputation is identical.
 
 The geometric model counts failures before the first success, i.e. it is
@@ -201,30 +209,53 @@ def raw_moment(model: MomentModel, n: int) -> Fraction:
 
 
 @memo
-def falling_row(shift: int | Fraction, n: int,
-                lam: Fraction) -> tuple[Fraction, ...]:
+def pascal_row(n: int) -> tuple[int, ...]:
+    """C(n, 0), ..., C(n, n), built once per n (``ratcore.binomial_row``)
+    and read by every binomial convolution of the stores; ValueError for
+    a negative n."""
+    return tuple(binomial_row(n))
+
+
+def falling_row(shift: RationalLike, n: int,
+                lam: RationalLike) -> tuple[Fraction, ...]:
     """(x + shift)_{n,lam} = prod_{i<n} (x + shift - i*lam) as coefficients
-    a_0..a_n in powers of x, built as row n - 1 times x + shift - (n-1)*lam;
-    at shift 0, the degenerate Stirling numbers of the first kind."""
+    a_0..a_n in powers of x; at shift 0, the degenerate Stirling numbers of
+    the first kind.  With d the lcm of the denominators of shift and lam,
+    a_j = u_j / d^(n-j) for the stored integer row
+    u = ``_falling_ints(d*shift, n, d*lam)``, divided here."""
+    shift, lam = rat(shift), rat(lam)
+    d = lcm(shift.denominator, lam.denominator)
+    row = _falling_ints(exact_int(shift, d), n, exact_int(lam, d))
+    return tuple(Fraction(u, d ** (n - j)) for j, u in enumerate(row))
+
+
+@memo
+def _falling_ints(root: int, n: int, step: int) -> tuple[int, ...]:
+    """prod_{i<n} (y + root - i*step) as integer coefficients u_0..u_n in
+    powers of y, built as row n - 1 times y + root - (n-1)*step.  Keyed by
+    integers only: ``falling_row`` reads it at a rational shift and lam
+    scaled by d, and the kernel (``_grow_kernel``) at root 0 and step
+    lam L."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n == 0:
-        return (Fraction(1),)
+        return (1,)
     # Fill the lower rows upward first, so the call for row n - 1 is a memo
     # hit (or one frame deep) however large n is.
     for l in range(n - 1):
-        falling_row(shift, l, lam)
-    prev = (Fraction(0),) + falling_row(shift, n - 1, lam) + (Fraction(0),)
-    root = shift - (n - 1) * lam
-    return tuple(prev[j] + root * prev[j + 1] for j in range(n + 1))
+        _falling_ints(root, l, step)
+    prev = (0,) + _falling_ints(root, n - 1, step) + (0,)
+    shift = root - (n - 1) * step
+    return tuple(prev[j] + shift * prev[j + 1] for j in range(n + 1))
 
 
 def degen_moment(model: MomentModel, n: int, lam: Fraction) -> Fraction:
     """E[Y(Y-lam)(Y-2*lam)...(Y-(n-1)*lam)], exactly.
 
     Expands the product into powers of Y and applies raw moments linearly;
-    a zero coefficient reads no raw moment.  Not memoized: the kernel
-    store ``_mgf_kernel`` runs it once per coefficient it grows.
+    a zero coefficient reads no raw moment.  Not memoized, and not called
+    in the package: the kernel store ``_mgf_kernel`` sums the same
+    expansion in integers, and tests compare it with this one.
     """
     coeffs = falling_row(0, n, rat(lam))
     return dot(coeffs, [raw_moment(model, j) if c else 0
@@ -261,7 +292,7 @@ def scaled_kernel(model: MomentModel, scale: int, lam: Fraction, order: int
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     lam = rat(lam)
-    slot = _mgf_kernel(model, scale, lam)
+    slot = _mgf_kernel(model, scale, lam.numerator, lam.denominator)
     if len(slot[0]) <= order:
         _grow_kernel(model, scale, lam, slot, order)
     return tuple(slot)
@@ -289,11 +320,13 @@ def moment_base(model: MomentModel) -> int:
 
 
 @memo
-def _mgf_kernel(model: MomentModel, scale: int, lam: Fraction) -> list:
-    """The kernel of (model, scale, lam), shared by every truncation order.
+def _mgf_kernel(model: MomentModel, scale: int, p: int, q: int) -> list:
+    """The kernel of (model, scale, lam = p/q), shared by every truncation
+    order; lam is keyed by its numerator and denominator, so a lookup
+    hashes and compares integers (and the model's integer key).
 
     One slot [K, L]: the integers K_n = L^n E[(scale*Y)_{n,lam}] up to the
-    highest order asked so far, and the scale L = lcm(den lam, D) of
+    highest order asked so far, and the scale L = lcm(q, D) of
     (model, lam), with D the ``moment_base``: every E[(scale*Y)_{n,lam}]
     is a sum of terms lam^(n-i) scale^i E[Y^i] with integer weights, so
     L^n clears its denominator.  It starts at order 0, whose coefficient
@@ -302,26 +335,34 @@ def _mgf_kernel(model: MomentModel, scale: int, lam: Fraction) -> list:
     place, so a failed growth leaves the slot as it was and a reader in
     another thread sees the old or the new K, both correct.
     """
-    return [(1,), lcm(lam.denominator, moment_base(model))]
+    return [(1,), lcm(q, moment_base(model))]
 
 
 def _grow_kernel(model: MomentModel, scale: int, lam: Fraction,
                  slot: list, order: int) -> None:
-    """slot's K extended to `order`: K_n = L^n E[(scale*Y)_{n,lam}]
-    = (scale L)^n E[(Y)_{n,lam/scale}], one ``degen_moment`` per new n,
-    checked integral (``ratcore.exact_int``)."""
-    mu = lam / scale
+    """slot's K extended to `order`, in integers: with X = scale L Y,
+    K_n = L^n E[(scale*Y)_{n,lam}] = E[prod_{i<n} (X - i lam L)]
+    = sum_j t(n, j) R_j, where t(n, .) is the integer row
+    ``_falling_ints(0, n, lam L)`` and R_j = (scale L)^j E[Y^j], each
+    scaled once and checked integral (``ratcore.exact_int``).  Every
+    moment is scaled before K changes, so a custom list that runs out
+    leaves K as it was."""
     ints, base = slot
-    slot[0] = ints + tuple(exact_int(degen_moment(model, n, mu),
-                                     (scale * base) ** n)
+    step, unit = exact_int(lam, base), scale * base
+    scaled, power = [], 1
+    for j in range(order + 1):
+        scaled.append(exact_int(raw_moment(model, j), power))
+        power *= unit
+    slot[0] = ints + tuple(sumprod(_falling_ints(0, n, step), scaled)
                            for n in range(len(ints), order + 1))
 
 
 @memo
-def _mgf_chain(model: MomentModel, scale: int, shift: int,
-               lam: Fraction) -> tuple[int, dict[int, tuple[int, ...]]]:
-    """The sum moments of (model, scale, shift, lam), shared by every copy
-    count and truncation order, scaled to integers.
+def _mgf_chain(model: MomentModel, scale: int, shift: int, p: int,
+               q: int) -> tuple[int, dict[int, tuple[int, ...]]]:
+    """The sum moments of (model, scale, shift, lam = p/q), shared by every
+    copy count and truncation order, scaled to integers; lam is keyed by
+    its numerator and denominator, like the kernel's.
 
     (L, entries): L is the kernel's scale lcm(den lam, D), and coefficient i
     of entry k is A_k[i] = L^i E[(scale*S_k + shift)_{i,lam}], the
@@ -332,7 +373,7 @@ def _mgf_chain(model: MomentModel, scale: int, shift: int,
     coefficient i is the same at every order >= i.  An entry is replaced
     whole by a longer tuple, never changed in place.
     """
-    return lcm(lam.denominator, moment_base(model)), {}
+    return lcm(q, moment_base(model)), {}
 
 
 def scaled_chain(model: MomentModel, k: int, scale: int, shift: int, n: int,
@@ -347,7 +388,8 @@ def scaled_chain(model: MomentModel, k: int, scale: int, shift: int, n: int,
     """
     require_sum_args(k, scale, shift, n)
     lam = rat(lam)
-    base, chain = _mgf_chain(model, scale, shift, lam)
+    base, chain = _mgf_chain(model, scale, shift, lam.numerator,
+                             lam.denominator)
     if k not in chain or len(chain[k]) <= n:
         # Entries get no longer as j grows, so every entry from the first
         # short one through k is grown, and none below it is read twice.
@@ -369,7 +411,7 @@ def scaled_chain(model: MomentModel, k: int, scale: int, shift: int, n: int,
             ints = scaled_kernel(model, scale, lam, n)[0]
             start = len(chain.get(k, ()))
             weighted = [()] * start + [
-                [c * K for c, K in zip(binomial_row(i), ints)]
+                [c * K for c, K in zip(pascal_row(i), ints)]
                 for i in range(start, n + 1)]
         for j in range(first, k + 1):
             below, entry = chain[j - 1], chain.get(j, ())

@@ -22,6 +22,9 @@ Whitney rows ``dowling._whitney_rows`` (one per model and parameters,
 the scaled integers beside the ``PolyX`` rows divided from them).  Each replaces
 an entry whole by a longer immutable one, so a reader in another thread
 sees an old or a new entry, both correct, and never a half-built one.
+Every table keyed by lam takes it as integers (its numerator and
+denominator, or lam scaled to an integer), so a lookup hashes and
+compares integers only.
 The degeneracy parameter ``lam`` may be any rational including 0, which
 recovers the classical (non-degenerate) objects, and 1, which recovers
 ordinary falling factorials.
@@ -31,8 +34,8 @@ The lowest layer also holds what higher layers share: ``stirling2``,
 for ``clear_caches``, and ``Frozen``, the base of every value class (the
 moment models, ``Params``, series, polynomials, reports): immutable
 fields named by the class annotations, equality within one class, and a
-hash computed once, so a memo key hashes its fields on its first lookup
-only.
+hash computed once over a key made of integers, so a memo key hashes its
+fields on its first lookup only and a hit compares integers.
 """
 
 from __future__ import annotations
@@ -165,7 +168,10 @@ def binom(n: int, k: int) -> Fraction:
 
 
 def binomial_row(n: int) -> list[int]:
-    """C(n, 0), ..., C(n, n), each stepped from the one before."""
+    """C(n, 0), ..., C(n, n), each stepped from the one before; ValueError
+    for a negative n, which has no row."""
+    if n < 0:
+        raise ValueError(f"row index must be nonnegative, got {n}")
     row = [1]
     for j in range(n):
         row.append(row[-1] * (n - j) // (j + 1))
@@ -186,6 +192,22 @@ def stirling2(n: int, k: int) -> Fraction:
 _set_field = object.__setattr__
 
 
+def _int_key(value: object) -> object:
+    """value with every Fraction in it, also inside tuples, replaced by
+    its numerator when whole and by (numerator, denominator) otherwise,
+    so it hashes without ``Fraction.__hash__``.  Two keys of one class,
+    whose fields hold Fractions or ints where the other's do, are equal
+    exactly when the values are: a Fraction is in lowest terms, and a
+    whole one equals its numerator."""
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return value.numerator
+        return value.numerator, value.denominator
+    if type(value) is tuple:
+        return tuple(map(_int_key, value))
+    return value
+
+
 class Frozen:
     """Base of the package's immutable value classes.
 
@@ -196,7 +218,11 @@ class Frozen:
     the field value (one field) or the tuple of field values; the first
     hash keeps the key and its hash, so a memo lookup reads the fields
     once, and a value never hashed (or a class with its own equality and
-    hash) never stores one.  Values of different classes never compare
+    hash) never stores one.  The kept key holds integers in place of
+    Fractions (``_int_key``), so a memo hit on a fresh but equal value
+    compares integers in C, with no ``Fraction.__hash__`` or
+    ``Fraction.__eq__``; equality keeps its meaning, because a Fraction
+    is in lowest terms.  Values of different classes never compare
     equal, so models of two kinds with equal parameters share no memo
     entry.  Assignment and
     deletion raise AttributeError.  ``fields`` is the tuple of field
@@ -255,7 +281,7 @@ class Frozen:
         try:
             return self._hash
         except AttributeError:
-            key = self._read_key(self)
+            key = _int_key(self._read_key(self))
             _set_field(self, "_key", key)
             _set_field(self, "_hash", hash(key))
             return self._hash

@@ -14,7 +14,8 @@ from probdowling import (Bernoulli, Binomial, Custom, DiscreteUniform,
                          dowling_number, dowling_poly, dowling_poly_r,
                          egf_coeff, egf_const, egf_degen_exp, egf_mul,
                          egf_scale,
-                         egf_mgf_degen, falling, raw_moment, stirling2,
+                         egf_mgf_degen, falling, model_from_config,
+                         model_to_config, raw_moment, stirling2,
                          stirling2_degen, stirling2_prob, sum_degen_moment,
                          whitney_prob, whitney_prob_r)
 from probdowling import bell as bell_mod
@@ -131,8 +132,8 @@ def test_stirling2_degen_matches_the_fraction_carlitz_rows(lam):
     for n in range(13):
         assert [stirling2_degen(n, k, lam) for k in range(n + 1)] == \
             stirling2_degen_carlitz(n, lam), n
-        assert all(type(t) is int
-                   for t in dowling_mod._stirling2_degen_row(n, lam)), n
+        assert all(type(t) is int for t in dowling_mod._stirling2_degen_row(
+            n, lam.numerator, lam.denominator)), n
 
 
 def test_stirling_bridge_sides_reach_different_memo_tables():
@@ -296,13 +297,14 @@ def test_warm_route_calls_do_no_moment_work(monkeypatch):
 
 
 def _count_chain_reads(monkeypatch):
-    """Patch moments._mgf_chain to record the lam of every lookup."""
+    """Patch moments._mgf_chain to record the lam of every lookup, which
+    the chain takes as its numerator and denominator."""
     reads = []
     chain = moments_mod._mgf_chain
 
-    def counted(model, scale, shift, lam):
-        reads.append(lam)
-        return chain(model, scale, shift, lam)
+    def counted(model, scale, shift, p, q):
+        reads.append(Fraction(p, q))
+        return chain(model, scale, shift, p, q)
 
     monkeypatch.setattr(moments_mod, "_mgf_chain", counted)
     return reads
@@ -366,8 +368,9 @@ def test_stirling_expand_skips_only_vanishing_orders(model):
 
 def test_warm_bell_form_hashes_no_bell_argument(monkeypatch):
     # The enumeration memo is keyed by integer numerators and denominators,
-    # so a warm call hashes no kernel coefficient: the only Fractions hashed
-    # are the lam keys of the kernel and chain stores, one lookup each.
+    # so a warm call hashes no kernel coefficient, and the kernel and chain
+    # stores take lam as its numerator and denominator: no Fraction is
+    # hashed at all.
     Y, params, n, k = Geometric(Fraction(1, 3)), Params(2, Fraction(1, 3), 2), 10, 3
     expected = whitney_prob_r(Y, params, n, k, "bell_form")
     calls = []
@@ -380,8 +383,49 @@ def test_warm_bell_form_hashes_no_bell_argument(monkeypatch):
     monkeypatch.setattr(Fraction, "__hash__", counting_hash)
     got = whitney_prob_r(Y, params, n, k, "bell_form")
     monkeypatch.undo()
-    assert calls == [params.lam, params.lam]
+    assert calls == []
     assert got == expected == whitney_prob_r(Y, params, n, k, "egf")
+
+
+def test_warm_calls_do_no_fraction_work_in_their_lookups(monkeypatch):
+    # A library session rebuilds the model and the params from each
+    # request.  The stores are keyed by integers and a Frozen value keeps
+    # an integer key, so a warm call on fresh but equal values neither
+    # hashes nor compares a Fraction.
+    n = 7
+
+    def calls(model, params):
+        m, lam, r = params.m, params.lam, params.r
+        values = [whitney_prob(model, params, n, k, route)
+                  for k in range(n + 1) for route in WHITNEY_ROUTES]
+        values += [whitney_prob_r(model, params, n, k, route)
+                   for k in range(n + 1) for route in WHITNEY_ROUTES]
+        values += [stirling2_degen(n, k, lam) for k in range(n + 1)]
+        values += [sum_degen_moment(model, k, m, r, n, lam)
+                   for k in range(n + 1)]
+        return values
+
+    for model in VANISHING_MODELS:
+        expected = calls(model, Params(2, Fraction("-2/5"), 2))
+        fresh = model_from_config(model_to_config(model))
+        params = Params(2, Fraction("-2/5"), 2)
+        hashed, compared = [], []
+        fraction_hash, fraction_eq = Fraction.__hash__, Fraction.__eq__
+
+        def counting_hash(self):
+            hashed.append(self)
+            return fraction_hash(self)
+
+        def counting_eq(self, other):
+            compared.append(self)
+            return fraction_eq(self, other)
+
+        monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+        monkeypatch.setattr(Fraction, "__eq__", counting_eq)
+        got = calls(fresh, params)
+        monkeypatch.undo()
+        assert (hashed, compared) == ([], []), model
+        assert got == expected, model
 
 
 def test_unknown_route_is_rejected_for_every_index():

@@ -15,6 +15,7 @@ from probdowling import (Bernoulli, Binomial, Custom, DiscreteUniform,
                          model_to_config, raw_moment, stirling2,
                          sum_degen_moment, whitney_prob_r)
 import probdowling.moments as moments_mod
+from probdowling.ratcore import exact_int
 from probdowling.moments import falling_row
 from probdowling.series import egf_mul_coeff
 
@@ -198,11 +199,34 @@ def test_kernel_past_a_custom_list_fails_and_keeps_its_prefix():
     egf_mgf_degen(Y, 2, lam, 1)
     with pytest.raises(MomentOrderError):
         egf_mgf_degen(Y, 2, lam, 5)
-    assert len(moments_mod._mgf_kernel(Y, 2, lam)[0]) == 2
+    assert len(moments_mod._mgf_kernel(Y, 2, 1, 3)[0]) == 2
     # E[(2Y)_{n,lam}] = 2^n E[(Y)_{n,lam/2}] from the declared moments.
     expected = tuple(2 ** n * degen_moment(Y, n, lam / 2) for n in range(4))
     assert egf_mgf_degen(Y, 2, lam, 3).coeffs == expected
     assert egf_mgf_degen(Y, 2, lam, 2).coeffs == expected[:3]
+
+
+KERNEL_MODELS = [
+    PointMass(Fraction(-3, 2)), Bernoulli(Fraction(2, 5)),
+    Binomial(4, Fraction(1, 3)), DiscreteUniform(3), Poisson(Fraction(3, 2)),
+    Geometric(Fraction(2, 3)),
+    Custom((Fraction(1),) + tuple(Fraction((-1) ** j * j, j + 2)
+                                  for j in range(1, 13)))]
+
+
+@pytest.mark.parametrize("model", KERNEL_MODELS,
+                         ids=lambda model: type(model).__name__)
+def test_integer_kernel_matches_degen_moment(model):
+    # The kernel grows as sum_j t(n, j) R_j in integers; each K_n must be
+    # the Fraction expectation E[(mY)_{n,lam}] = m^n E[(Y)_{n,lam/m}]
+    # times L^n.
+    for m in (1, 2, 3):
+        for lam in (Fraction(0), Fraction(-1, 2), Fraction(2, 3)):
+            clear_caches()
+            ints, base = moments_mod.scaled_kernel(model, m, lam, 12)
+            assert ints == tuple(
+                exact_int(degen_moment(model, n, lam / m), (m * base) ** n)
+                for n in range(13)), (m, lam)
 
 
 @pytest.mark.parametrize("call", [
@@ -421,7 +445,7 @@ def test_one_more_copy_reads_only_the_entry_below(monkeypatch):
     clear_caches()
     for k in range(60):
         sum_degen_moment(Y, k, 2, 1, 3, lam)
-    base, chain = moments_mod._mgf_chain(Y, 2, 1, lam)
+    base, chain = moments_mod._mgf_chain(Y, 2, 1, 1, 3)
     reads = []
 
     class Counted(dict):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from probdowling import (Params, binom, degen_falling, falling,
                          format_rational, rat)
+from probdowling.moments import pascal_row
 from probdowling.ratcore import binomial_row, dot, pair_sum
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
@@ -132,3 +133,12 @@ def test_dot_of_nothing_is_zero_and_lengths_must_match():
 @given(n=st.integers(min_value=0, max_value=40))
 def test_binomial_row(n):
     assert binomial_row(n) == [binom(n, j) for j in range(n + 1)]
+    assert pascal_row(n) == tuple(binomial_row(n))
+
+
+@pytest.mark.parametrize("row", [binomial_row, pascal_row])
+def test_a_negative_row_index_is_rejected(row):
+    # range(n) is empty for n < 0, so a row built without the check reads
+    # [1] there, and the stored row would keep it.
+    with pytest.raises(ValueError, match="^row index must be nonnegative"):
+        row(-3)

@@ -20,7 +20,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # ones.  A name that gains a caller in src leaves the list.
 KEPT_PUBLIC = ("bell_partial", "stirling2_degen", "falling", "sample_Y",
                "WhitneyTriangle.entry", "McEstimate.within",
-               "egf_degen_exp")
+               "egf_degen_exp", "degen_moment")
 # The benchmark's per-layer report totals memo sizes for these modules only.
 MEMO_MODULES = {"probdowling.moments", "probdowling.bell",
                 "probdowling.dowling"}
@@ -93,16 +93,19 @@ def _calls(tree, names):
 def test_hot_inner_sums_use_the_common_denominator_kernel():
     # These sums run once per coefficient or entry; builtin sum over
     # Fraction products would reduce by a gcd at every term.
-    hot = (series.egf_mul_coeff, moments.degen_moment,
+    hot = (series.egf_mul_coeff, moments.degen_moment, moments._falling_ints,
            moments._grow_kernel, moments.scaled_chain,
            dowling.dowling_poly_r, dowling._grow_whitney,
            dowling.whitney_prob_r, dowling._stirling2_degen_row,
            bell.bell_column_ints, bell._shape_sum)
-    # The scaled growth loops and the integer Bell and Carlitz sums hold
-    # integers: no Fraction is built inside their loops.
-    scaled = (moments._grow_kernel, moments.scaled_chain,
-              dowling._grow_whitney, dowling._stirling2_degen_row,
-              bell.bell_column_ints, bell._shape_sum)
+    # The scaled growth loops and the integer falling, Bell and Carlitz
+    # sums hold integers: no Fraction is built inside their loops, neither
+    # directly nor through the Fraction routines degen_moment and
+    # falling_row.
+    scaled = (moments._falling_ints, moments._grow_kernel,
+              moments.scaled_chain, dowling._grow_whitney,
+              dowling._stirling2_degen_row, bell.bell_column_ints,
+              bell._shape_sum)
     loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
              ast.GeneratorExp)
     found = []
@@ -112,7 +115,8 @@ def test_hot_inner_sums_use_the_common_denominator_kernel():
         if fn in scaled:
             found += [f"{fn.__name__}: {name}"
                       for loop in ast.walk(tree) if isinstance(loop, loops)
-                      for name in _calls(loop, {"Fraction"})]
+                      for name in _calls(loop, {"Fraction", "degen_moment",
+                                                "falling_row"})]
     assert found == []
 
 

@@ -1,8 +1,11 @@
 """Value semantics of every class built on ``ratcore.Frozen``."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from probdowling import (Bernoulli, Binomial, Custom, DiscreteUniform,
                          EgfSeries, Geometric, IdentityReport, McEstimate,
@@ -145,4 +148,78 @@ def test_params_keep_their_hash(monkeypatch):
     first = hash(params)
     monkeypatch.setattr(Fraction, "__hash__", counting_hash)
     assert hash(params) == first and calls == []
-    assert hash(Params(3, Fraction(2, 7), 1)) == first and len(calls) == 1
+    # A fresh equal value hashes its integer key: no Fraction hash either.
+    assert hash(Params(3, Fraction(2, 7), 1)) == first and calls == []
+
+
+# Small domains, so two draws are often equal.  Ints and Fractions mix,
+# so a whole Fraction meets the int it equals.
+RATIONALS = st.one_of(st.integers(-2, 2),
+                      st.fractions(-2, 2, max_denominator=3))
+UNIT = st.fractions(0, 1, max_denominator=3)
+RATIONAL_TUPLES = st.lists(RATIONALS, min_size=1, max_size=3).map(tuple)
+MODELS = st.one_of(st.builds(Bernoulli, UNIT),
+                   st.builds(Geometric, UNIT.filter(bool)))
+PARAMS = st.builds(Params, st.integers(1, 2),
+                   st.sampled_from([0, Fraction(-1, 2), Fraction(1, 3)]),
+                   st.integers(0, 1))
+FIELDS = {
+    PointMass: st.tuples(RATIONALS),
+    Bernoulli: st.tuples(UNIT),
+    Binomial: st.tuples(st.integers(1, 2), UNIT),
+    DiscreteUniform: st.tuples(st.integers(0, 2)),
+    Poisson: st.tuples(st.fractions(0, 2, max_denominator=2)),
+    Geometric: st.tuples(UNIT.filter(bool)),
+    Custom: st.tuples(RATIONAL_TUPLES.map(lambda tail: (1,) + tail)),
+    # lam = 0 and lam < 0 included.
+    Params: st.tuples(st.integers(1, 2), RATIONALS, st.integers(0, 1)),
+    EgfSeries: st.tuples(RATIONAL_TUPLES),
+    PolyX: st.tuples(RATIONAL_TUPLES),
+    WhitneyTriangle: st.tuples(MODELS, PARAMS, st.integers(0, 1),
+                               st.lists(RATIONAL_TUPLES, max_size=2)
+                               .map(tuple)),
+    IdentityReport: st.tuples(st.sampled_from(["a", "b"]),
+                              st.one_of(st.none(), MODELS),
+                              st.one_of(st.none(), PARAMS),
+                              st.fixed_dictionaries({"n": st.integers(0, 1)}),
+                              RATIONALS, RATIONALS, st.booleans()),
+    McEstimate: st.tuples(st.sampled_from([0.0, 0.5]),
+                          st.sampled_from([0.0, 0.5]), st.integers(1, 2),
+                          RATIONALS),
+}
+
+
+def test_every_value_class_has_field_strategies():
+    assert set(FIELDS) == set(Frozen.__subclasses__())
+
+
+def _hash_if_hashable(value):
+    try:
+        hash(value)
+    except TypeError:               # a report's bounds are a dict
+        pass
+
+
+@pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
+@given(data=st.data())
+def test_kept_integer_keys_do_not_change_equality(cls, data):
+    # The first hash keeps a key with integers in place of Fractions; the
+    # answer must not depend on which sides hold one, and two values are
+    # equal exactly when their fields are (PolyX, which has its own
+    # equality ignoring trailing zeros, only the first).
+    a, b = data.draw(FIELDS[cls]), data.draw(FIELDS[cls])
+    answers, hashes = set(), set()
+    for hash_x, hash_y in product((False, True), repeat=2):
+        x, y = cls(*a), cls(*b)
+        if hash_x:
+            _hash_if_hashable(x)
+        if hash_y:
+            _hash_if_hashable(y)
+        answers.add((x == y, y == x, x != y))
+        if x == y and cls is not IdentityReport:
+            hashes.add(hash(x) == hash(y))
+    assert len(answers) == 1 and hashes <= {True}
+    equal = answers.pop()[0]
+    if cls is not PolyX:
+        assert equal == all(getattr(x, name) == getattr(y, name)
+                            for name in cls.fields)
