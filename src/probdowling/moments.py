@@ -8,42 +8,42 @@ E[(scale*Y)_{n,lam}] is raised to the k-th power, which is exactly the
 expectation of the product over independent copies.
 
 Each model has a denominator base D (``moment_base``) with D^n E[Y^n]
-an integer for every n, and L = lcm(den lam, D) is one scale per
-(model, lam).  The Whitney kernel is stored once per (model, scale, lam),
-``_mgf_kernel``, as integers only: K_n = L^n E[(scale*Y)_{n,lam}], grown
-to the highest order asked in integers: each new K_n is the integer
-falling row of prod_{i<n} (x - i lam L) against the raw moments scaled
-to R_j = (scale L)^j E[Y^j], checked as they are scaled (a non-integer
-raises ArithmeticError, never truncates).  ``scaled_kernel`` returns K
-and L, and ``egf_mgf_degen``, its one Fraction reader, divides K_n by
-L^n into the series whole or as a prefix.  The kernel's powers times
-the degenerate exponential of a shift are the sum moments, stored once,
-as the integers L^n E[(scale*S_k + shift)_{n,lam}], in one chain per
-(model, scale, shift, lam), ``_mgf_chain``, grown the same way by
-integer binomial convolutions, so nothing is rebuilt or kept per order.
-``scaled_chain`` is the one chain function: one argument check and one
-chain lookup return the integer entries 0..k to order n, grown first if
-entry k is too short.  ``sum_degen_moment``, its one Fraction reader,
-divides one coefficient by L^n.
+an integer for every n, and L = lcm(den lam, D) clears the denominators
+of every expectation below.  Whatever the Whitney routes read of
+(model, scale, lam) is kept in one memo slot, ``_store``, as integers
+over powers of L, grown to the highest order asked and never rebuilt:
+
+- L, computed once;
+- the kernel K_n = L^n E[(scale*Y)_{n,lam}], with the last diagonal of
+  its difference table, so each new order scales one raw moment and
+  takes integer steps (``_grow_kernel``); a moment that does not scale
+  to an integer raises ArithmeticError, never truncates;
+- for every shift, the chain whose entry k holds the sum moments
+  L^n E[(scale*S_k + shift)_{n,lam}], the kernel's k-th power times
+  the degenerate exponential of the shift, grown by integer binomial
+  convolutions.
+
+``scaled_kernel`` and ``scaled_chain`` return those integers and L after
+one argument check and one slot lookup; a value too short is grown
+first, under the one growth lock ``_GROWTH``, so threads that grow one
+slot at once never store a shorter value over a longer one.
+``egf_mgf_degen`` and ``sum_degen_moment`` are their Fraction readers,
+dividing by L^n.
 
 Poisson and geometric raw moments follow from the lower ones by a
 binomial recurrence (Touchard's for Poisson), one ``ratcore.dot`` each;
 binomial and discrete-uniform ones from their factorial moments through
 the Stirling numbers of the second kind, never by a sum over the support.
 
-Every expectation is built on one integer table of falling rows,
-``_falling_ints``: prod_{i<n} (y + root - i*step) in powers of y for
-integers root and step.  ``falling_row`` divides it into the rational
-(x + shift)_{n,lam}, the degenerate Stirling numbers of the first kind at
-shift 0, and the kernel reads it at step lam L.  The binomial
+``falling_row`` expands (x + shift)_{n,lam} in powers of x, the
+degenerate Stirling numbers of the first kind at shift 0.  The binomial
 convolutions of the stores, here and in ``dowling``, read their Pascal
-rows from one table, ``pascal_row``, so no call rebuilds a row that
-depends only on its index.  Expectations are memoized by value
+rows from one table, ``pascal_row``.  Expectations are memoized by value
 (``ratcore.memo``), and every table keyed by lam takes integers (its
 numerator and denominator, or lam scaled to an integer); models are
 ``ratcore.Frozen`` values that compare and hash by their kind and
-parameters, so equal models share cache entries, and each model keeps its
-hash and integer key after the first lookup.
+parameters, so equal models share cache entries, and each model keeps
+its hash and integer key after the first lookup.
 ``clear_caches`` drops every memo table; recomputation is identical.
 
 The geometric model counts failures before the first success, i.e. it is
@@ -53,9 +53,10 @@ supported on {0, 1, 2, ...}.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
-
 from math import lcm
+from threading import Lock
+from types import SimpleNamespace
+from typing import Mapping, Sequence, Union
 
 from .ratcore import (Frozen, RationalLike, binomial_row, clear_caches, dot,
                       exact_int, format_rational, memo, rat, stirling2,
@@ -221,32 +222,17 @@ def falling_row(shift: RationalLike, n: int,
     """(x + shift)_{n,lam} = prod_{i<n} (x + shift - i*lam) as coefficients
     a_0..a_n in powers of x; at shift 0, the degenerate Stirling numbers of
     the first kind.  With d the lcm of the denominators of shift and lam,
-    a_j = u_j / d^(n-j) for the stored integer row
-    u = ``_falling_ints(d*shift, n, d*lam)``, divided here."""
-    shift, lam = rat(shift), rat(lam)
-    d = lcm(shift.denominator, lam.denominator)
-    row = _falling_ints(exact_int(shift, d), n, exact_int(lam, d))
-    return tuple(Fraction(u, d ** (n - j)) for j, u in enumerate(row))
-
-
-@memo
-def _falling_ints(root: int, n: int, step: int) -> tuple[int, ...]:
-    """prod_{i<n} (y + root - i*step) as integer coefficients u_0..u_n in
-    powers of y, built as row n - 1 times y + root - (n-1)*step.  Keyed by
-    integers only: ``falling_row`` reads it at a rational shift and lam
-    scaled by d, and the kernel (``_grow_kernel``) at root 0 and step
-    lam L."""
+    the integer row u of prod_{i<n} (y + d*shift - i*d*lam) is built factor
+    by factor, and a_j = u_j / d^(n-j)."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n == 0:
-        return (1,)
-    # Fill the lower rows upward first, so the call for row n - 1 is a memo
-    # hit (or one frame deep) however large n is.
-    for l in range(n - 1):
-        _falling_ints(root, l, step)
-    prev = (0,) + _falling_ints(root, n - 1, step) + (0,)
-    shift = root - (n - 1) * step
-    return tuple(prev[j] + shift * prev[j + 1] for j in range(n + 1))
+    shift, lam = rat(shift), rat(lam)
+    d = lcm(shift.denominator, lam.denominator)
+    root, step = exact_int(shift, d), exact_int(lam, d)
+    row = [1]
+    for i in range(n):
+        row = [a + (root - i * step) * b for a, b in zip([0] + row, row + [0])]
+    return tuple(Fraction(u, d ** (n - j)) for j, u in enumerate(row))
 
 
 def degen_moment(model: MomentModel, n: int, lam: Fraction) -> Fraction:
@@ -254,8 +240,8 @@ def degen_moment(model: MomentModel, n: int, lam: Fraction) -> Fraction:
 
     Expands the product into powers of Y and applies raw moments linearly;
     a zero coefficient reads no raw moment.  Not memoized, and not called
-    in the package: the kernel store ``_mgf_kernel`` sums the same
-    expansion in integers, and tests compare it with this one.
+    in the package: the kernel of ``_store`` is the same expectation in
+    integers, and tests compare it with this one.
     """
     coeffs = falling_row(0, n, rat(lam))
     return dot(coeffs, [raw_moment(model, j) if c else 0
@@ -281,10 +267,9 @@ def egf_mgf_degen(model: MomentModel, scale: int, lam: Fraction,
 
 def scaled_kernel(model: MomentModel, scale: int, lam: Fraction, order: int
                   ) -> tuple[tuple[int, ...], int]:
-    """(K, L) of the ``_mgf_kernel`` slot of (model, scale, lam), grown
-    there first if it is shorter than `order`: the integers
-    K_n = L^n E[(scale*Y)_{n,lam}] for every n up to at least `order`,
-    and L = lcm(den lam, D) with D the model's ``moment_base``.
+    """(K, L) of the ``_store`` slot of (model, scale, lam), K grown there
+    first if it is shorter than `order`: the integers
+    K_n = L^n E[(scale*Y)_{n,lam}] for every n up to at least `order`.
     The arguments are checked before the store is read.
     """
     if scale < 1:
@@ -292,10 +277,11 @@ def scaled_kernel(model: MomentModel, scale: int, lam: Fraction, order: int
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     lam = rat(lam)
-    slot = _mgf_kernel(model, scale, lam.numerator, lam.denominator)
-    if len(slot[0]) <= order:
-        _grow_kernel(model, scale, lam, slot, order)
-    return tuple(slot)
+    slot = _store(model, scale, lam.numerator, lam.denominator)
+    if len(slot.ints) <= order:
+        with _GROWTH:
+            _grow_kernel(model, scale, lam, slot, order)
+    return slot.ints, slot.base
 
 
 def moment_base(model: MomentModel) -> int:
@@ -319,105 +305,110 @@ def moment_base(model: MomentModel) -> int:
     raise TypeError(f"not a moment model: {model!r}")
 
 
-@memo
-def _mgf_kernel(model: MomentModel, scale: int, p: int, q: int) -> list:
-    """The kernel of (model, scale, lam = p/q), shared by every truncation
-    order; lam is keyed by its numerator and denominator, so a lookup
-    hashes and compares integers (and the model's integer key).
+# Held by every growth of a ``_store`` slot, never by a read.
+_GROWTH = Lock()
 
-    One slot [K, L]: the integers K_n = L^n E[(scale*Y)_{n,lam}] up to the
-    highest order asked so far, and the scale L = lcm(q, D) of
-    (model, lam), with D the ``moment_base``: every E[(scale*Y)_{n,lam}]
-    is a sum of terms lam^(n-i) scale^i E[Y^i] with integer weights, so
-    L^n clears its denominator.  It starts at order 0, whose coefficient
-    1 reads no moment.  Like an ``_mgf_chain`` entry, K is replaced whole,
-    in one step, by a longer tuple (``_grow_kernel``), never changed in
-    place, so a failed growth leaves the slot as it was and a reader in
-    another thread sees the old or the new K, both correct.
+
+@memo
+def _store(model: MomentModel, scale: int, p: int, q: int
+           ) -> SimpleNamespace:
+    """The integers of (model, scale, lam = p/q), shared by every route,
+    shift, copy count and truncation order; lam is keyed by its numerator
+    and denominator, so a lookup hashes and compares integers (and the
+    model's integer key).
+
+    - ``base``: L = lcm(q, D), D the ``moment_base``.  Every
+      E[(scale*S_k + shift)_{n,lam}] is a sum of terms lam^i times
+      integer multiples of products of raw moments of total order at
+      most n - i, so L^n clears it.
+    - ``ints``: the kernel K_n = L^n E[(scale*Y)_{n,lam}] up to the
+      highest order N asked so far, and ``diagonal``, the last diagonal
+      F(i, N - i), i = 0..N, of its difference table (``_grow_kernel``).
+    - ``chains``: for each shift, a dict whose entry k is the tuple
+      A_k[i] = L^i E[(scale*S_k + shift)_{i,lam}], the coefficients of
+      P^k e_lam^shift with P the kernel.  Entry 0 reads no moment; the
+      entries 0..k - 1 are at least as long as entry k.  Truncation is
+      lossless, so coefficient i is the same at every order >= i.
+
+    It starts at order 0, whose coefficient 1 reads no moment.  Growth
+    takes ``_GROWTH`` and checks the length again inside it; K and each
+    chain entry are replaced whole, in one step, by longer tuples, never
+    changed in place or shortened, so a failed growth leaves the slot as
+    it was, and a reader in another thread sees an old or a new value,
+    both correct, without taking the lock.
     """
-    return [(1,), lcm(q, moment_base(model))]
+    return SimpleNamespace(base=lcm(q, moment_base(model)), ints=(1,),
+                           diagonal=[1], chains={})
 
 
 def _grow_kernel(model: MomentModel, scale: int, lam: Fraction,
-                 slot: list, order: int) -> None:
-    """slot's K extended to `order`, in integers: with X = scale L Y,
-    K_n = L^n E[(scale*Y)_{n,lam}] = E[prod_{i<n} (X - i lam L)]
-    = sum_j t(n, j) R_j, where t(n, .) is the integer row
-    ``_falling_ints(0, n, lam L)`` and R_j = (scale L)^j E[Y^j], each
-    scaled once and checked integral (``ratcore.exact_int``).  Every
-    moment is scaled before K changes, so a custom list that runs out
-    leaves K as it was."""
-    ints, base = slot
-    step, unit = exact_int(lam, base), scale * base
-    scaled, power = [], 1
-    for j in range(order + 1):
-        scaled.append(exact_int(raw_moment(model, j), power))
-        power *= unit
-    slot[0] = ints + tuple(sumprod(_falling_ints(0, n, step), scaled)
-                           for n in range(len(ints), order + 1))
-
-
-@memo
-def _mgf_chain(model: MomentModel, scale: int, shift: int, p: int,
-               q: int) -> tuple[int, dict[int, tuple[int, ...]]]:
-    """The sum moments of (model, scale, shift, lam = p/q), shared by every
-    copy count and truncation order, scaled to integers; lam is keyed by
-    its numerator and denominator, like the kernel's.
-
-    (L, entries): L is the kernel's scale lcm(den lam, D), and coefficient i
-    of entry k is A_k[i] = L^i E[(scale*S_k + shift)_{i,lam}], the
-    coefficients of P^k e_lam^shift with P the kernel, up to the highest
-    order asked so far.  Entry 0 is prod_{t<i} (shift L - t lam L) and reads
-    no moment; ``scaled_chain`` grows entries 0..k together, so entries
-    0..k - 1 are at least as long as entry k.  Truncation is lossless, so
-    coefficient i is the same at every order >= i.  An entry is replaced
-    whole by a longer tuple, never changed in place.
-    """
-    return lcm(q, moment_base(model)), {}
+                 slot: SimpleNamespace, order: int) -> None:
+    """slot's K extended to `order` (nothing if it reaches that already),
+    in integers, under ``_GROWTH``.  With X = scale L Y and s = lam L,
+    F(i, j) = E[X^j prod_{t<i} (X - t s)] has F(0, j) = (scale L)^j E[Y^j],
+    F(i + 1, j) = F(i, j + 1) - i s F(i, j) and K_n = F(n, 0).  From the
+    stored diagonal F(i, N - i), order N + 1 scales one raw moment
+    (``ratcore.exact_int``, which raises if it is no integer) and takes
+    N + 1 integer steps.  The slot changes only at the end, so a custom
+    list that runs out leaves it as it was."""
+    ints, diagonal = slot.ints, slot.diagonal
+    unit, step = scale * slot.base, exact_int(lam, slot.base)
+    for j in range(len(ints), order + 1):
+        row = [exact_int(raw_moment(model, j), unit ** j)]
+        for i, below in enumerate(diagonal):
+            row.append(row[-1] - i * step * below)
+        diagonal = row
+        ints += (row[-1],)
+    slot.diagonal, slot.ints = diagonal, ints
 
 
 def scaled_chain(model: MomentModel, k: int, scale: int, shift: int, n: int,
                  lam: RationalLike
                  ) -> tuple[dict[int, tuple[int, ...]], int]:
-    """(entries, L) of the ``_mgf_chain`` of (model, scale, shift, lam),
-    read with one argument check and one chain lookup: entries 0..k hold
-    the integers L^i E[(scale*S_j + shift)_{i,lam}] for every i up to at
-    least n.  If entry k is missing or too short, entries 0..k are grown
-    to order n first, in order, by
-    A_j[i] = sum_l C(i, l) K_l A_(j-1)[i - l] over the kernel's K.
+    """(entries, L) of the chain of `shift` in the ``_store`` slot of
+    (model, scale, lam), read with one argument check and one slot
+    lookup: entries 0..k hold the integers L^i E[(scale*S_j + shift)_{i,lam}]
+    for every i up to at least n.  If entry k is missing or too short,
+    entries 0..k are grown to order n first, in order, under
+    ``_GROWTH``, by A_j[i] = sum_l C(i, l) K_l A_(j-1)[i - l] over the
+    slot's kernel K, itself grown there first if it is too short.
     """
     require_sum_args(k, scale, shift, n)
     lam = rat(lam)
-    base, chain = _mgf_chain(model, scale, shift, lam.numerator,
-                             lam.denominator)
-    if k not in chain or len(chain[k]) <= n:
-        # Entries get no longer as j grows, so every entry from the first
-        # short one through k is grown, and none below it is read twice.
-        first = k
-        while first and len(chain.get(first - 1, ())) <= n:
-            first -= 1
-        if first == 0:
-            root, step = shift * base, exact_int(lam, base)
-            entry = [1]
-            for t in range(n):
-                entry.append(entry[-1] * (root - t * step))
-            chain[0] = tuple(entry)
-            first = 1
-        if first <= k:
-            # Entry 0 reads no moment, so a custom list of one moment
-            # serves it.  weighted[i][l] = C(i, l) K_l, the same for every
-            # entry; entry k is the shortest, so rows below its length are
-            # never read.
-            ints = scaled_kernel(model, scale, lam, n)[0]
-            start = len(chain.get(k, ()))
-            weighted = [()] * start + [
-                [c * K for c, K in zip(pascal_row(i), ints)]
-                for i in range(start, n + 1)]
-        for j in range(first, k + 1):
-            below, entry = chain[j - 1], chain.get(j, ())
-            chain[j] = entry + tuple(sumprod(weighted[i], below[i::-1])
-                                     for i in range(len(entry), n + 1))
-    return chain, base
+    slot = _store(model, scale, lam.numerator, lam.denominator)
+    chain = slot.chains.get(shift, {})
+    if len(chain.get(k, ())) <= n:
+        with _GROWTH:
+            chain = slot.chains.setdefault(shift, {})
+            # Entries get no longer as j grows, so every entry from the
+            # first short one through k is grown (none, if another thread
+            # grew entry k meanwhile), and none below it is read twice.
+            first = k + 1
+            while first and len(chain.get(first - 1, ())) <= n:
+                first -= 1
+            if first == 0:
+                root, step = shift * slot.base, exact_int(lam, slot.base)
+                entry = [1]
+                for t in range(n):
+                    entry.append(entry[-1] * (root - t * step))
+                chain[0] = tuple(entry)
+                first = 1
+            if first <= k:
+                # Entry 0 reads no moment, so a custom list of one moment
+                # serves it.  weighted[i][l] = C(i, l) K_l, the same for
+                # every entry; entry k is the shortest, so rows below its
+                # length are never read.
+                _grow_kernel(model, scale, lam, slot, n)
+                start = len(chain.get(k, ()))
+                weighted = [()] * start + [
+                    [c * K for c, K in zip(pascal_row(i), slot.ints)]
+                    for i in range(start, n + 1)]
+            for j in range(first, k + 1):
+                below, entry = chain[j - 1], chain.get(j, ())
+                chain[j] = entry + tuple(
+                    sumprod(weighted[i], below[i::-1])
+                    for i in range(len(entry), n + 1))
+    return chain, slot.base
 
 
 def sum_degen_moment(model: MomentModel, k: int, scale: int, shift: int,

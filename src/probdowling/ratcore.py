@@ -12,16 +12,19 @@ do not add Fractions term by term, which reduces by a gcd at every step:
 common denominator (the lcm of the terms') and reduce once, returning
 the same Fraction.
 
-Memo tables hold immutable values too.  Three tables hold entries that
-grow, integers over one known denominator: the Whitney kernel
-``moments._mgf_kernel`` (one per model, scale and lam, the scaled
-integers of E[(scale*Y)_{n,lam}]), the sum-moment chain
-``moments._mgf_chain`` (one per model, scale, shift and lam, whose entry
-k holds the scaled integers of E[(scale*S_k + shift)_{n,lam}]) and the
-Whitney rows ``dowling._whitney_rows`` (one per model and parameters,
-the scaled integers beside the ``PolyX`` rows divided from them).  Each replaces
-an entry whole by a longer immutable one, so a reader in another thread
-sees an old or a new entry, both correct, and never a half-built one.
+Memo tables hold immutable values too.  Two tables hold slots that
+grow, integers over one known denominator: the moment store
+``moments._store`` (one per model, scale and lam: the scale L, the
+kernel's integers of E[(scale*Y)_{n,lam}] and, for every shift, the
+sum-moment chain whose entry k holds the integers of
+E[(scale*S_k + shift)_{n,lam}]) and the Whitney rows
+``dowling._whitney_rows`` (one per model and parameters, the scaled
+integers beside the ``PolyX`` rows divided from them).  Each replaces a
+value whole by a longer immutable one, so a reader in another thread
+sees an old or a new value, both correct, and never a half-built one.
+The moment store grows under one lock, ``moments._GROWTH``, so two
+threads growing a slot at once never store a shorter value over a
+longer one; a Whitney row call returns the rows it read or grew itself.
 Every table keyed by lam takes it as integers (its numerator and
 denominator, or lam scaled to an integer), so a lookup hashes and
 compares integers only.

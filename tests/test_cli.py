@@ -198,16 +198,6 @@ def test_out_file_and_model_path(tmp_path, capsys):
     assert out_file.read_text() == "1\n1,1/2\n"
 
 
-def test_threaded_output_matches_sequential(capsys, monkeypatch):
-    args = ("--command", "table", "--model", BERNOULLI, "--m", "2",
-            "--lambda", "1/3", "--max-n", "6")
-    code, seq_out, _ = run(capsys, *args)
-    monkeypatch.setenv("DOWLING_THREADS", "4")
-    code2, par_out, _ = run(capsys, *args)
-    assert code == code2 == 0
-    assert seq_out == par_out
-
-
 GOLDEN_STDOUT = [
     (("--command", "table", "--model", BERNOULLI, "--m", "2",
       "--lambda", "1/3", "--max-n", "6"),

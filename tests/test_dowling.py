@@ -2,6 +2,7 @@ import ast
 import math
 import re
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,8 @@ import pytest
 from probdowling import (Bernoulli, Binomial, Custom, DiscreteUniform,
                          Geometric, Params, PointMass, Poisson, PolyX,
                          WhitneyTriangle,
-                         bell_partial_series, degen_falling, dobinski_eval,
+                         bell_partial_series, clear_caches, degen_falling,
+                         dobinski_eval,
                          dowling_number, dowling_poly, dowling_poly_r,
                          egf_coeff, egf_const, egf_degen_exp, egf_mul,
                          egf_scale,
@@ -296,38 +298,83 @@ def test_warm_route_calls_do_no_moment_work(monkeypatch):
             (row, col, route)
 
 
-def _count_chain_reads(monkeypatch):
-    """Patch moments._mgf_chain to record the lam of every lookup, which
-    the chain takes as its numerator and denominator."""
+def _count_store_reads(monkeypatch):
+    """Clear the caches and patch moments._store to record the lam of every
+    lookup, which the store takes as its numerator and denominator."""
+    clear_caches()
     reads = []
-    chain = moments_mod._mgf_chain
+    store = moments_mod._store
 
-    def counted(model, scale, shift, p, q):
+    def counted(model, scale, p, q):
         reads.append(Fraction(p, q))
-        return chain(model, scale, shift, p, q)
+        return store(model, scale, p, q)
 
-    monkeypatch.setattr(moments_mod, "_mgf_chain", counted)
+    monkeypatch.setattr(moments_mod, "_store", counted)
     return reads
 
 
 def test_stirling_expand_reads_one_chain_entry_per_copy_count(monkeypatch):
     # The route reads every order up to n of the lam = 1 chain entries for
-    # the copy counts l <= k in one chain lookup, not one per copy count.
+    # the copy counts l <= k in one store lookup, not one per copy count,
+    # and a cold call grows the kernel in the slot it already holds.
     Y, params, n, k = Geometric(Fraction(1, 3)), P213, 9, 4
-    reads = _count_chain_reads(monkeypatch)
+    reads = _count_store_reads(monkeypatch)
     got = whitney_prob_r(Y, params, n, k, "stirling_expand")
     assert reads == [Fraction(1)]
     assert got == whitney_prob_r(Y, params, n, k, "egf")
 
 
 def test_alt_sum_reads_the_chain_once(monkeypatch):
-    # Column n of the chain entries 0..k comes from one chain lookup, not
-    # one sum_degen_moment call per copy count.
+    # Column n of the chain entries 0..k comes from one store lookup, not
+    # one sum_degen_moment call per copy count, cold as well as warm.
     Y, params, n, k = Geometric(Fraction(1, 3)), P213, 9, 4
-    reads = _count_chain_reads(monkeypatch)
+    reads = _count_store_reads(monkeypatch)
     got = whitney_prob_r(Y, params, n, k, "alt_sum")
     assert reads == [params.lam]
     assert got == whitney_prob_r(Y, params, n, k, "egf")
+
+
+def test_threaded_routes_match_sequential():
+    # Four threads grow each cold store at once, each from its own order n
+    # upward, with a thread switch forced every microsecond: a thread that
+    # grows to a lower order must never store a shorter kernel or chain
+    # entry over a longer one, so every value (or error) equals the
+    # sequential one.
+    Y = Poisson(Fraction(3, 2))
+    calls = [(n, n // 2, WHITNEY_ROUTES[n % 4]) for n in range(25)]
+    orders = [calls[6 * t:] + calls[:6 * t] for t in range(4)]
+
+    def run(params, order, out, start=None):
+        if start:
+            start.wait()
+        for n, k, route in order:
+            try:
+                out[n, k, route] = whitney_prob_r(Y, params, n, k, route)
+            except Exception as exc:  # an error is a wrong value too
+                out[n, k, route] = repr(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for j in range(1, 9):
+            params = Params(2, Fraction(j, 7), j % 3)
+            clear_caches()
+            got = [{} for _ in orders]
+            start = threading.Barrier(len(orders), timeout=60)
+            threads = [threading.Thread(target=run,
+                                        args=(params, order, out, start))
+                       for order, out in zip(orders, got)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            clear_caches()
+            expected = {}
+            run(params, calls, expected)
+            assert got == [expected] * len(orders), params
+    finally:
+        sys.setswitchinterval(interval)
 
 
 VANISHING_MODELS = [

@@ -189,7 +189,7 @@ def test_kernel_store_is_independent_of_request_order(model, lam):
                 got = egf_mgf_degen(model, scale, lam, order)
                 assert got.coeffs == tuple(expected[:order + 1]), \
                     (scale, sequence, order)
-            assert moments_mod._mgf_kernel.cache_info().currsize == 1
+            assert moments_mod._store.cache_info().currsize == 1
 
 
 def test_kernel_past_a_custom_list_fails_and_keeps_its_prefix():
@@ -199,11 +199,37 @@ def test_kernel_past_a_custom_list_fails_and_keeps_its_prefix():
     egf_mgf_degen(Y, 2, lam, 1)
     with pytest.raises(MomentOrderError):
         egf_mgf_degen(Y, 2, lam, 5)
-    assert len(moments_mod._mgf_kernel(Y, 2, 1, 3)[0]) == 2
+    assert len(moments_mod._store(Y, 2, 1, 3).ints) == 2
     # E[(2Y)_{n,lam}] = 2^n E[(Y)_{n,lam/2}] from the declared moments.
     expected = tuple(2 ** n * degen_moment(Y, n, lam / 2) for n in range(4))
     assert egf_mgf_degen(Y, 2, lam, 3).coeffs == expected
     assert egf_mgf_degen(Y, 2, lam, 2).coeffs == expected[:3]
+
+
+@pytest.mark.parametrize("lam", [Fraction(0), Fraction(2, 5)], ids=str)
+def test_kernel_grown_order_by_order_reads_each_moment_once(lam,
+                                                             monkeypatch):
+    # A custom list's moments do not recurse, so every raw_moment call is
+    # the kernel's own: growing order by order to N scales each of the N
+    # moments E[Y^1..N] once, at lam = 0 too, and never reads one again.
+    N, m = 40, 2
+    Y = Custom((Fraction(1),) + tuple(Fraction((-1) ** j * (j + 1), 3)
+                                      for j in range(1, N + 1)))
+    clear_caches()
+    calls = []
+
+    def counted(model, n):
+        calls.append(n)
+        return raw_moment(model, n)
+
+    monkeypatch.setattr(moments_mod, "raw_moment", counted)
+    for order in range(1, N + 1):
+        ints, base = moments_mod.scaled_kernel(Y, m, lam, order)
+    assert calls == list(range(1, N + 1))
+    monkeypatch.undo()
+    assert ints == tuple(
+        exact_int(degen_moment(Y, n, lam / m), (m * base) ** n)
+        for n in range(N + 1))
 
 
 KERNEL_MODELS = [
@@ -238,7 +264,7 @@ def test_invalid_kernel_requests_leave_no_store_entry(call):
     clear_caches()
     with pytest.raises(ValueError, match="must be"):
         call(Bernoulli(Fraction(1, 2)))
-    assert moments_mod._mgf_kernel.cache_info().currsize == 0
+    assert moments_mod._store.cache_info().currsize == 0
 
 
 def test_sum_degen_moment_frozen_values():
@@ -435,7 +461,7 @@ def test_dobinski_rows_share_one_power_chain():
     Y, params = Poisson(Fraction(1)), Params(1, Fraction(1, 3), 2)
     for n in range(13):
         dobinski_eval(Y, params, n, Fraction(9, 2), 1e-10)
-    assert moments_mod._mgf_chain.cache_info().currsize == 1
+    assert moments_mod._store.cache_info().currsize == 1
 
 
 def test_one_more_copy_reads_only_the_entry_below(monkeypatch):
@@ -445,7 +471,7 @@ def test_one_more_copy_reads_only_the_entry_below(monkeypatch):
     clear_caches()
     for k in range(60):
         sum_degen_moment(Y, k, 2, 1, 3, lam)
-    base, chain = moments_mod._mgf_chain(Y, 2, 1, 1, 3)
+    chains = moments_mod._store(Y, 2, 1, 3).chains
     reads = []
 
     class Counted(dict):
@@ -457,8 +483,7 @@ def test_one_more_copy_reads_only_the_entry_below(monkeypatch):
             reads.append(key)
             return super().__getitem__(key)
 
-    monkeypatch.setattr(moments_mod, "_mgf_chain",
-                        lambda *key: (base, Counted(chain)))
+    monkeypatch.setitem(chains, 1, Counted(chains[1]))
     got = sum_degen_moment(Y, 60, 2, 1, 3, lam)
     assert set(reads) == {59, 60}
     # S_60 of Bernoulli(1/2) is binomial(60, 1/2).
@@ -477,7 +502,7 @@ def test_invalid_chain_requests_leave_no_chain_entry(call):
     clear_caches()
     with pytest.raises(ValueError, match="must be"):
         call(Bernoulli(Fraction(1, 2)))
-    assert moments_mod._mgf_chain.cache_info().currsize == 0
+    assert moments_mod._store.cache_info().currsize == 0
 
 
 def test_no_copies_read_no_moment():

@@ -93,19 +93,17 @@ def _calls(tree, names):
 def test_hot_inner_sums_use_the_common_denominator_kernel():
     # These sums run once per coefficient or entry; builtin sum over
     # Fraction products would reduce by a gcd at every term.
-    hot = (series.egf_mul_coeff, moments.degen_moment, moments._falling_ints,
+    hot = (series.egf_mul_coeff, moments.degen_moment,
            moments._grow_kernel, moments.scaled_chain,
            dowling.dowling_poly_r, dowling._grow_whitney,
            dowling.whitney_prob_r, dowling._stirling2_degen_row,
            bell.bell_column_ints, bell._shape_sum)
-    # The scaled growth loops and the integer falling, Bell and Carlitz
-    # sums hold integers: no Fraction is built inside their loops, neither
-    # directly nor through the Fraction routines degen_moment and
-    # falling_row.
-    scaled = (moments._falling_ints, moments._grow_kernel,
-              moments.scaled_chain, dowling._grow_whitney,
-              dowling._stirling2_degen_row, bell.bell_column_ints,
-              bell._shape_sum)
+    # The scaled growth loops and the integer Bell and Carlitz sums hold
+    # integers: no Fraction is built inside their loops, neither directly
+    # nor through the Fraction routines degen_moment and falling_row.
+    scaled = (moments._grow_kernel, moments.scaled_chain,
+              dowling._grow_whitney, dowling._stirling2_degen_row,
+              bell.bell_column_ints, bell._shape_sum)
     loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
              ast.GeneratorExp)
     found = []
