@@ -159,7 +159,10 @@ def bell_partial_row(n: int, args: Sequence[Ring],
     polynomials in a second variable; ``one`` is that ring's unit.  `args`
     holds x_1..x_n in full, so every k reads the same chain: power k of
     sum_i x_i t^i / i!, over k!, is power k - 1 times that series over k,
-    filled upward as in ``bell_partial_series`` but not memoized.
+    filled upward as in ``bell_partial_series`` but not memoized.  The
+    program only adds and multiplies, so it has no branch on the values:
+    over ``dowling.PolyX`` every step is integer arithmetic on numerators
+    over one denominator, and over Fractions it is Fraction arithmetic.
     """
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")

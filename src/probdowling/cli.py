@@ -72,7 +72,7 @@ def parse_config(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     --m, --lambda and --r, which leave the namespace) as exact values."""
     args = build_parser().parse_args(argv)
     model_text = args.model
-    if not model_text.lstrip().startswith("{"):
+    if not model_text.lstrip().startswith(("{", "[")):
         try:
             model_text = Path(model_text).read_text()
         except OSError as exc:

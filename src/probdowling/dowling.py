@@ -9,7 +9,8 @@ rows by the paper's degree-raising recurrence, and the generating
 function itself is a test oracle.  The rows are grown in integers,
 V(n, k) = k! m^k L^n W(n, k) with L the kernel's scale
 (``moments.scaled_kernel``), in one store per (model, params), and
-divided once into ``PolyX`` rows of Fractions.  The same numbers fall
+divided once into ``PolyX`` rows of Fractions, which hold their integer
+numerators over one denominator beside them.  The same numbers fall
 out of three other computations (an alternating binomial sum over sums
 of copies, an expansion through degenerate Stirling numbers, and a
 partial-Bell-polynomial form), which are kept as first-class routes of
@@ -30,6 +31,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
+from operator import add
 from typing import Callable, Sequence
 
 from .bell import bell_column_ints, bell_partial_series
@@ -52,79 +55,126 @@ DOBINSKI_MAX_TERMS = 400
 class PolyX(Frozen):
     """Dense polynomial in the Dowling argument x, ascending powers.
 
-    Trailing zeros are tolerated; equality and degree ignore them.
+    Trailing zeros are tolerated; equality and degree ignore them.  It is
+    held as in FLINT's ``fmpq_poly``: integer numerators over one positive
+    denominator, with no common factor left between all of them (the
+    content removed), so equal polynomials hold equal integers.  Products,
+    sums, scalar multiples, derivatives and values at x work on those
+    integers: a product is an integer convolution, a sum brings both sides
+    over one denominator, and each result is reduced by one gcd.
+    ``coeffs`` holds the Fraction coefficients: those it was built from,
+    or, for a computed polynomial, built once, when first read.
     """
 
     coeffs: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        coerced = tuple(map(rat, self.coeffs)) or (Fraction(0),)
+    def __init__(self, coeffs: Sequence[RationalLike]) -> None:
+        coerced = tuple(map(rat, coeffs)) or (Fraction(0),)
+        # Over the lcm of the denominators, the content is already 1.
+        den = math.lcm(*(c.denominator for c in coerced))
+        object.__setattr__(self, "_nums", tuple(
+            c.numerator * (den // c.denominator) for c in coerced))
+        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "coeffs", coerced)
+
+    @classmethod
+    def _reduced(cls, nums: Sequence[int], den: int) -> "PolyX":
+        """nums / den (den > 0) with the content removed."""
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums, den = [c // g for c in nums], den // g
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "_nums", tuple(nums))
+        object.__setattr__(poly, "_den", den)
+        return poly
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._nums)
 
     @property
     def degree(self) -> int:
         """Largest power with nonzero coefficient; -1 for the zero polynomial."""
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[k]:
+        nums = self._nums
+        for k in range(len(nums) - 1, -1, -1):
+            if nums[k]:
                 return k
         return -1
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return self.coeffs[k] if 0 <= k < len(self._nums) else Fraction(0)
 
     def evaluate(self, x: RationalLike) -> Fraction:
+        """The value at x = p/q: Horner's rule on the integers
+        sum_i a_i p^i q^(d-i), over den q^d, as one Fraction."""
         x = rat(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        p, q = x.numerator, x.denominator
+        nums = self._nums[:self.degree + 1] or (0,)
+        acc, scale = nums[-1], 1
+        for c in nums[-2::-1]:
+            scale *= q
+            acc = acc * p + c * scale
+        return Fraction(acc, self._den * scale)
 
     def derivative(self, order: int = 1) -> "PolyX":
         if order < 0:
             raise ValueError(f"derivative order must be nonnegative, got {order}")
-        coeffs = self.coeffs
+        nums = self._nums
         for _ in range(order):
-            coeffs = tuple(k * c for k, c in enumerate(coeffs))[1:] or (Fraction(0),)
-        return PolyX(coeffs)
+            nums = [k * c for k, c in enumerate(nums)][1:] or [0]
+        return PolyX._reduced(nums, self._den)
 
     def shift_up(self) -> "PolyX":
         """Multiply by x."""
-        return PolyX((Fraction(0),) + self.coeffs)
+        return PolyX._reduced((0,) + self._nums, self._den)
 
     def __add__(self, other: "PolyX") -> "PolyX":
         if not isinstance(other, PolyX):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b, den = self._nums, other._nums, self._den
+        if other._den != den:
+            g = math.gcd(den, other._den)
+            up_a, up_b = other._den // g, den // g
+            a, b, den = ([c * up_a for c in a], [c * up_b for c in b],
+                         den * up_a)
         if len(a) < len(b):
             a, b = b, a
-        merged = list(a)
-        for i, c in enumerate(b):
-            merged[i] += c
-        return PolyX(tuple(merged))
+        return PolyX._reduced(list(map(add, a, b)) + list(a[len(b):]), den)
 
     def __mul__(self, other: "RationalLike | PolyX") -> "PolyX":
         """Product with a rational scalar or with another polynomial."""
         if isinstance(other, PolyX):
-            b = other.coeffs
-            out = [Fraction(0)] * (len(self.coeffs) + len(b) - 1)
-            for i, ca in enumerate(self.coeffs):
-                if ca:
-                    for j, cb in enumerate(b):
-                        out[i + j] += ca * cb
-            return PolyX(tuple(out))
-        c = rat(other)
-        return PolyX(tuple(c * v for v in self.coeffs))
+            # The integer convolution, one row a_i * b per nonzero a_i
+            # added into the slice of the product it overlaps.
+            b = other._nums
+            width = len(b)
+            out = [0] * (len(self._nums) + width - 1)
+            for i, c in enumerate(self._nums):
+                if c:
+                    out[i:i + width] = map(add, out[i:i + width],
+                                           map(c.__mul__, b))
+            return PolyX._reduced(out, self._den * other._den)
+        if type(other) is int:
+            p, q = other, 1
+        else:
+            c = rat(other)
+            p, q = c.numerator, c.denominator
+        return PolyX._reduced([p * v for v in self._nums], self._den * q)
 
     __rmul__ = __mul__
+
+    def _key_ints(self) -> tuple:
+        """The numerators without trailing zeros, and the denominator."""
+        return self._nums[:self.degree + 1], self._den
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyX):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return all(self.coeff(k) == other.coeff(k) for k in range(n))
+        return self._key_ints() == other._key_ints()
 
     def __hash__(self) -> int:
-        return hash(self.coeffs[:self.degree + 1])
+        return hash(self._key_ints())
 
     def __repr__(self) -> str:
         return f"PolyX({list(self.coeffs)!r})"
@@ -334,8 +384,11 @@ class WhitneyTriangle(Frozen):
 
 
 def dowling_poly(model: MomentModel, params: Params, n: int) -> PolyX:
-    """Dowling polynomial of degree n: coefficient k is W(n, k), r = 1."""
-    return dowling_poly_r(model, Params(params.m, params.lam, 1), n)
+    """Dowling polynomial of degree n: coefficient k is W(n, k), r = 1
+    (params.r is ignored; params with r = 1 pass through as they are)."""
+    if params.r != 1:
+        params = Params(params.m, params.lam, 1)
+    return dowling_poly_r(model, params, n)
 
 
 def dowling_poly_r(model: MomentModel, params: Params, n: int) -> PolyX:

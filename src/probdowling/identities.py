@@ -11,7 +11,10 @@ sampled: both sides are built once per degree n as PolyX polynomials in
 x, for every column k at once, and memoized with their verdict in
 ``dowling.polynomial_sides``.  Their Bell sides come from one power chain
 whose arguments are polynomials in x (``bell.bell_partial_row``, which
-``check_bell_expansion`` runs over rationals).  A call at one x reports
+``check_bell_expansion`` runs over rationals).  A PolyX holds integer
+numerators over one denominator, so these sides, ``check_recurrence``
+and ``check_derivative`` multiply and add integers, with one gcd per
+result and no Fraction per coefficient.  A call at one x reports
 the two sides' values there, and ``passed`` is equality of the
 polynomials, so the verdict is the same at every x.
 

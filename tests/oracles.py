@@ -183,3 +183,39 @@ def bell_args_series(args: BellArgs, order: int) -> EgfSeries:
     """
     xs = tuple(rat(v) for v in args[:order])
     return EgfSeries((Fraction(0),) + xs + (Fraction(0),) * (order - len(xs)))
+
+
+# A reference polynomial in x is a plain list of Fractions, ascending
+# powers, with nothing trimmed; ``PolyX`` is compared against these.
+def poly_add(a, b):
+    a, b = list(a), list(b)
+    a += [Fraction(0)] * (len(b) - len(a))
+    b += [Fraction(0)] * (len(a) - len(b))
+    return [x + y for x, y in zip(a, b)]
+
+
+def poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += Fraction(x) * y
+    return out
+
+
+def poly_scale(c, a):
+    return [Fraction(c) * x for x in a]
+
+
+def poly_eval(a, x):
+    return sum((Fraction(c) * Fraction(x) ** i for i, c in enumerate(a)),
+               Fraction(0))
+
+
+def poly_derivative(a, order):
+    for _ in range(order):
+        a = [i * Fraction(c) for i, c in enumerate(a)][1:] or [Fraction(0)]
+    return a
+
+
+def poly_shift_up(a):
+    return [Fraction(0)] + list(a)

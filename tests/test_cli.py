@@ -256,6 +256,9 @@ GOLDEN_STDOUT = [
     (("--command", "check", "--model", '{"kind": "discreteuniform", "max": 3}',
       "--m", "3", "--lambda", "1/2", "--max-n", "6", "--N", "9"),
      0, "5d855d97454ac198aa6a6fad04109849dd1bd3a3f0eb2e972591abf896de8ae9"),
+    (("--command", "check", "--model", '{"kind": "poisson", "rate": "3/2"}',
+      "--m", "2", "--lambda=-1/3", "--max-n", "12"),
+     0, "93828a0463d812c88a59b9ba9f99c99806c045f622be25af9e7f53412ab134b8"),
 ]
 
 
@@ -266,7 +269,7 @@ GOLDEN_STDOUT = [
                               "table-csv-r0-n30", "eval-r3-n24",
                               "mc-poisson-k3", "mc-geometric-k2",
                               "check-n9", "check-custom-r2-n7",
-                              "dobinski-n12", "check-N9"])
+                              "dobinski-n12", "check-N9", "check-n12"])
 def test_golden_stdout_bytes(capsys, argv, code, digest):
     # Digests of stdout as first released; any refactor must keep them.
     got_code, out, _ = run(capsys, *argv)
@@ -325,6 +328,16 @@ def test_unreadable_model_file_exits_2(tmp_path, capsys):
                          "--model", str(tmp_path / "missing.json"))
     assert code == 2 and out == ""
     assert "configuration error" in err
+
+
+@pytest.mark.parametrize("model", ["[1]", ' [{"kind": "poisson"}]'])
+def test_inline_json_array_model_exits_2(capsys, model):
+    # Text starting with "[" is inline JSON too, not a file path.
+    code, out, err = run(capsys, "--command", "table", "--model", model)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert "model config must be a JSON object" in err
+    assert "cannot read model file" not in err
 
 
 def test_negative_max_k_exits_2(capsys):

@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from probdowling import (Bernoulli, Binomial, Custom, DiscreteUniform,
                          Geometric, Params, PointMass, Poisson, PolyX,
@@ -27,8 +29,9 @@ from probdowling.moments import falling_row
 from probdowling.dowling import WHITNEY_ROUTES, POLY_ZERO
 from probdowling.series import egf_mul_coeff
 
-from oracles import (bell_numbers, egf_exp, egf_pow, egf_sub,
-                     stirling2_brute, stirling2_degen_carlitz)
+from oracles import (bell_numbers, egf_exp, egf_pow, egf_sub, poly_add,
+                     poly_derivative, poly_eval, poly_mul, poly_scale,
+                     poly_shift_up, stirling2_brute, stirling2_degen_carlitz)
 
 PM1 = PointMass(Fraction(1))
 BE = Bernoulli(Fraction(1, 2))
@@ -83,6 +86,79 @@ def test_polyx_product():
     assert p * PolyX((-1, 2)) == PolyX((-1, 0, 4))
     assert p * POLY_ZERO == POLY_ZERO
     assert (p * p).evaluate(Fraction(-3, 2)) == p.evaluate(Fraction(-3, 2))**2
+
+
+# Coefficient lists with ints and Fractions mixed, zeros and trailing
+# zeros common, and some large numerators and denominators.
+POLY_COEFFS = st.one_of(st.integers(-3, 3),
+                        st.fractions(-3, 3, max_denominator=6),
+                        st.fractions(max_denominator=10 ** 12))
+POLY_LISTS = st.lists(POLY_COEFFS, max_size=6)
+
+
+def _matches(poly, ref):
+    # Equal to the reference as a polynomial, and holding exactly its
+    # coefficients, trailing zeros included.
+    ref = list(ref) or [Fraction(0)]
+    return poly == PolyX(tuple(ref)) and list(poly.coeffs) == ref
+
+
+@given(a=POLY_LISTS, b=POLY_LISTS, c=POLY_COEFFS,
+       x=st.fractions(-4, 4, max_denominator=7), order=st.integers(0, 7))
+def test_polyx_matches_the_fraction_list_reference(a, b, c, x, order):
+    p, q = PolyX(tuple(a)), PolyX(tuple(b))
+    a, b = a or [0], b or [0]
+    assert _matches(p + q, poly_add(a, b))
+    assert _matches(p * q, poly_mul(a, b))
+    assert _matches(c * p, poly_scale(c, a))
+    assert _matches(p * c, poly_scale(c, a))
+    assert p.evaluate(x) == poly_eval(a, x)
+    assert (p * q).evaluate(x) == poly_eval(a, x) * poly_eval(b, x)
+    assert _matches(p.derivative(order), poly_derivative(a, order))
+    assert _matches(p.shift_up(), poly_shift_up(a))
+    assert p.degree == max((i for i, v in enumerate(a) if v), default=-1)
+
+
+@given(a=POLY_LISTS, zeros=st.integers(1, 3))
+def test_polyx_equal_by_any_path_compare_and_hash_equal(a, zeros):
+    p = PolyX(tuple(a))
+    for other in (PolyX(tuple(a) + (0,) * zeros),
+                  PolyX(tuple(a) + (Fraction(0),) * zeros),
+                  p * Fraction(1, 2) * 2, 2 * (Fraction(1, 2) * p),
+                  p + POLY_ZERO, POLY_ZERO + p, p * PolyX((1, 0))):
+        assert p == other and other == p and not p != other
+        assert hash(p) == hash(other)
+    zero = p * 0
+    for other in (POLY_ZERO, PolyX(()), PolyX((0, 0)), p + (-1) * p,
+                  zero.shift_up(), PolyX((5,)).derivative()):
+        assert zero == other and hash(zero) == hash(other)
+        assert other.degree == -1 and other.evaluate(3) == 0
+
+
+def test_polyx_arithmetic_builds_one_fraction_per_value(monkeypatch):
+    # Products, sums, scalar multiples, shifts and derivatives work on the
+    # integer numerators; a value at x builds its one Fraction at the end.
+    a = [Fraction(1, 3), -2, Fraction(5, 7)]
+    b = [Fraction(-3, 4), 0, 1, Fraction(2, 9)]
+    p, q, x = PolyX(tuple(a)), PolyX(tuple(b)), Fraction(-5, 2)
+    sixth = Fraction(1, 6)
+    built = []
+    real_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    r = (p * q + q) * 3 + p.shift_up().derivative(2) * sixth
+    assert built == []
+    value = r.evaluate(x)
+    assert len(built) == 1
+    monkeypatch.undo()
+    ref = poly_add(poly_scale(3, poly_add(poly_mul(a, b), b)),
+                   poly_scale(sixth, poly_derivative(poly_shift_up(a), 2)))
+    assert value == poly_eval(ref, x)
+    assert _matches(r, ref)
 
 
 def test_stirling2_frozen_and_brute():
