@@ -18,9 +18,10 @@ denominator q first, and since B_{n,k} is homogeneous of degree k
 ``bell_form`` Whitney route, which passes the kernel's scaled integers.
 The series route ``bell_partial_series`` reads the same numbers off the k-th
 power of an EGF; ``dowling.stirling2_prob`` reads it.
-``bell_partial_row`` runs the same power chain unmemoized for every k of
-one n, over rationals or polynomials in x; the identity battery reads its
-Bell sides from it.  The enumeration is the oracle for both, and the
+``bell_partial_rows`` runs the same power chain unmemoized for every k
+up to one n, over rationals or polynomials in x, and returns every row
+l <= n; ``bell_partial_row`` is its last row.  The identity battery reads
+its Bell sides from them.  The enumeration is the oracle for both, and the
 ``bell_form`` Whitney route.
 """
 
@@ -151,18 +152,20 @@ def bell_partial_series(k: int, inner: EgfSeries) -> EgfSeries:
     return egf_scale(Fraction(1, k), egf_mul(prev, inner))
 
 
-def bell_partial_row(n: int, args: Sequence[Ring],
-                     one: Ring) -> tuple[Ring, ...]:
-    """B_{n,k}(x_1, ..., x_{n-k+1}) for k = 0..n, from one power chain.
+def bell_partial_rows(n: int, args: Sequence[Ring],
+                      one: Ring) -> tuple[tuple[Ring, ...], ...]:
+    """B_{l,k}(x_1, ..., x_{l-k+1}) for l = 0..n, row l holding k = 0..l,
+    from one power chain.
 
     The x_i may come from any commutative ring over the rationals, such as
     polynomials in a second variable; ``one`` is that ring's unit.  `args`
     holds x_1..x_n in full, so every k reads the same chain: power k of
     sum_i x_i t^i / i!, over k!, is power k - 1 times that series over k,
-    filled upward as in ``bell_partial_series`` but not memoized.  The
-    program only adds and multiplies, so it has no branch on the values:
-    over ``dowling.PolyX`` every step is integer arithmetic on numerators
-    over one denominator, and over Fractions it is Fraction arithmetic.
+    filled upward as in ``bell_partial_series`` but not memoized, and its
+    coefficient l is B_{l,k}.  The program only adds and multiplies, so
+    it has no branch on the values: over ``dowling.PolyX`` every step is
+    integer arithmetic on numerators over one denominator, and over
+    Fractions it is Fraction arithmetic.
     """
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
@@ -173,14 +176,21 @@ def bell_partial_row(n: int, args: Sequence[Ring],
     # weighted[j][i] = C(j, i) x_i, the same for every power.
     weighted = [[zero] + [comb(j, i) * args[i - 1] for i in range(1, j + 1)]
                 for j in range(n + 1)]
-    power = [one] + [zero] * n          # power 0: the constant series 1
-    row = [power[n]]
+    powers = [[one] + [zero] * n]       # power 0: the constant series 1
     for k in range(1, n + 1):
         # Coefficients of power k - 1 below t^(k-1) vanish, so coefficient
         # j of power k reads x_1..x_(j-k+1) only.
-        power = [zero] * k + [
+        power = powers[-1]
+        powers.append([zero] * k + [
             sum((weighted[j][i] * power[j - i] for i in range(1, j - k + 2)),
                 zero) * Fraction(1, k)
-            for j in range(k, n + 1)]
-        row.append(power[n])
-    return tuple(row)
+            for j in range(k, n + 1)])
+    return tuple(tuple(power[l] for power in powers[:l + 1])
+                 for l in range(n + 1))
+
+
+def bell_partial_row(n: int, args: Sequence[Ring],
+                     one: Ring) -> tuple[Ring, ...]:
+    """B_{n,k}(x_1, ..., x_{n-k+1}) for k = 0..n: the last row of
+    ``bell_partial_rows``."""
+    return bell_partial_rows(n, args, one)[n]

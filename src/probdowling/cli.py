@@ -81,6 +81,10 @@ def parse_config(argv: Optional[Sequence[str]]) -> argparse.Namespace:
         model_obj = json.loads(model_text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"model is not valid JSON: {exc}") from exc
+    except RecursionError:
+        # Raised while the decoder is deep in the nesting; here the stack
+        # has unwound, so the report itself has room.
+        raise ValueError("model JSON is nested too deeply to read") from None
     args.model = model_from_config(model_obj)
     args.params = Params(args.m, rat(args.lam), args.r)
     del args.m, args.lam, args.r

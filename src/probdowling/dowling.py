@@ -7,17 +7,17 @@ family.  The production route ("egf", the default) does not expand that
 generating function: ``dowling_poly_r`` builds each row from the earlier
 rows by the paper's degree-raising recurrence, and the generating
 function itself is a test oracle.  The rows are grown in integers,
-V(n, k) = k! m^k L^n W(n, k) with L the kernel's scale
-(``moments.scaled_kernel``), in one store per (model, params), and
-divided once into ``PolyX`` rows of Fractions, which hold their integer
-numerators over one denominator beside them.  The same numbers fall
-out of three other computations (an alternating binomial sum over sums
-of copies, an expansion through degenerate Stirling numbers, and a
-partial-Bell-polynomial form), which are kept as first-class routes of
-``whitney_prob_r`` for every shift r >= 0: agreement of the routes is the
-library's correctness argument, so none of them is allowed to decay into
-a wrapper around another.  The oracle routes read the integer sum-moment
-chain (``moments.scaled_chain``) and divide once.
+T(n, k) = L^n W(n, k) with L the kernel's scale
+(``moments.scaled_kernel``), in one store per (model, params), and row
+n is those integers over L^n as one ``PolyX``, reduced by one content
+gcd.  The same numbers fall out of three other computations (an
+alternating binomial sum over sums of copies, an expansion through
+degenerate Stirling numbers, and a partial-Bell-polynomial form), which
+are kept as first-class routes of ``whitney_prob_r`` for every shift
+r >= 0: agreement of the routes is the library's correctness argument,
+so none of them is allowed to decay into a wrapper around another.  The
+oracle routes read the integer sum-moment chain
+(``moments.scaled_chain``) and divide once.
 
 Dowling polynomials are the row polynomials sum_k W(n, k) x^k; their
 value at x = 1 is a Dowling number.  ``dobinski_eval`` sums the
@@ -405,8 +405,9 @@ def dowling_poly_r(model: MomentModel, params: Params, n: int) -> PolyX:
 
     with g_j = E[mY (mY)_{j,lam}] = c_(j+1) + j lam c_j and
     c_j = E[(mY)_{j,lam}], coefficient j of the stored kernel.  Row n is
-    grown as V(n, k) = k! m^k L^n W(n, k), an integer, and divided once
-    into a PolyX of Fractions.  A table up to N costs about N^3/6 integer
+    grown as T(n, k) = L^n W(n, k), an integer, and kept as one PolyX:
+    T(n, 0..n) over L^n, reduced by one content gcd; its Fractions are
+    built when first read.  A table up to N costs about N^3/6 integer
     products.
     """
     if n < 0:
@@ -415,14 +416,11 @@ def dowling_poly_r(model: MomentModel, params: Params, n: int) -> PolyX:
     polys = store[0]
     if len(polys) <= n:
         cols, base = _grow_whitney(model, params, store[1], n)
-        units = [math.factorial(k) * params.m ** k for k in range(n + 1)]
-        new = []
-        for row in range(len(polys), n + 1):
-            # V(row, k) sits at index row - k of column k.
-            den = base ** row
-            new.append(PolyX(tuple(Fraction(cols[k][row - k], units[k] * den)
-                                   for k in range(row + 1))))
-        polys = polys + tuple(new)
+        # T(row, k) sits at index row - k of column k.
+        polys = polys + tuple(
+            PolyX._reduced([cols[k][row - k] for k in range(row + 1)],
+                           base ** row)
+            for row in range(len(polys), n + 1))
         store[:] = polys, cols
     return polys[n]
 
@@ -432,7 +430,7 @@ def _whitney_rows(model: MomentModel, params: Params) -> list:
     """The Whitney rows of (model, params), shared by every degree.
 
     One slot [polys, cols]: polys[n] is the ``dowling_poly_r`` row n, and
-    cols[k] holds V(n, k) = k! m^k L^n W(n, k) for n = k, k + 1, ... up
+    cols[k] holds T(n, k) = L^n W(n, k) for n = k, k + 1, ... up
     to the highest row grown, with L the kernel's scale.  Both are
     replaced whole, in one step, by longer ones, never changed in place,
     so a failed growth leaves the store as it was.
@@ -443,21 +441,27 @@ def _whitney_rows(model: MomentModel, params: Params) -> list:
 def _grow_whitney(model: MomentModel, params: Params,
                   cols: list[list[int]], n: int
                   ) -> tuple[list[list[int]], int]:
-    """New columns of V through row n, and the scale L.
+    """New columns of T through row n, and the scale L.
 
-    V(n, k) = (rL - (n-1) lam L) V(n-1, k)
-              + k sum_l C(n-1, l) G_(n-1-l) V(l, k-1),
-    G_j = K_(j+1) + j lam L K_j, with K the kernel's scaled integers
-    (``scaled_kernel``): W's recurrence times k! m^k L^n, with no division.
-    The stored columns are copied, never extended in place.
+    T(n, k) = (rL - (n-1) lam L) T(n-1, k)
+              + sum_l C(n-1, l) G'_(n-1-l) T(l, k-1),
+    G'_j = G_j / m with G_j = K_(j+1) + j lam L K_j, K the kernel's scaled
+    integers (``scaled_kernel``): W's recurrence times L^n.  The division
+    by m is exact: G_j = L^(j+1) E[mY (mY)_{j,lam}]
+    = m sum_a c_a m^a (lam L)^(j-a) L^(a+1) E[Y^(a+1)] with integers c_a,
+    and lam L and L^(a+1) E[Y^(a+1)] are integers, because den(lam) and
+    D (``moments.moment_base``) divide L.  ``exact_int`` checks it all the
+    same: ArithmeticError, never a truncated row, if a G_j is not a
+    multiple of m.  The stored columns are copied, never extended in place.
     """
     ints, base = scaled_kernel(model, params.m, params.lam, n)
     step = exact_int(params.lam, base)
-    G = [ints[j + 1] + j * step * ints[j] for j in range(n)]
+    per_m = Fraction(1, params.m)
+    G = [exact_int(per_m, ints[j + 1] + j * step * ints[j]) for j in range(n)]
     cols = [col[:] for col in cols]
     for row in range(len(cols), n + 1):
-        # weights[l] = C(row-1, l) G_(row-1-l); column k-1 holds
-        # V(l, k-1) for l = k-1..row-1, the terms of column k.
+        # weights[l] = C(row-1, l) G'_(row-1-l); column k-1 holds
+        # T(l, k-1) for l = k-1..row-1, the terms of column k.
         weights = [b * G[row - 1 - l]
                    for l, b in enumerate(pascal_row(row - 1))]
         shift = params.r * base - (row - 1) * step
@@ -466,8 +470,7 @@ def _grow_whitney(model: MomentModel, params: Params,
         # entry of this row.
         for k in range(row, 0, -1):
             carried = shift * cols[k][-1] if k < row else 0
-            cols[k].append(carried
-                           + k * sumprod(weights[k - 1:], cols[k - 1]))
+            cols[k].append(carried + sumprod(weights[k - 1:], cols[k - 1]))
         cols[0].append(shift * cols[0][-1])
     return cols, base
 

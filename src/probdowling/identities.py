@@ -10,8 +10,9 @@ The three laws in the polynomial argument x (``check_binom_bell``,
 sampled: both sides are built once per degree n as PolyX polynomials in
 x, for every column k at once, and memoized with their verdict in
 ``dowling.polynomial_sides``.  Their Bell sides come from one power chain
-whose arguments are polynomials in x (``bell.bell_partial_row``, which
-``check_bell_expansion`` runs over rationals).  A PolyX holds integer
+whose arguments are polynomials in x (``bell.bell_partial_row``);
+``check_bell_expansion`` reads every row l <= n of one such chain over
+rationals (``bell.bell_partial_rows``).  A PolyX holds integer
 numerators over one denominator, so these sides, ``check_recurrence``
 and ``check_derivative`` multiply and add integers, with one gcd per
 result and no Fraction per coefficient.  A call at one x reports
@@ -27,7 +28,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Optional, Sequence
 
-from .bell import bell_partial_row
+from .bell import bell_partial_row, bell_partial_rows
 from .dowling import (POLY_ONE, POLY_ZERO, PolyX, dowling_number, dowling_poly,
                       polynomial_sides, stirling2_prob, whitney_prob,
                       whitney_prob_r)
@@ -94,12 +95,13 @@ def check_bell_expansion(model: MomentModel, params: Params,
     m, lam = params.m, params.lam
     lhs = dowling_poly(model, params, n)
     args = [c / m for c in egf_mgf_degen(model, m, lam, n).coeffs[1:]]
+    rows = bell_partial_rows(n, args, Fraction(1))
     coeffs = [Fraction(0)] * (n + 1)
     for l in range(n + 1):
         w = binom(n, l) * degen_falling(1, n - l, lam)
         if not w:
             continue
-        for k, b in enumerate(bell_partial_row(l, args, Fraction(1))):
+        for k, b in enumerate(rows[l]):
             coeffs[k] += w * b
     return _report("bell_expansion", model, params, {"n": n},
                    lhs, PolyX(tuple(coeffs)))

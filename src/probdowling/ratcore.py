@@ -18,8 +18,9 @@ grow, integers over one known denominator: the moment store
 kernel's integers of E[(scale*Y)_{n,lam}] and, for every shift, the
 sum-moment chain whose entry k holds the integers of
 E[(scale*S_k + shift)_{n,lam}]) and the Whitney rows
-``dowling._whitney_rows`` (one per model and parameters, the scaled
-integers beside the ``PolyX`` rows divided from them).  Each replaces a
+``dowling._whitney_rows`` (one per model and parameters, the integers
+T(n, k) = L^n W(n, k) beside the ``PolyX`` rows, each row n those
+integers over L^n).  Each replaces a
 value whole by a longer immutable one, so a reader in another thread
 sees an old or a new value, both correct, and never a half-built one.
 The moment store grows under one lock, ``moments._GROWTH``, so two

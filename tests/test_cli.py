@@ -82,9 +82,17 @@ def test_invalid_probability_exits_2(capsys):
     assert "configuration error" in err
 
 
-def test_bad_json_exits_2(capsys):
-    code, _, err = run(capsys, "--command", "table", "--model", '{"kind":')
-    assert code == 2
+@pytest.mark.parametrize("model", [
+    '{"kind":',
+    "[" * 5000 + "]" * 5000,
+    '{"kind": "custom", "moments": ' + "[" * 5000 + "]" * 5000 + "}",
+], ids=["truncated", "nested", "nested-custom"])
+def test_bad_json_exits_2(capsys, model):
+    # Nesting past the decoder's recursion limit is a bad model, not a
+    # failed identity (exit 1).
+    code, out, err = run(capsys, "--command", "table", "--model", model)
+    assert code == 2 and out == ""
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
 
 
 def test_moment_shortfall_exits_3(capsys):
@@ -259,6 +267,11 @@ GOLDEN_STDOUT = [
     (("--command", "check", "--model", '{"kind": "poisson", "rate": "3/2"}',
       "--m", "2", "--lambda=-1/3", "--max-n", "12"),
      0, "93828a0463d812c88a59b9ba9f99c99806c045f622be25af9e7f53412ab134b8"),
+    # Rows 31-60 at m = 2, r = 2: the deepest golden table.
+    (("--command", "table", "--model", '{"kind": "poisson", "rate": "1"}',
+      "--m", "2", "--lambda=1/3", "--r", "2", "--max-n", "60",
+      "--format", "csv"),
+     0, "9fdfc86aeadf43aab3082d1bf4eb0840a7d1bb0412d0a90eae23567512e7d8d8"),
 ]
 
 
@@ -269,7 +282,8 @@ GOLDEN_STDOUT = [
                               "table-csv-r0-n30", "eval-r3-n24",
                               "mc-poisson-k3", "mc-geometric-k2",
                               "check-n9", "check-custom-r2-n7",
-                              "dobinski-n12", "check-N9", "check-n12"])
+                              "dobinski-n12", "check-N9", "check-n12",
+                              "table-csv-m2-r2-n60"])
 def test_golden_stdout_bytes(capsys, argv, code, digest):
     # Digests of stdout as first released; any refactor must keep them.
     got_code, out, _ = run(capsys, *argv)

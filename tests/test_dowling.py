@@ -321,6 +321,54 @@ def test_whitney_four_route_agreement_mixed_denominators(r):
             assert len(set(values.values())) == 1, (n, k, values)
 
 
+STORE_MODELS = [PointMass(Fraction(2, 3)), Bernoulli(Fraction(1, 3)),
+                Binomial(3, Fraction(2, 5)), DiscreteUniform(3),
+                Poisson(Fraction(7, 3)), Geometric(Fraction(2, 3)),
+                Custom(tuple(Fraction(v) for v in (
+                    "1", "2/5", "3/11", "7/5", "13/11", "9/5", "24/11",
+                    "16/5", "41/11", "27/5", "68/11")))]
+
+
+@pytest.mark.parametrize("model", STORE_MODELS, ids=[
+    "pointmass", "bernoulli", "binomial", "uniform", "poisson", "geometric",
+    "custom"])
+def test_whitney_store_holds_scaled_numbers(model):
+    # Column k of the store holds T(n, k) = L^n W(n, k), n = k, k + 1, ...,
+    # with L the kernel's scale and W read from the bell_form route.
+    for m in (1, 2, 3):
+        for lam in (Fraction(0), Fraction(-1, 2), Fraction(4, 3)):
+            base = moments_mod.scaled_kernel(model, m, lam, 0)[1]
+            for r in (0, 1, 3):
+                params = Params(m, lam, r)
+                dowling_poly_r(model, params, 10)
+                cols = dowling_mod._whitney_rows(model, params)[1]
+                for k in range(11):
+                    assert cols[k][:11 - k] == [
+                        base ** n * whitney_prob_r(model, params, n, k,
+                                                   "bell_form")
+                        for n in range(k, 11)], (m, lam, r, k)
+
+
+def test_whitney_growth_refuses_a_weight_m_does_not_divide(monkeypatch):
+    # Every true kernel makes G_j = K_(j+1) + j lam L K_j a multiple of m.
+    # With K_3 off by one, G_2 is not: the growth must raise, never store
+    # or return a truncated row.
+    model, params = Poisson(Fraction(7, 3)), Params(2, Fraction(1, 3), 1)
+    dowling_mod.clear_caches()
+    kernel = dowling_mod.scaled_kernel
+
+    def skewed(model, scale, lam, order):
+        ints, base = kernel(model, scale, lam, order)
+        return ints[:3] + (ints[3] + 1,) + ints[4:], base
+
+    monkeypatch.setattr(dowling_mod, "scaled_kernel", skewed)
+    with pytest.raises(ArithmeticError):
+        dowling_poly_r(model, params, 5)
+    monkeypatch.undo()
+    assert list(dowling_poly_r(model, params, 5).coeffs) == [
+        whitney_prob_r(model, params, 5, k, "bell_form") for k in range(6)]
+
+
 def test_whitney_prob_passes_r1_params_through(monkeypatch):
     # Params with r = 1 reach the routes as the same object, whose kept
     # hash serves every memo lookup; other shifts are replaced by r = 1.
