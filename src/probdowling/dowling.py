@@ -38,8 +38,8 @@ from typing import Callable, Sequence
 from .bell import bell_column_ints, bell_partial_series
 from .moments import (MomentModel, egf_mgf_degen, pascal_row, scaled_chain,
                       scaled_kernel, sum_degen_moment)
-from .ratcore import (Frozen, Params, RationalLike, clear_caches, exact_int,
-                      memo, rat, sumprod)
+from .ratcore import (Frozen, Params, RationalLike, brief, clear_caches,
+                      exact_int, memo, rat, sumprod)
 from .series import EgfSeries, egf_coeff
 
 WHITNEY_ROUTES = ("egf", "alt_sum", "stirling_expand", "bell_form")
@@ -118,12 +118,15 @@ class PolyX(Frozen):
         return Fraction(acc, self._den * scale)
 
     def derivative(self, order: int = 1) -> "PolyX":
+        """The order-th derivative in one pass: coefficient i is
+        (i + order)! / i! times coefficient i + order, and an order past
+        the stored length leaves the zero polynomial."""
         if order < 0:
             raise ValueError(f"derivative order must be nonnegative, got {order}")
         nums = self._nums
-        for _ in range(order):
-            nums = [k * c for k, c in enumerate(nums)][1:] or [0]
-        return PolyX._reduced(nums, self._den)
+        return PolyX._reduced([math.perm(k, order) * nums[k]
+                               for k in range(order, len(nums))] or [0],
+                              self._den)
 
     def shift_up(self) -> "PolyX":
         """Multiply by x."""
@@ -495,7 +498,8 @@ def dobinski_eval(model: MomentModel, params: Params, n: int,
     """
     x = rat(x)
     if x < 0:
-        raise ValueError(f"series argument must be nonnegative, got {x}")
+        raise ValueError(
+            f"series argument must be nonnegative, got {brief(str(x))}")
     if not (math.isfinite(rel_tol) and rel_tol > 0):
         raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
     m, lam, r = params.m, params.lam, params.r
@@ -516,8 +520,8 @@ def dobinski_eval(model: MomentModel, params: Params, n: int,
             if small_streak >= 3 and k > n:
                 return math.exp(-float(x) / m) * float(partial)
     except OverflowError as exc:
-        raise ValueError(f"moment series at x = {x} leaves float range "
-                         f"at term {k}") from exc
+        raise ValueError(f"moment series at x = {brief(str(x))} leaves "
+                         f"float range at term {k}") from exc
     raise RuntimeError(
         f"moment series did not settle within {DOBINSKI_MAX_TERMS} terms; "
         f"last term magnitude {abs(float(term)):.3e}")

@@ -12,12 +12,20 @@ x, for every column k at once, and memoized with their verdict in
 ``dowling.polynomial_sides``.  Their Bell sides come from one power chain
 whose arguments are polynomials in x (``bell.bell_partial_row``);
 ``check_bell_expansion`` reads every row l <= n of one such chain over
-rationals (``bell.bell_partial_rows``).  A PolyX holds integer
-numerators over one denominator, so these sides, ``check_recurrence``
-and ``check_derivative`` multiply and add integers, with one gcd per
-result and no Fraction per coefficient.  A call at one x reports
-the two sides' values there, and ``passed`` is equality of the
-polynomials, so the verdict is the same at every x.
+rationals (``bell.bell_partial_rows``).  The r-Whitney sides read the
+stored rows ``dowling_poly_r`` of shift k, one row per column k.
+
+``check_bell_expansion``, ``check_recurrence``, ``check_derivative``
+and ``check_convolution`` sum whole rows, Bell rows or Dowling rows
+D(k, x), times scalar weights, as PolyX.  ``check_convolution``'s
+bivariate sides are built as rows per power of y: row j is the
+coefficient of y^j as a PolyX in x, on the left the Taylor coefficient
+E^(j)(x) / j! of one polynomial E.
+A PolyX holds integer numerators over one denominator, so the battery
+multiplies and adds integers, with one gcd per result and no Fraction
+per coefficient.  A call at one x reports the two sides' values there,
+and ``passed`` is equality of the polynomials, so the verdict is the
+same at every x.
 
 Check functions are pure and independent of one another.
 """
@@ -30,8 +38,8 @@ from typing import Callable, Optional, Sequence
 
 from .bell import bell_partial_row, bell_partial_rows
 from .dowling import (POLY_ONE, POLY_ZERO, PolyX, dowling_number, dowling_poly,
-                      polynomial_sides, stirling2_prob, whitney_prob,
-                      whitney_prob_r)
+                      dowling_poly_r, polynomial_sides, stirling2_prob,
+                      whitney_prob)
 from .moments import (MomentModel, egf_mgf_degen, falling_row,
                       sum_degen_moment)
 from .ratcore import (Frozen, Params, RationalLike, binom, degen_falling, rat,
@@ -93,18 +101,16 @@ def check_bell_expansion(model: MomentModel, params: Params,
     """
     _require_indices(n=n)
     m, lam = params.m, params.lam
-    lhs = dowling_poly(model, params, n)
     args = [c / m for c in egf_mgf_degen(model, m, lam, n).coeffs[1:]]
     rows = bell_partial_rows(n, args, Fraction(1))
-    coeffs = [Fraction(0)] * (n + 1)
-    for l in range(n + 1):
-        w = binom(n, l) * degen_falling(1, n - l, lam)
-        if not w:
-            continue
-        for k, b in enumerate(rows[l]):
-            coeffs[k] += w * b
+    # (1)_{j,lam} is 0 for every j > 1/lam at lam = 1/2, 1/3, ...: those
+    # rows are skipped, not converted.  Row n's weight is 1, so the sum
+    # keeps its length n + 1.
+    rhs = sum((w * PolyX(row) for l, row in enumerate(rows)
+               if (w := binom(n, l) * degen_falling(1, n - l, lam))),
+              POLY_ZERO)
     return _report("bell_expansion", model, params, {"n": n},
-                   lhs, PolyX(tuple(coeffs)))
+                   dowling_poly(model, params, n), rhs)
 
 
 def check_recurrence(model: MomentModel, params: Params,
@@ -116,17 +122,15 @@ def check_recurrence(model: MomentModel, params: Params,
     """
     _require_indices(n=n)
     m, lam = params.m, params.lam
-    lhs = dowling_poly(model, params, n + 1)
     c = egf_mgf_degen(model, m, lam, n + 1).coeffs
-    plain = PolyX((Fraction(0),))
-    weighted = PolyX((Fraction(0),))
-    for k in range(n + 1):
-        dk = dowling_poly(model, params, k)
-        sign = Fraction(-1) ** (n - k)
-        plain = plain + (sign * lam**(n - k) * Fraction(factorial(n), factorial(k))) * dk
-        weighted = weighted + (binom(n, k) * c[n - k + 1]) * dk
+    rows = [dowling_poly(model, params, k) for k in range(n + 1)]
+    plain = sum(((-lam) ** (n - k) * Fraction(factorial(n), factorial(k)) * dk
+                 for k, dk in enumerate(rows)), POLY_ZERO)
+    weighted = sum((binom(n, k) * c[n - k + 1] * dk
+                    for k, dk in enumerate(rows)), POLY_ZERO)
     rhs = plain + Fraction(1, m) * weighted.shift_up()
-    return _report("recurrence", model, params, {"n": n}, lhs, rhs)
+    return _report("recurrence", model, params, {"n": n},
+                   dowling_poly(model, params, n + 1), rhs)
 
 
 def check_convolution(model: MomentModel, params: Params,
@@ -135,27 +139,31 @@ def check_convolution(model: MomentModel, params: Params,
 
     sum_k C(n,k) (1)_{n-k,lam} D(k, x+y)
         = sum_k C(n,k) D(n-k, x) D(k, y),
-    as an exact bivariate polynomial identity; each side is a dict
+    as an exact bivariate polynomial identity.  Each side is built as its
+    rows, row j its coefficient of y^j as a PolyX in x: the left side is
+    E(x+y) with E = sum_k C(n,k) (1)_{n-k,lam} D(k, x), so its row j is
+    the Taylor coefficient E^(j)(x) / j!, and row j of the right side is
+    sum_k C(n,k) [y^j]D(k, y) D(n-k, x).  Each side is reported as a dict
     {(i, j): coefficient of x^i y^j} with zero entries dropped.
     """
     _require_indices(n=n)
-    lam = params.lam
-    lhs: dict = {}
-    rhs: dict = {}
-    for k in range(n + 1):
-        dk = dowling_poly(model, params, k).coeffs
-        b = binom(n, k)
-        w = b * degen_falling(1, n - k, lam)
-        # D(k, x+y) expanded over monomials x^i y^(d-i)
-        for d, c in enumerate(dk):
-            for i in range(d + 1):
-                lhs[i, d - i] = lhs.get((i, d - i), 0) + w * c * binom(d, i)
-        for i, cx in enumerate(dowling_poly(model, params, n - k).coeffs):
-            for j, cy in enumerate(dk):
-                rhs[i, j] = rhs.get((i, j), 0) + b * cx * cy
-    lhs = {ij: c for ij, c in lhs.items() if c}
-    rhs = {ij: c for ij, c in rhs.items() if c}
-    return _report("convolution", model, params, {"n": n}, lhs, rhs)
+    rows = [dowling_poly(model, params, k) for k in range(n + 1)]
+    whole = sum((binom(n, k) * degen_falling(1, n - k, params.lam) * dk
+                 for k, dk in enumerate(rows)), POLY_ZERO)
+    lhs = [Fraction(1, factorial(j)) * whole.derivative(j)
+           for j in range(n + 1)]
+    rhs = [sum((binom(n, k) * dk.coeff(j) * rows[n - k]
+                for k, dk in enumerate(rows)), POLY_ZERO)
+           for j in range(n + 1)]
+    return _report("convolution", model, params, {"n": n},
+                   _by_monomial(lhs), _by_monomial(rhs))
+
+
+def _by_monomial(rows: Sequence[PolyX]) -> dict:
+    """{(i, j): coefficient of x^i y^j}, zeros dropped, from rows[j], the
+    coefficient of y^j as a polynomial in x."""
+    return {(i, j): c for j, row in enumerate(rows)
+            for i, c in enumerate(row.coeffs) if c}
 
 
 def check_binom_bell(model: MomentModel, params: Params, n: int,
@@ -201,10 +209,9 @@ def _bell_rwhitney_sides(model: MomentModel, params: Params,
     bell = bell_partial_row(n, args, POLY_ONE)
     sides = []
     for k in range(n + 1):
-        params_k = Params(params.m, params.lam, k)
-        lhs = PolyX(tuple(binom(n, k) * Fraction(k)**j
-                          * whitney_prob_r(model, params_k, n - k, j)
-                          for j in range(n - k + 1)))
+        row = dowling_poly_r(model, Params(params.m, params.lam, k), n - k)
+        lhs = PolyX(tuple(binom(n, k) * Fraction(k)**j * w
+                          for j, w in enumerate(row.coeffs)))
         sides.append((lhs, bell[k]))
     return tuple(sides)
 
@@ -229,10 +236,9 @@ def _stirling_bell_sides(model: MomentModel, params: Params,
     bell = bell_partial_row(n, args, POLY_ONE)
     sides = []
     for k in range(n + 1):
-        params_k = Params(params.m, params.lam, k)
-        rhs = PolyX(tuple(stirling2(j, k)
-                          * whitney_prob_r(model, params_k, n, j)
-                          for j in range(n + 1)))
+        row = dowling_poly_r(model, Params(params.m, params.lam, k), n)
+        rhs = PolyX(tuple(stirling2(j, k) * w
+                          for j, w in enumerate(row.coeffs)))
         sides.append((bell[k], rhs))
     return tuple(sides)
 
@@ -273,21 +279,18 @@ def check_derivative(model: MomentModel, params: Params, n: int,
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     m, lam = params.m, params.lam
-    mu = lam / m
-    lhs = dowling_poly(model, params, n).derivative(k)
-    rhs = PolyX((Fraction(0),))
-    for j in range(n - k + 1):
-        s = stirling2_prob(model, n - j, k, mu)
-        if s:
-            rhs = rhs + (binom(n, j) * s * Fraction(m)**(n - k - j)) \
-                * dowling_poly(model, params, j)
-    rhs = factorial(k) * rhs
+    rows = [dowling_poly(model, params, j) for j in range(n + 1)]
+    # A zero weight adds no term, so the reported rhs is only as long as
+    # its last row with a nonzero weight.
+    rhs = factorial(k) * sum((
+        binom(n, j) * s * Fraction(m)**(n - k - j) * rows[j]
+        for j in range(n - k + 1)
+        if (s := stirling2_prob(model, n - j, k, lam / m))), POLY_ZERO)
     c = egf_mgf_degen(model, m, lam, n).coeffs
-    first = PolyX((Fraction(0),))
-    for j in range(n):
-        first = first + (binom(n, j) * c[n - j] / m) \
-            * dowling_poly(model, params, j)
-    ok = lhs == rhs and dowling_poly(model, params, n).derivative(1) == first
+    first = sum((binom(n, j) * c[n - j] / m * rows[j] for j in range(n)),
+                POLY_ZERO)
+    lhs = rows[n].derivative(k)
+    ok = lhs == rhs and rows[n].derivative(1) == first
     return IdentityReport("derivative", model, params, {"n": n, "k": k},
                           lhs, rhs, ok)
 

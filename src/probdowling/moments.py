@@ -52,15 +52,16 @@ supported on {0, 1, 2, ...}.
 
 from __future__ import annotations
 
+import reprlib
 from fractions import Fraction
 from math import lcm
 from threading import Lock
 from types import SimpleNamespace
 from typing import Mapping, Sequence, Union
 
-from .ratcore import (Frozen, RationalLike, binomial_row, clear_caches, dot,
-                      exact_int, format_rational, memo, rat, stirling2,
-                      sumprod)
+from .ratcore import (Frozen, RationalLike, binomial_row, brief,
+                      clear_caches, dot, exact_int, format_rational, memo,
+                      rat, stirling2, sumprod)
 # egf_mul is imported but unused: the benchmark's tracer self-test patches
 # and reads it as moments.egf_mul.
 from .series import EgfSeries, egf_mul  # noqa: F401
@@ -450,16 +451,18 @@ def model_from_config(config: Mapping[str, object]) -> MomentModel:
     "trials" and "max" must be JSON integers.
     """
     if not isinstance(config, Mapping):
-        raise ValueError(f"model config must be a JSON object, got {config!r}")
+        raise ValueError("model config must be a JSON object, got "
+                         f"{brief(reprlib.repr(config))}")
     kind = config.get("kind")
     if not isinstance(kind, str) or kind not in _KIND_TO_CLS:
-        raise ValueError(f"unknown model kind {kind!r}; "
+        raise ValueError(f"unknown model kind {brief(reprlib.repr(kind))}; "
                          f"expected one of {sorted(_KIND_TO_CLS)}")
     cls = _KIND_TO_CLS[kind]
     names = cls.fields
     unknown = sorted(set(config) - set(names) - {"kind"})
     if unknown:
-        raise ValueError(f"model config for {kind!r} has unknown fields {unknown}")
+        raise ValueError(f"model config for {kind!r} has unknown fields "
+                         f"{brief(reprlib.repr(unknown))}")
     missing = [name for name in names if name not in config]
     if missing:
         raise ValueError(f"model config for {kind!r} is missing fields {missing}")
@@ -496,5 +499,8 @@ def _str_or_int(value: object) -> RationalLike:
     if isinstance(value, bool) or isinstance(value, float):
         raise ValueError(f"rationals must be given as strings or ints, got {value!r}")
     if not isinstance(value, (str, int)):
-        raise ValueError(f"cannot read {value!r} as a rational")
+        # reprlib.repr stops six levels down, so deep JSON is never
+        # walked whole, and brief cuts what it returns to one short line.
+        raise ValueError(
+            f"cannot read {brief(reprlib.repr(value))} as a rational")
     return value

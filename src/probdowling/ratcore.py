@@ -130,7 +130,11 @@ def rat(value: RationalLike) -> Fraction:
         try:
             return Fraction(value)
         except ZeroDivisionError:
-            raise ValueError(f"{value!r} has a zero denominator") from None
+            raise ValueError(
+                f"{brief(repr(value))} has a zero denominator") from None
+        except ValueError:
+            raise ValueError(
+                f"cannot read {brief(repr(value))} as a rational") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -140,6 +144,13 @@ def format_rational(value: RationalLike) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def brief(text: str) -> str:
+    """text as an error message echoes a value from outside: whole up to
+    60 characters, else its first and last 28 around "...", so the
+    message stays one short line however long the value is."""
+    return text if len(text) <= 60 else f"{text[:28]}...{text[-28:]}"
 
 
 def falling(x: RationalLike, n: int) -> Fraction:

@@ -4,6 +4,10 @@ The brute-force ones do not touch the library's series pipeline: set
 partitions are enumerated directly, and expectations over finite-support
 models are computed by walking the joint support with exact probabilities.
 
+``convolution_monomials`` expands both sides of the twisted convolution
+one monomial x^i y^j at a time, as the battery did before it worked on
+rows per power of y.
+
 The series and Bell references at the end (``egf_add``, ``egf_sub``,
 ``egf_pow``, ``egf_exp``, ``bell_complete``, ``bell_args_series``) are
 built on the library's series type and products; no production path
@@ -219,3 +223,24 @@ def poly_derivative(a, order):
 
 def poly_shift_up(a):
     return [Fraction(0)] + list(a)
+
+
+def convolution_monomials(rows, lam):
+    """Both sides of sum_k C(n,k) (1)_{n-k,lam} D(k, x+y)
+    = sum_k C(n,k) D(n-k, x) D(k, y), n = len(rows) - 1, rows[k] the
+    coefficients of D(k, x), as dicts {(i, j): coefficient of x^i y^j}
+    with zero entries dropped, each term added monomial by monomial."""
+    n = len(rows) - 1
+    lhs, rhs = {}, {}
+    for k, dk in enumerate(rows):
+        b = comb(n, k)
+        w = b * degen_falling(1, n - k, lam)
+        # D(k, x+y) expanded over monomials x^i y^(d-i)
+        for d, c in enumerate(dk):
+            for i in range(d + 1):
+                lhs[i, d - i] = lhs.get((i, d - i), 0) + w * c * comb(d, i)
+        for i, cx in enumerate(rows[n - k]):
+            for j, cy in enumerate(dk):
+                rhs[i, j] = rhs.get((i, j), 0) + b * cx * cy
+    return ({ij: c for ij, c in lhs.items() if c},
+            {ij: c for ij, c in rhs.items() if c})

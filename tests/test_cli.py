@@ -82,6 +82,36 @@ def test_invalid_probability_exits_2(capsys):
     assert "configuration error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--command", "table", "--model",
+     '{"kind": "custom", "moments": ' + "[" * 500 + "]" * 500 + "}"),
+    ("--command", "table", "--model",
+     '{"kind": "custom", "moments": [[[[[['
+     + ", ".join(['"' + "7" * 100 + '"'] * 10) + "]]]]]]}"),
+    ("--command", "table", "--model", "[" + ", ".join(["1"] * 600) + "]"),
+    ("--command", "table", "--model",
+     "[" * 5 + ", ".join(["[" + '"1", ' * 10 + '"1"]'] * 10) + "]" * 5),
+    ("--command", "table", "--model", '{"kind": "' + "k" * 2000 + '"}'),
+    ("--command", "table", "--model",
+     '{"kind": "poisson", "rate": "1", "' + "q" * 2000 + '": 1}'),
+    ("--command", "table", "--model",
+     '{"kind": "poisson", "rate": "' + "9" * 1000 + 'x"}'),
+    ("--command", "eval", "--lambda=1/" + "0" * 2000),
+    ("--command", "dobinski", "--model", '{"kind": "poisson", "rate": "1"}',
+     "--max-n", "2", "--x", "1e300"),
+    ("--command", "dobinski", "--model", '{"kind": "poisson", "rate": "1"}',
+     "--max-n", "2", "--x=-1e300"),
+], ids=["nested-custom", "wide-custom", "long-list", "wide-list", "kind",
+        "field", "literal", "zero-denominator", "dobinski-x",
+        "dobinski-negative-x"])
+def test_configuration_errors_echo_a_bounded_value(capsys, argv):
+    # However long the offending value, the report is one short line.
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert len(err) <= 300, err
+
+
 @pytest.mark.parametrize("model", [
     '{"kind":',
     "[" * 5000 + "]" * 5000,
@@ -272,6 +302,11 @@ GOLDEN_STDOUT = [
       "--m", "2", "--lambda=1/3", "--r", "2", "--max-n", "60",
       "--format", "csv"),
      0, "9fdfc86aeadf43aab3082d1bf4eb0840a7d1bb0412d0a90eae23567512e7d8d8"),
+    # E[Y] = 0: weights of zero in the derivative sums are skipped, which
+    # fixes the length of the reported right side.
+    (("--command", "check", "--model", '{"kind": "bernoulli", "p": "0"}',
+      "--m", "2", "--lambda=-1/2", "--max-n", "6"),
+     0, "91a4167eaa208e429386018bda10b099228544781d5d72b7e799d80b589f0d8d"),
 ]
 
 
@@ -283,7 +318,7 @@ GOLDEN_STDOUT = [
                               "mc-poisson-k3", "mc-geometric-k2",
                               "check-n9", "check-custom-r2-n7",
                               "dobinski-n12", "check-N9", "check-n12",
-                              "table-csv-m2-r2-n60"])
+                              "table-csv-m2-r2-n60", "check-zero-mean"])
 def test_golden_stdout_bytes(capsys, argv, code, digest):
     # Digests of stdout as first released; any refactor must keep them.
     got_code, out, _ = run(capsys, *argv)

@@ -135,6 +135,14 @@ def test_polyx_equal_by_any_path_compare_and_hash_equal(a, zeros):
         assert other.degree == -1 and other.evaluate(3) == 0
 
 
+def test_polyx_derivative_past_the_degree_is_zero_at_once():
+    # Each coefficient is read once, whatever the order.
+    p = PolyX((1, 2, 3))
+    assert p.derivative(10 ** 12) == POLY_ZERO
+    assert list(p.derivative(10 ** 12).coeffs) == [0]
+    assert list(p.derivative(2).coeffs) == [6]
+
+
 def test_polyx_arithmetic_builds_one_fraction_per_value(monkeypatch):
     # Products, sums, scalar multiples, shifts and derivatives work on the
     # integer numerators; a value at x builds its one Fraction at the end.

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from probdowling import (Bernoulli, DiscreteUniform, Geometric, Params,
-                         PointMass, Poisson, PolyX, check_bell_expansion,
+from probdowling import (Bernoulli, Binomial, Custom, DiscreteUniform,
+                         Geometric, Params, PointMass, Poisson, PolyX,
+                         check_bell_expansion,
                          check_bell_rwhitney, check_binom_bell,
                          check_binomial_inversion, check_convolution,
                          check_derivative, check_recurrence,
@@ -14,6 +15,8 @@ from probdowling import (Bernoulli, DiscreteUniform, Geometric, Params,
 from probdowling import dowling as dowling_mod
 from probdowling import identities
 from probdowling.cli import CHECK_X_POINTS
+
+from oracles import convolution_monomials
 
 MODELS = [PointMass(Fraction(1)), Bernoulli(Fraction(1, 2)),
           DiscreteUniform(2), Poisson(Fraction(1))]
@@ -84,6 +87,48 @@ def test_convolution(params):
     for Y in MODELS:
         for n in range(5):
             assert check_convolution(Y, params, n).passed
+
+
+KIND_MODELS = [PointMass(Fraction(2, 3)), Bernoulli(Fraction(1, 3)),
+               Binomial(3, Fraction(2, 5)), DiscreteUniform(3),
+               Poisson(Fraction(7, 3)), Geometric(Fraction(2, 3)),
+               Custom(tuple(Fraction(v) for v in (
+                   "1", "2/5", "3/11", "7/5", "13/11", "9/5", "24/11",
+                   "16/5", "41/11")))]
+
+
+@pytest.mark.parametrize("model", KIND_MODELS, ids=[
+    "pointmass", "bernoulli", "binomial", "uniform", "poisson", "geometric",
+    "custom"])
+def test_convolution_sides_match_the_monomial_expansion(model):
+    # Both sides, built as rows per power of y, equal the expansion of
+    # every monomial x^i y^j, coefficient for coefficient.
+    for m in (1, 2, 3):
+        for lam in (Fraction(0), Fraction(-1, 2), Fraction(4, 3)):
+            params = Params(m, lam, 1)
+            for n in range(9):
+                rows = [dowling_poly(model, params, k).coeffs
+                        for k in range(n + 1)]
+                rep = check_convolution(model, params, n)
+                assert (rep.lhs, rep.rhs) == \
+                    convolution_monomials(rows, lam), (m, lam, n)
+                assert rep.passed
+
+
+def test_convolution_defect_in_one_row_fails(monkeypatch):
+    # D(3, x) gains x^2.  At n = 4 the left side gains 4 (x+y)^2 and the
+    # right side 4 D(1, x) y^2 + 4 x^2 D(1, y), which has no x y term.
+    real = identities.dowling_poly
+
+    def perturbed(model, params, n):
+        row = real(model, params, n)
+        return row + PolyX((0, 0, 1)) if n == 3 else row
+
+    monkeypatch.setattr(identities, "dowling_poly", perturbed)
+    Y, params = Geometric(Fraction(1, 2)), Params(3, Fraction(1, 2))
+    assert check_convolution(Y, params, 2).passed
+    rep = check_convolution(Y, params, 4)
+    assert not rep.passed
 
 
 @pytest.mark.parametrize("params", PARAM_GRID)

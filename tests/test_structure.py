@@ -98,17 +98,20 @@ def test_hot_inner_sums_use_the_common_denominator_kernel():
            dowling.dowling_poly_r, dowling._grow_whitney,
            dowling.whitney_prob_r, dowling._stirling2_degen_row,
            bell.bell_column_ints, bell._shape_sum, dowling.PolyX.__mul__,
-           dowling.PolyX.__add__, dowling.PolyX.evaluate)
+           dowling.PolyX.__add__, dowling.PolyX.evaluate,
+           dowling.PolyX.derivative, dowling.PolyX.shift_up)
     # The scaled growth loops, the integer Bell and Carlitz sums and the
-    # polynomial product, sum and value hold integers: no Fraction is built
-    # inside their loops, neither directly nor through the Fraction
+    # polynomial product, sum, value, derivative and shift (the battery's
+    # convolution is read off derivatives) hold integers: no Fraction is
+    # built inside their loops, neither directly nor through the Fraction
     # routines degen_moment and falling_row.  bell_partial_rows is not
     # listed: it is ring-generic, and its ring's operations are these.
     scaled = (moments._grow_kernel, moments.scaled_chain,
               dowling.dowling_poly_r, dowling._grow_whitney,
               dowling._stirling2_degen_row,
               bell.bell_column_ints, bell._shape_sum, dowling.PolyX.__mul__,
-              dowling.PolyX.__add__, dowling.PolyX.evaluate)
+              dowling.PolyX.__add__, dowling.PolyX.evaluate,
+              dowling.PolyX.derivative, dowling.PolyX.shift_up)
     loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
              ast.GeneratorExp)
     found = []
