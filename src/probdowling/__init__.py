@@ -4,10 +4,10 @@ exact moment sequences; every structural identity of the family is
 checkable by multi-route computation to exact rational equality.
 """
 
-from .bell import bell_partial, bell_partial_row, bell_partial_series
-from .dowling import (PolyX, WhitneyTriangle, dobinski_eval, dowling_number,
-                      dowling_poly, dowling_poly_r, stirling2_degen,
-                      stirling2_prob, whitney_prob, whitney_prob_r)
+from .bell import bell_partial, bell_partial_series
+from .dowling import (PolyX, WhitneyTriangle, dobinski_eval, dowling_poly,
+                      dowling_poly_r, stirling2_degen, stirling2_prob,
+                      whitney_prob, whitney_prob_r)
 from .identities import (IdentityReport, check_bell_expansion,
                          check_bell_rwhitney, check_binom_bell,
                          check_binomial_inversion, check_convolution,

@@ -18,10 +18,12 @@ denominator q first, and since B_{n,k} is homogeneous of degree k
 ``bell_form`` Whitney route, which passes the kernel's scaled integers.
 The series route ``bell_partial_series`` reads the same numbers off the k-th
 power of an EGF; ``dowling.stirling2_prob`` reads it.
-``bell_partial_rows`` runs the same power chain unmemoized for every k
-up to one n, over rationals or polynomials in x, and returns every row
-l <= n; ``bell_partial_row`` is its last row.  The identity battery reads
-its Bell sides from them.  The enumeration is the oracle for both, and the
+``bell_partial_rows`` gives every row l <= n over rationals or
+polynomials in x, by Comtet's row recurrence, which builds row l from
+the rows below it; the rows are memoized by argument prefix
+(``_bell_rows``), so the battery's calls at n = 0, 1, 2, ... on one
+argument list add one row each.  The identity battery reads its Bell
+sides from them.  The enumeration is the oracle for both, and the
 ``bell_form`` Whitney route.
 """
 
@@ -154,43 +156,50 @@ def bell_partial_series(k: int, inner: EgfSeries) -> EgfSeries:
 
 def bell_partial_rows(n: int, args: Sequence[Ring],
                       one: Ring) -> tuple[tuple[Ring, ...], ...]:
-    """B_{l,k}(x_1, ..., x_{l-k+1}) for l = 0..n, row l holding k = 0..l,
-    from one power chain.
+    """B_{l,k}(x_1, ..., x_{l-k+1}) for l = 0..n, row l holding k = 0..l.
 
     The x_i may come from any commutative ring over the rationals, such as
-    polynomials in a second variable; ``one`` is that ring's unit.  `args`
-    holds x_1..x_n in full, so every k reads the same chain: power k of
-    sum_i x_i t^i / i!, over k!, is power k - 1 times that series over k,
-    filled upward as in ``bell_partial_series`` but not memoized, and its
-    coefficient l is B_{l,k}.  The program only adds and multiplies, so
-    it has no branch on the values: over ``dowling.PolyX`` every step is
-    integer arithmetic on numerators over one denominator, and over
-    Fractions it is Fraction arithmetic.
+    polynomials in a second variable; ``one`` is that ring's unit, and
+    `args` holds x_1..x_n.  Row l reads x_1..x_l only, so the rows are
+    memoized by argument prefix (``_bell_rows``): after a call at n - 1
+    on the same arguments, the call at n adds one row.
     """
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
     if len(args) < n:
         raise ValueError(
             f"B_({n},k) needs {n} arguments x_1..x_{n}, got {len(args)}")
-    zero = 0 * one
-    # weighted[j][i] = C(j, i) x_i, the same for every power.
-    weighted = [[zero] + [comb(j, i) * args[i - 1] for i in range(1, j + 1)]
-                for j in range(n + 1)]
-    powers = [[one] + [zero] * n]       # power 0: the constant series 1
-    for k in range(1, n + 1):
-        # Coefficients of power k - 1 below t^(k-1) vanish, so coefficient
-        # j of power k reads x_1..x_(j-k+1) only.
-        power = powers[-1]
-        powers.append([zero] * k + [
-            sum((weighted[j][i] * power[j - i] for i in range(1, j - k + 2)),
-                zero) * Fraction(1, k)
-            for j in range(k, n + 1)])
-    return tuple(tuple(power[l] for power in powers[:l + 1])
-                 for l in range(n + 1))
+    xs = (one, *args[:n])
+    return _bell_rows(xs, tuple(map(type, xs)))
 
 
-def bell_partial_row(n: int, args: Sequence[Ring],
-                     one: Ring) -> tuple[Ring, ...]:
-    """B_{n,k}(x_1, ..., x_{n-k+1}) for k = 0..n: the last row of
-    ``bell_partial_rows``."""
-    return bell_partial_rows(n, args, one)[n]
+@memo
+def _bell_rows(xs: tuple, ring: tuple[type, ...]) -> tuple[tuple, ...]:
+    """Rows l = 0..n of B_{l,k}, n = len(xs) - 1, for xs = (one, x_1, ...,
+    x_n), by Comtet's row recurrence (*Advanced Combinatorics*, 3.3)
+
+        B_{n,k} = sum_{i=1}^{n-k+1} C(n-1, i-1) x_i B_{n-i,k-1},
+
+    so row n reads the rows of the prefix xs[:n], its own memo entry.
+    The key holds `ring`, the types of xs, beside their values: 1 and
+    Fraction(1) are equal and hash equal, so a key of values alone would
+    hand int rows to a Fraction caller.  The program only adds and
+    multiplies, with integer weights, so it has no branch on the values:
+    over ``dowling.PolyX`` every step is integer arithmetic on numerators
+    over one denominator, and over Fractions it is Fraction arithmetic.
+    """
+    n = len(xs) - 1
+    if n == 0:
+        return ((xs[0],),)
+    # Fill the shorter prefixes upward first, so the call for xs[:n] is a
+    # memo hit (or one frame deep) however large n is.
+    for l in range(1, n):
+        _bell_rows(xs[:l], ring[:l])
+    rows = _bell_rows(xs[:n], ring[:n])
+    weighted = [comb(n - 1, i - 1) * xs[i] for i in range(1, n + 1)]
+    zero = 0 * xs[0]
+    row = (zero,) + tuple(
+        sum((weighted[i - 1] * rows[n - i][k - 1]
+             for i in range(1, n - k + 2)), zero)
+        for k in range(1, n + 1))
+    return rows + (row,)

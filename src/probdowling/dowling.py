@@ -478,11 +478,6 @@ def _grow_whitney(model: MomentModel, params: Params,
     return cols, base
 
 
-def dowling_number(model: MomentModel, params: Params, n: int) -> Fraction:
-    """Dowling number: the Dowling polynomial evaluated at x = 1."""
-    return dowling_poly(model, params, n).evaluate(1)
-
-
 def dobinski_eval(model: MomentModel, params: Params, n: int,
                   x: RationalLike, rel_tol: float) -> float:
     """Evaluate the r-Dowling polynomial at x >= 0 by its moment series.

@@ -9,11 +9,13 @@ The three laws in the polynomial argument x (``check_binom_bell``,
 ``check_bell_rwhitney``, ``check_stirling_bell``) are proven, not
 sampled: both sides are built once per degree n as PolyX polynomials in
 x, for every column k at once, and memoized with their verdict in
-``dowling.polynomial_sides``.  Their Bell sides come from one power chain
-whose arguments are polynomials in x (``bell.bell_partial_row``);
-``check_bell_expansion`` reads every row l <= n of one such chain over
-rationals (``bell.bell_partial_rows``).  The r-Whitney sides read the
-stored rows ``dowling_poly_r`` of shift k, one row per column k.
+``dowling.polynomial_sides``.  Their Bell sides are row n of
+``bell.bell_partial_rows``, at polynomials in x (at rationals, the
+Dowling numbers, for ``check_binom_bell``); those rows are memoized by
+argument prefix, so degree n adds one row to degree n - 1's.
+``check_bell_expansion`` reads every row l <= n of one such triangle
+over rationals.  The r-Whitney sides read the stored rows
+``dowling_poly_r`` of shift k, one row per column k.
 
 ``check_bell_expansion``, ``check_recurrence``, ``check_derivative``
 and ``check_convolution`` sum whole rows, Bell rows or Dowling rows
@@ -36,10 +38,9 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Optional, Sequence
 
-from .bell import bell_partial_row, bell_partial_rows
-from .dowling import (POLY_ONE, POLY_ZERO, PolyX, dowling_number, dowling_poly,
-                      dowling_poly_r, polynomial_sides, stirling2_prob,
-                      whitney_prob)
+from .bell import bell_partial_rows
+from .dowling import (POLY_ONE, POLY_ZERO, PolyX, dowling_poly, dowling_poly_r,
+                      polynomial_sides, stirling2_prob, whitney_prob)
 from .moments import (MomentModel, egf_mgf_degen, falling_row,
                       sum_degen_moment)
 from .ratcore import (Frozen, Params, RationalLike, binom, degen_falling, rat,
@@ -185,8 +186,9 @@ def _binom_bell_sides(model: MomentModel, params: Params,
     plain = [PolyX(falling_row(0, j, Fraction(1))) for j in range(n + 1)]
     lhs = sum((binom(n, k) * shifted[n - k] * dowling_poly(model, params, k)
                for k in range(n + 1)), POLY_ZERO)
-    numbers = [dowling_number(model, params, j) for j in range(1, n + 1)]
-    bell = bell_partial_row(n, numbers, Fraction(1))
+    numbers = [dowling_poly(model, params, j).evaluate(1)
+               for j in range(1, n + 1)]
+    bell = bell_partial_rows(n, numbers, Fraction(1))[n]
     rhs = sum((bell[k] * plain[k] for k in range(n + 1)), POLY_ZERO)
     return ((lhs, rhs),)
 
@@ -206,7 +208,7 @@ def check_bell_rwhitney(model: MomentModel, params: Params, n: int, k: int,
 def _bell_rwhitney_sides(model: MomentModel, params: Params,
                          n: int) -> tuple[tuple[PolyX, PolyX], ...]:
     args = [i * dowling_poly(model, params, i - 1) for i in range(1, n + 1)]
-    bell = bell_partial_row(n, args, POLY_ONE)
+    bell = bell_partial_rows(n, args, POLY_ONE)[n]
     sides = []
     for k in range(n + 1):
         row = dowling_poly_r(model, Params(params.m, params.lam, k), n - k)
@@ -233,7 +235,7 @@ def _stirling_bell_sides(model: MomentModel, params: Params,
     args = [dowling_poly(model, params, i)
             + PolyX((-degen_falling(1, i, params.lam),))
             for i in range(1, n + 1)]
-    bell = bell_partial_row(n, args, POLY_ONE)
+    bell = bell_partial_rows(n, args, POLY_ONE)[n]
     sides = []
     for k in range(n + 1):
         row = dowling_poly_r(model, Params(params.m, params.lam, k), n)

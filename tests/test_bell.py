@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from probdowling import (EgfSeries, PolyX, bell_partial, bell_partial_series,
                          egf_coeff)
 from probdowling import bell as bell_mod
-from probdowling.bell import _index_vectors, bell_partial_row
+from probdowling.bell import _index_vectors, bell_partial_rows
 from probdowling.dowling import POLY_ONE
 
 from oracles import (bell_args_series, bell_brute, bell_complete,
@@ -127,7 +127,7 @@ def test_polynomial_chain_matches_the_rational_chain_at_random_points():
     for n in range(9):
         args = [PolyX(tuple(random_args(rng, rng.randint(1, 4))))
                 for _ in range(n)]
-        row = bell_partial_row(n, args, POLY_ONE)
+        row = bell_partial_rows(n, args, POLY_ONE)[n]
         assert len(row) == n + 1
         for _ in range(3):
             x = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
@@ -141,10 +141,36 @@ def test_rational_chain_matches_enumeration():
     rng = random.Random(29)
     for n in range(9):
         args = random_args(rng, n)
-        row = bell_partial_row(n, args, Fraction(1))
+        row = bell_partial_rows(n, args, Fraction(1))[n]
         assert row == tuple(bell_partial(n, k, args) for k in range(n + 1))
     with pytest.raises(ValueError, match="4 arguments"):
-        bell_partial_row(4, [1, 2, 3], Fraction(1))
+        bell_partial_rows(4, [1, 2, 3], Fraction(1))
+
+
+def test_rows_follow_the_callers_ring():
+    # 1 == Fraction(1) and both hash alike, so the memo key must hold the
+    # ring as well as the values: the int call must not answer the
+    # Fraction call that follows it.
+    bell_mod.clear_caches()
+    ints = bell_partial_rows(3, [1, 2, 3], 1)
+    fracs = bell_partial_rows(3, [Fraction(1), Fraction(2), Fraction(3)],
+                              Fraction(1))
+    assert ints == fracs
+    assert {type(b) for row in ints for b in row} == {int}
+    assert {type(b) for row in fracs for b in row} == {Fraction}
+
+
+@given(prefix=st.lists(rationals, max_size=6), last=rationals,
+       other=rationals)
+def test_rows_sharing_a_prefix_match_enumeration(prefix, last, other):
+    # The rows are memoized by argument prefix: two lists that differ in
+    # their last entry only share every row but the last.
+    n = len(prefix) + 1
+    for args in (prefix + [last], prefix + [other]):
+        rows = bell_partial_rows(n, args, Fraction(1))
+        assert rows == tuple(
+            tuple(bell_partial(l, k, args) for k in range(l + 1))
+            for l in range(n + 1))
 
 
 def test_pruned_index_walk_matches_the_unpruned_walk():

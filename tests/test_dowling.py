@@ -14,8 +14,7 @@ from probdowling import (Bernoulli, Binomial, Custom, DiscreteUniform,
                          Geometric, Params, PointMass, Poisson, PolyX,
                          WhitneyTriangle,
                          bell_partial_series, clear_caches, degen_falling,
-                         dobinski_eval,
-                         dowling_number, dowling_poly, dowling_poly_r,
+                         dobinski_eval, dowling_poly, dowling_poly_r,
                          egf_coeff, egf_const, egf_degen_exp, egf_mul,
                          egf_scale,
                          egf_mgf_degen, falling, model_from_config,
@@ -261,6 +260,19 @@ def test_cold_deep_falling_row_stays_shallow():
         sys.setrecursionlimit(limit)
     assert row[0] == degen_falling(2, 200, lam)
     assert row[200] == 1
+
+
+def test_cold_deep_bell_rows_stay_shallow():
+    # A cold Bell row 120 must not recurse row by row down to row 0.  At
+    # x_i = 1, B_{n,k} is the Stirling number S(n, k).
+    dowling_mod.clear_caches()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        rows = bell_mod.bell_partial_rows(120, [1] * 120, 1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert rows[120] == tuple(stirling2(120, k) for k in range(121))
 
 
 def test_stirling2_prob_examples():
@@ -648,7 +660,8 @@ def test_dowling_poly_frozen():
     assert dowling_poly(BE, P213, 1) == PolyX((1, Fraction(1, 2)))
     assert dowling_poly(PM1, P213, 2) == \
         PolyX((Fraction(2, 3), Fraction(11, 3), 1))
-    assert dowling_number(PM1, P213, 2) == Fraction(2, 3) + Fraction(11, 3) + 1
+    assert dowling_poly(PM1, P213, 2).evaluate(1) == \
+        Fraction(2, 3) + Fraction(11, 3) + 1
 
 
 def test_dowling_poly_r_reduction_and_generating_function():

@@ -253,6 +253,30 @@ def test_x_identity_verdict_is_stored_once(monkeypatch, cold_dowling_caches):
     assert len(calls) == 1
 
 
+def test_each_bell_row_is_built_once(monkeypatch, cold_dowling_caches):
+    # The Bell rows are memoized by argument prefix, so the battery's
+    # degrees 0..12 in turn multiply as many polynomials as one cold
+    # call at degree 12 does.
+    calls = []
+    real_mul = PolyX.__mul__
+
+    def counted_mul(self, other):
+        if isinstance(other, PolyX):
+            calls.append(1)
+        return real_mul(self, other)
+
+    Y, params = Geometric(Fraction(1, 2)), Params(3, Fraction(1, 2))
+    x = Fraction(1, 2)
+    monkeypatch.setattr(PolyX, "__mul__", counted_mul)
+    for n in range(13):
+        check_stirling_bell(Y, params, n, 0, x)
+    ascending = len(calls)
+    dowling_mod.clear_caches()
+    calls.clear()
+    check_stirling_bell(Y, params, 12, 0, x)
+    assert ascending == len(calls) > 0
+
+
 def test_equal_sides_are_evaluated_once(monkeypatch, cold_dowling_caches):
     # A passing x-report evaluates one side and reports its value twice.
     Y, params = Geometric(Fraction(1, 2)), Params(3, Fraction(1, 2))

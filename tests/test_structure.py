@@ -104,8 +104,9 @@ def test_hot_inner_sums_use_the_common_denominator_kernel():
     # polynomial product, sum, value, derivative and shift (the battery's
     # convolution is read off derivatives) hold integers: no Fraction is
     # built inside their loops, neither directly nor through the Fraction
-    # routines degen_moment and falling_row.  bell_partial_rows is not
-    # listed: it is ring-generic, and its ring's operations are these.
+    # routines degen_moment and falling_row.  The Bell row recurrence
+    # bell._bell_rows is not listed: it is ring-generic, and its ring's
+    # operations are these.
     scaled = (moments._grow_kernel, moments.scaled_chain,
               dowling.dowling_poly_r, dowling._grow_whitney,
               dowling._stirling2_degen_row,
