@@ -20,9 +20,11 @@ oracle routes read the integer sum-moment chain
 (``moments.scaled_chain``) and divide once.
 
 Dowling polynomials are the row polynomials sum_k W(n, k) x^k; their
-value at x = 1 is a Dowling number.  ``dobinski_eval`` sums the
-exponentially weighted moment series for the same polynomial numerically,
-with the exact polynomial value available as the oracle.
+value at x = 1 is a Dowling number.  The triangle to row N is read row
+by row, ``dowling_poly_r(model, params, n).coeffs`` for n <= N.
+``dobinski_eval`` sums the exponentially weighted moment series for the
+same polynomial numerically, with the exact polynomial value available
+as the oracle.
 
 The memo tables here come from ``ratcore.memo``.
 """
@@ -356,34 +358,6 @@ def _alternating(k: int, xs: Sequence[int]) -> int:
     row, plus = pascal_row(k), k % 2
     return (sumprod(row[plus::2], xs[plus::2])
             - sumprod(row[1 - plus::2], xs[1 - plus::2]))
-
-
-class WhitneyTriangle(Frozen):
-    """Materialized lower-triangular table of r-Whitney numbers.
-
-    Row n holds W(n, 0), ..., W(n, n); column 0 is (r)_{n,lam} and the
-    diagonal is E[Y]^n.
-    """
-
-    model: MomentModel
-    params: Params
-    max_n: int
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    @classmethod
-    def build(cls, model: MomentModel, params: Params,
-              max_n: int) -> "WhitneyTriangle":
-        if max_n < 0:
-            raise ValueError(f"max_n must be nonnegative, got {max_n}")
-        return cls(model, params, max_n, tuple(
-            dowling_poly_r(model, params, n).coeffs for n in range(max_n + 1)))
-
-    def entry(self, n: int, k: int) -> Fraction:
-        if not 0 <= n <= self.max_n:
-            raise IndexError(f"row {n} out of range for max_n {self.max_n}")
-        if k < 0:
-            raise IndexError(f"column {k} out of range")
-        return self.entries[n][k] if k <= n else Fraction(0)
 
 
 def dowling_poly(model: MomentModel, params: Params, n: int) -> PolyX:

@@ -35,7 +35,8 @@ class SamplerUnsupportedError(ValueError):
 
 
 class McEstimate(Frozen):
-    """Monte Carlo mean with its standard error and the exact target."""
+    """Monte Carlo mean with its standard error and the exact target,
+    judged by ``passes``, the one acceptance rule."""
 
     mean: float
     std_error: float
@@ -46,12 +47,6 @@ class McEstimate(Frozen):
     def gap(self) -> float:
         """Absolute distance between the float mean and the exact target."""
         return abs(self.mean - float(self.target))
-
-    def within(self, sigmas: float) -> bool:
-        """Gap within `sigmas` standard errors (exact match when sigma=0)."""
-        if self.std_error == 0.0:
-            return self.gap == 0.0
-        return self.gap <= sigmas * self.std_error
 
     def passes(self) -> bool:
         """The acceptance rule: gap <= 5 std_error + 1e-12 max(1, |target|).

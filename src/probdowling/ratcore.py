@@ -31,7 +31,7 @@ denominator, or lam scaled to an integer), so a lookup hashes and
 compares integers only.
 The degeneracy parameter ``lam`` may be any rational including 0, which
 recovers the classical (non-degenerate) objects, and 1, which recovers
-ordinary falling factorials.
+ordinary falling factorials: ``degen_falling(x, n, 1)``.
 
 The lowest layer also holds what higher layers share: ``stirling2``,
 ``binomial_row``, ``memo``, which makes and registers every memo table
@@ -132,7 +132,11 @@ def rat(value: RationalLike) -> Fraction:
         except ZeroDivisionError:
             raise ValueError(
                 f"{brief(repr(value))} has a zero denominator") from None
-        except ValueError:
+        except ValueError as exc:
+            if "int_max_str_digits" in str(exc):
+                # Past Python's limit on the digits of an int read as text.
+                raise ValueError(f"{brief(repr(value))} is {len(value)} "
+                                 "characters, too long to read") from None
             raise ValueError(
                 f"cannot read {brief(repr(value))} as a rational") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
@@ -151,11 +155,6 @@ def brief(text: str) -> str:
     60 characters, else its first and last 28 around "...", so the
     message stays one short line however long the value is."""
     return text if len(text) <= 60 else f"{text[:28]}...{text[-28:]}"
-
-
-def falling(x: RationalLike, n: int) -> Fraction:
-    """Falling factorial x(x-1)...(x-n+1); the empty product (n=0) is 1."""
-    return degen_falling(x, n, 1)
 
 
 def degen_falling(x: RationalLike, n: int, lam: RationalLike) -> Fraction:
@@ -239,10 +238,9 @@ class Frozen:
     ``Fraction.__eq__``; equality keeps its meaning, because a Fraction
     is in lowest terms.  Values of different classes never compare
     equal, so models of two kinds with equal parameters share no memo
-    entry.  Assignment and
-    deletion raise AttributeError.  ``fields`` is the tuple of field
-    names; ``replace`` builds a copy with some fields changed, through
-    the same checks.
+    entry.  Assignment and deletion raise AttributeError, so a changed
+    value is a new one, built through the same checks.  ``fields`` is
+    the tuple of field names.
     """
 
     fields: tuple[str, ...] = ()
@@ -311,11 +309,6 @@ class Frozen:
         shown = ", ".join(f"{name}={getattr(self, name)!r}"
                           for name in self.fields)
         return f"{type(self).__qualname__}({shown})"
-
-    def replace(self, **changes) -> "Frozen":
-        """A copy with the given fields changed, checked again."""
-        return type(self)(**{**{name: getattr(self, name)
-                                for name in self.fields}, **changes})
 
 
 class Params(Frozen):

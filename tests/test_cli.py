@@ -16,8 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import probdowling
-import probdowling.dowling as dowling_mod
-from probdowling import rat
+from probdowling import PolyX, cli, dowling_poly_r, identities, rat
 from probdowling.cli import COMMANDS, _json_dump, main, parse_config
 
 
@@ -173,15 +172,29 @@ def test_check_other_models_pass(capsys):
         assert json.loads(out)["all_pass"] is True
 
 
-def test_check_corrupt_exits_1(capsys):
-    code, out, _ = run(capsys, "--command", "check", "--model", BERNOULLI,
-                       "--max-n", "1", "--corrupt")
-    assert code == 1
+def test_check_corrupt_exits_1(capsys, monkeypatch):
+    # D(3, x) gains x^2 where the battery reads it: the identities that
+    # read row 3 fail, and the command exits 1 with the whole report.
+    real = identities.dowling_poly
+
+    def corrupt(model, params, n):
+        row = real(model, params, n)
+        return row + PolyX((0, 0, 1)) if n == 3 else row
+
+    monkeypatch.setattr(identities, "dowling_poly", corrupt)
+    probdowling.clear_caches()
+    try:
+        code, out, err = run(capsys, "--command", "check",
+                             "--model", '{"kind": "geometric", "p": "1/2"}',
+                             "--m", "3", "--lambda", "1/2", "--max-n", "4")
+    finally:
+        probdowling.clear_caches()
+    assert (code, err) == (1, "")
     payload = json.loads(out)
     assert payload["all_pass"] is False
-    failing = [r for r in payload["reports"] if not r["pass"]]
-    assert len(failing) == 1
-    assert failing[0]["lhs"] != failing[0]["rhs"]
+    failing = {r["theorem"] for r in payload["reports"] if not r["pass"]}
+    assert {"recurrence", "convolution"} <= failing
+    assert "binomial_inversion" not in failing
 
 
 def test_dobinski_exit_codes(capsys):
@@ -250,9 +263,6 @@ GOLDEN_STDOUT = [
     (("--command", "check", "--model", '{"kind": "geometric", "p": "1/2"}',
       "--m", "3", "--lambda", "1/2", "--max-n", "5"),
      0, "e860bbe68b4c2b66e631e32be9a7f2cd3759e3e176641ac3fd6849cb236d29af"),
-    (("--command", "check", "--model", BERNOULLI, "--max-n", "2",
-      "--corrupt"),
-     1, "d372ff272dc1d8d4a6a82bc98a13328ef6afc0ac4a317c83f15ff037b2aebe7d"),
     (("--command", "dobinski",
       "--model", '{"kind": "binomial", "trials": 3, "p": "1/3"}',
       "--m", "2", "--lambda", "1/3", "--max-n", "4", "--x", "1"),
@@ -312,7 +322,7 @@ GOLDEN_STDOUT = [
 
 @pytest.mark.parametrize("argv,code,digest", GOLDEN_STDOUT,
                          ids=["table-json", "table-csv-maxk", "eval",
-                              "check", "check-corrupt", "dobinski",
+                              "check", "dobinski",
                               "table-csv-r3-n16", "dobinski-r0",
                               "table-csv-r0-n30", "eval-r3-n24",
                               "mc-poisson-k3", "mc-geometric-k2",
@@ -492,7 +502,11 @@ def test_mc_infinite_standard_error_exits_2(capsys, max_n):
 
 @pytest.mark.parametrize("argv, code, prefix", [
     (["--command", "table", "--max-n", "2"], 0, None),
-    (["--command", "check", "--max-n", "1", "--corrupt"], 1, None),
+    # The series falls short of exact by about 1e-16, past a tolerance
+    # below double precision.
+    (["--command", "dobinski", "--model", '{"kind": "poisson", "rate": "1"}',
+      "--m", "2", "--lambda", "1/3", "--max-n", "3", "--x", "1",
+      "--tol", "1e-17"], 1, None),
     (["--command", "eval", "--lambda=1/0"], 2, "configuration error:"),
     (["--command", "table", "--max-n", "5",
       "--model", '{"kind": "custom", "moments": ["1", "1/2"]}'],
@@ -537,11 +551,60 @@ def test_memory_exhaustion_exits_2_with_one_line(capsys, monkeypatch):
     def exhausted(*args):
         raise MemoryError
 
-    monkeypatch.setattr(dowling_mod, "dowling_poly_r", exhausted)
+    monkeypatch.setattr(cli, "dowling_poly_r", exhausted)
     code, out, err = run(capsys, "--command", "table", "--max-n", "3")
     assert (code, out) == (2, "")
     assert err == ("configuration error: --command table with --max-n 3 "
                    "does not fit in memory\n")
+
+
+@pytest.mark.parametrize("model, x, max_n", [
+    ('{"kind": "pointmass", "c": "1"}', "1e1000", 5),
+    ('{"kind": "pointmass", "c": "1e100"}', "1", 44),
+], ids=["large-x", "large-model"])
+def test_exact_values_past_the_digit_limit_print_whole(capsys, model, x,
+                                                       max_n):
+    # D(max_n, x) has more than 4,300 digits, Python's default limit on
+    # an int written as text; the limit is lifted for the command only.
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "--command", "eval", "--model", model,
+                         "--x", x, "--max-n", str(max_n))
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    cfg = parse_config(["--command", "eval", "--model", model, "--x", x])
+    expected = [dowling_poly_r(cfg.model, cfg.params, n).evaluate(cfg.x)
+                for n in range(max_n + 1)]
+    assert abs(expected[-1].numerator) >= 10 ** limit
+    sys.set_int_max_str_digits(0)   # to read the output back
+    try:
+        assert [rat(v) for v in json.loads(out)["values"]] == expected
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_check_past_the_digit_limit_exits_0(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "--command", "check", "--model",
+                         '{"kind": "pointmass", "c": "1e1000"}',
+                         "--max-n", "5")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["all_pass"] is True
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--x", "1" + "0" * 5000),
+    ("--model", '{"kind": "pointmass", "c": "1%s"}' % ("0" * 5000)),
+], ids=["x", "model"])
+def test_input_past_the_digit_limit_exits_2(capsys, flag, value):
+    # Inputs are read under the interpreter's limit, before it is lifted.
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "--command", "eval", flag, value)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert err.startswith("configuration error: ")
+    assert "is 5001 characters, too long to read" in err
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_json_output_refuses_non_finite_floats():
@@ -638,14 +701,13 @@ FUZZ_BAD = (
        options=st.fixed_dictionaries({}, optional={
            flag: st.sampled_from(values)
            for flag, values in FUZZ_GOOD.items()}),
-       corrupt=st.booleans(),
        bad=st.lists(st.sampled_from(FUZZ_BAD), max_size=2))
 def test_fuzzed_argv_keeps_the_exit_code_contract(command, max_n, samples,
-                                                  options, corrupt, bad):
+                                                  options, bad):
     argv = [f"--command={command}", f"--max-n={max_n}",
             f"--samples={samples}"]
     argv += [f"{flag}={value}" for flag, value in options.items()]
-    argv += ["--corrupt"] * corrupt + bad
+    argv += bad
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         try:

@@ -12,12 +12,11 @@ from hypothesis import strategies as st
 
 from probdowling import (Bernoulli, Binomial, Custom, DiscreteUniform,
                          Geometric, Params, PointMass, Poisson, PolyX,
-                         WhitneyTriangle,
                          bell_partial_series, clear_caches, degen_falling,
                          dobinski_eval, dowling_poly, dowling_poly_r,
                          egf_coeff, egf_const, egf_degen_exp, egf_mul,
                          egf_scale,
-                         egf_mgf_degen, falling, model_from_config,
+                         egf_mgf_degen, model_from_config,
                          model_to_config, raw_moment, stirling2,
                          stirling2_degen, stirling2_prob, sum_degen_moment,
                          whitney_prob, whitney_prob_r)
@@ -196,8 +195,8 @@ def test_stirling2_degen_defining_relation(lam):
     # (x)_{n,lam} = sum_k S2_lam(n,k) (x)_k as a polynomial identity in x.
     for n in range(9):
         for x in xpoints(n):
-            expanded = sum(stirling2_degen(n, k, lam) * falling(x, k)
-                           for k in range(n + 1))
+            expanded = sum(stirling2_degen(n, k, lam)
+                           * degen_falling(x, k, 1) for k in range(n + 1))
             assert expanded == degen_falling(x, n, lam)
 
 
@@ -650,7 +649,7 @@ def test_whitney_defining_relation_point_mass(lam, r):
     for n in range(7):
         for x in xpoints(n):
             expanded = sum(whitney_prob_r(PM1, params, n, k)
-                           * Fraction(m)**k * falling(x, k)
+                           * Fraction(m)**k * degen_falling(x, k, 1)
                            for k in range(n + 1))
             assert expanded == degen_falling(m * x + r, n, lam)
 
@@ -685,24 +684,23 @@ def test_dowling_poly_r_reduction_and_generating_function():
 
 
 def test_whitney_triangle_boundary_laws():
+    # Row n of the triangle is the coefficient row of dowling_poly_r.
     lam = Fraction(1, 2)
     for r in (0, 1, 2):
-        tri = WhitneyTriangle.build(BE, Params(2, lam, r), 8)
         for n in range(9):
-            assert tri.entry(n, 0) == degen_falling(r, n, lam)
-            assert tri.entry(n, n + 1) == 0
-    tri = WhitneyTriangle.build(BE, Params(2, lam, 1), 8)
+            row = dowling_poly_r(BE, Params(2, lam, r), n)
+            assert row.coeff(0) == degen_falling(r, n, lam)
+            assert row.coeff(n + 1) == 0
     for n in range(9):
-        assert tri.entry(n, n) == raw_moment(BE, 1) ** n
-    with pytest.raises(IndexError):
-        tri.entry(9, 0)
+        row = dowling_poly_r(BE, Params(2, lam, 1), n)
+        assert row.coeff(n) == raw_moment(BE, 1) ** n
 
 
 def test_whitney_triangle_rejects_a_negative_size():
-    # A negative size is not the empty triangle.
-    with pytest.raises(ValueError, match="^max_n must be nonnegative"):
-        WhitneyTriangle.build(BE, P213, -1)
-    assert WhitneyTriangle.build(BE, P213, 0).entries == ((Fraction(1),),)
+    # A negative degree has no row; row 0 is the constant 1.
+    with pytest.raises(ValueError, match="^degree must be nonnegative"):
+        dowling_poly_r(BE, P213, -1)
+    assert dowling_poly_r(BE, P213, 0).coeffs == (Fraction(1),)
 
 
 def test_dobinski_matches_exact_evaluation():

@@ -61,7 +61,7 @@ def test_estimate_deterministic_model_is_exact():
                                         lam, samples=2000, seed=5)
         assert est.std_error == 0.0
         assert est.mean == float(est.target)
-        assert est.within(5)
+        assert est.gap <= 5 * est.std_error
     est = estimate_sum_degen_moment(PointMass(Fraction(1)), 2, 2, 1, 1,
                                     Fraction(1, 3), samples=2000, seed=5)
     assert est.mean == 5.0 and est.std_error == 0.0
@@ -72,13 +72,13 @@ def test_estimate_bernoulli_within_five_sigma():
     est = estimate_sum_degen_moment(Bernoulli(Fraction(1, 2)), 2, 2, 1, 1,
                                     Fraction(1, 3), samples=100_000, seed=11)
     assert est.target == 3
-    assert est.within(5)
+    assert est.gap <= 5 * est.std_error
 
 
 def test_estimate_poisson_within_five_sigma():
     est = estimate_sum_degen_moment(Poisson(Fraction(1)), 3, 1, 0, 2,
                                     Fraction(1, 2), samples=100_000, seed=17)
-    assert est.within(5)
+    assert est.gap <= 5 * est.std_error
 
 
 def test_estimate_validates_sample_count():

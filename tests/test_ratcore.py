@@ -1,12 +1,11 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from probdowling import (Params, binom, degen_falling, falling,
-                         format_rational, rat)
+from probdowling import Params, binom, degen_falling, format_rational, rat
 from probdowling.moments import pascal_row
 from probdowling.ratcore import binomial_row, dot, pair_sum
 
@@ -15,9 +14,10 @@ small_n = st.integers(min_value=0, max_value=9)
 
 
 def test_falling_frozen_values():
-    assert falling(5, 0) == 1
-    assert falling(5, 3) == 60            # 5*4*3
-    assert falling(Fraction(1, 2), 2) == Fraction(-1, 4)   # (1/2)(-1/2)
+    # The ordinary falling factorial is the degenerate one at lam = 1.
+    assert degen_falling(5, 0, 1) == 1
+    assert degen_falling(5, 3, 1) == 60            # 5*4*3
+    assert degen_falling(Fraction(1, 2), 2, 1) == Fraction(-1, 4)
 
 
 def test_degen_falling_frozen_values():
@@ -28,7 +28,7 @@ def test_degen_falling_frozen_values():
 
 @given(x=rationals, n=small_n)
 def test_degen_falling_lambda_one_is_falling(x, n):
-    assert degen_falling(x, n, 1) == falling(x, n)
+    assert degen_falling(x, n, 1) == prod(x - i for i in range(n))
 
 
 @given(x=rationals, n=small_n)
