@@ -80,6 +80,10 @@ def parse_config(argv: Optional[Sequence[str]]) -> argparse.Namespace:
         model_obj = json.loads(model_text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"model is not valid JSON: {exc}") from exc
+    except ValueError:
+        # Its one other ValueError: an int past Python's digit limit.
+        raise ValueError("model JSON holds an integer too long to read"
+                         ) from None
     except RecursionError:
         # Raised while the decoder is deep in the nesting; here the stack
         # has unwound, so the report itself has room.
@@ -112,7 +116,8 @@ def _emit(cfg: argparse.Namespace, text: str) -> None:
 
 
 def _encode(value: object) -> object:
-    """JSON-encode exact values: rationals as strings, polys as lists."""
+    """JSON-encode exact values: rationals as strings, polys as lists
+    of their canonical coefficients (``["0"]`` for zero)."""
     if isinstance(value, Fraction):
         return format_rational(value)
     if isinstance(value, PolyX):
@@ -138,12 +143,14 @@ def _json_dump(cfg: argparse.Namespace, body: dict) -> str:
 def cmd_table(cfg: argparse.Namespace) -> int:
     """Emit the r-Whitney triangle (equivalently the Dowling coefficient
     rows) for n <= max_n."""
-    cap = None if cfg.max_k is None else cfg.max_k + 1
+    cap = cfg.max_n if cfg.max_k is None else cfg.max_k
     # Every row is built before any is formatted, so a table too large
-    # for memory fails while computing, with nothing written.
+    # for memory fails while computing, with nothing written.  Row n has
+    # the entries k <= min(n, max_k), trailing zeros included.
     polys = [dowling_poly_r(cfg.model, cfg.params, n)
              for n in range(cfg.max_n + 1)]
-    rows = [[format_rational(c) for c in poly.coeffs[:cap]] for poly in polys]
+    rows = [[format_rational(poly.coeff(k)) for k in range(min(n, cap) + 1)]
+            for n, poly in enumerate(polys)]
     if cfg.fmt == "csv":
         _emit(cfg, "".join(",".join(r) + "\n" for r in rows))
     else:

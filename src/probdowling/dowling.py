@@ -20,8 +20,11 @@ oracle routes read the integer sum-moment chain
 (``moments.scaled_chain``) and divide once.
 
 Dowling polynomials are the row polynomials sum_k W(n, k) x^k; their
-value at x = 1 is a Dowling number.  The triangle to row N is read row
-by row, ``dowling_poly_r(model, params, n).coeffs`` for n <= N.
+value at x = 1 is a Dowling number.  A ``PolyX`` is held in one
+canonical form, without trailing zeros, so a row whose last entries are
+0 (every row n >= 1 when E[Y] = 0) is shorter than n + 1: the triangle
+to row N is read entry by entry, ``dowling_poly_r(model, params,
+n).coeff(k)`` for k <= n <= N.
 ``dobinski_eval`` sums the exponentially weighted moment series for the
 same polynomial numerically, with the exact polynomial value available
 as the oracle.
@@ -57,52 +60,50 @@ DOBINSKI_MAX_TERMS = 400
 class PolyX(Frozen):
     """Dense polynomial in the Dowling argument x, ascending powers.
 
-    Trailing zeros are tolerated; equality and degree ignore them.  It is
-    held as in FLINT's ``fmpq_poly``: integer numerators over one positive
-    denominator, with no common factor left between all of them (the
-    content removed), so equal polynomials hold equal integers.  Products,
-    sums, scalar multiples, derivatives and values at x work on those
-    integers: a product is an integer convolution, a sum brings both sides
-    over one denominator, and each result is reduced by one gcd.
-    ``coeffs`` holds the Fraction coefficients: those it was built from,
-    or, for a computed polynomial, built once, when first read.
+    Held in canonical form, as FLINT's ``fmpq_poly`` holds it: integer
+    numerators over one positive denominator, with no trailing zero
+    numerator (the zero polynomial is the one numerator 0 over 1) and no
+    common factor left between all of them (the content removed).  Every
+    polynomial is built through ``_hold``, which trims and reduces once, so
+    equal polynomials hold equal integers and every reader, equality and
+    the hash included, takes the stored ones as they are.  Products, sums,
+    scalar multiples, derivatives and values at x work on those integers:
+    a product is an integer convolution, a sum brings both sides over one
+    denominator, and each result is reduced by one gcd.  ``coeffs`` holds
+    the Fraction coefficients, built once, when first read.
     """
 
     coeffs: tuple[Fraction, ...]
 
     def __init__(self, coeffs: Sequence[RationalLike]) -> None:
-        coerced = tuple(map(rat, coeffs)) or (Fraction(0),)
-        # Over the lcm of the denominators, the content is already 1.
+        coerced = [rat(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in coerced))
-        object.__setattr__(self, "_nums", tuple(
-            c.numerator * (den // c.denominator) for c in coerced))
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "coeffs", coerced)
+        self._hold([c.numerator * (den // c.denominator) for c in coerced],
+                   den)
 
     @classmethod
     def _reduced(cls, nums: Sequence[int], den: int) -> "PolyX":
-        """nums / den (den > 0) with the content removed."""
+        """nums / den (den > 0) as a PolyX."""
+        poly = object.__new__(cls)
+        poly._hold(nums, den)
+        return poly
+
+    def _hold(self, nums: Sequence[int], den: int) -> None:
+        """Store nums / den (den > 0) in canonical form: trailing zeros
+        dropped, then the content removed by one gcd."""
+        nums = list(nums)
+        while nums and not nums[-1]:
+            nums.pop()
         g = math.gcd(den, *nums)
         if g != 1:
             nums, den = [c // g for c in nums], den // g
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "_nums", tuple(nums))
-        object.__setattr__(poly, "_den", den)
-        return poly
+        object.__setattr__(self, "_nums", tuple(nums) or (0,))
+        object.__setattr__(self, "_den", den)
 
     @cached_property
     def coeffs(self) -> tuple[Fraction, ...]:
         den = self._den
         return tuple(Fraction(c, den) for c in self._nums)
-
-    @property
-    def degree(self) -> int:
-        """Largest power with nonzero coefficient; -1 for the zero polynomial."""
-        nums = self._nums
-        for k in range(len(nums) - 1, -1, -1):
-            if nums[k]:
-                return k
-        return -1
 
     def coeff(self, k: int) -> Fraction:
         return self.coeffs[k] if 0 <= k < len(self._nums) else Fraction(0)
@@ -112,7 +113,7 @@ class PolyX(Frozen):
         sum_i a_i p^i q^(d-i), over den q^d, as one Fraction."""
         x = rat(x)
         p, q = x.numerator, x.denominator
-        nums = self._nums[:self.degree + 1] or (0,)
+        nums = self._nums
         acc, scale = nums[-1], 1
         for c in nums[-2::-1]:
             scale *= q
@@ -122,13 +123,12 @@ class PolyX(Frozen):
     def derivative(self, order: int = 1) -> "PolyX":
         """The order-th derivative in one pass: coefficient i is
         (i + order)! / i! times coefficient i + order, and an order past
-        the stored length leaves the zero polynomial."""
+        the degree leaves the zero polynomial."""
         if order < 0:
             raise ValueError(f"derivative order must be nonnegative, got {order}")
         nums = self._nums
         return PolyX._reduced([math.perm(k, order) * nums[k]
-                               for k in range(order, len(nums))] or [0],
-                              self._den)
+                               for k in range(order, len(nums))], self._den)
 
     def shift_up(self) -> "PolyX":
         """Multiply by x."""
@@ -169,17 +169,13 @@ class PolyX(Frozen):
 
     __rmul__ = __mul__
 
-    def _key_ints(self) -> tuple:
-        """The numerators without trailing zeros, and the denominator."""
-        return self._nums[:self.degree + 1], self._den
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyX):
             return NotImplemented
-        return self._key_ints() == other._key_ints()
+        return self._nums == other._nums and self._den == other._den
 
     def __hash__(self) -> int:
-        return hash(self._key_ints())
+        return hash((self._nums, self._den))
 
     def __repr__(self) -> str:
         return f"PolyX({list(self.coeffs)!r})"

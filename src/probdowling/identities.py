@@ -105,8 +105,7 @@ def check_bell_expansion(model: MomentModel, params: Params,
     args = [c / m for c in egf_mgf_degen(model, m, lam, n).coeffs[1:]]
     rows = bell_partial_rows(n, args, Fraction(1))
     # (1)_{j,lam} is 0 for every j > 1/lam at lam = 1/2, 1/3, ...: those
-    # rows are skipped, not converted.  Row n's weight is 1, so the sum
-    # keeps its length n + 1.
+    # rows are skipped, not converted.
     rhs = sum((w * PolyX(row) for l, row in enumerate(rows)
                if (w := binom(n, l) * degen_falling(1, n - l, lam))),
               POLY_ZERO)
@@ -282,12 +281,10 @@ def check_derivative(model: MomentModel, params: Params, n: int,
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     m, lam = params.m, params.lam
     rows = [dowling_poly(model, params, j) for j in range(n + 1)]
-    # A zero weight adds no term, so the reported rhs is only as long as
-    # its last row with a nonzero weight.
     rhs = factorial(k) * sum((
-        binom(n, j) * s * Fraction(m)**(n - k - j) * rows[j]
-        for j in range(n - k + 1)
-        if (s := stirling2_prob(model, n - j, k, lam / m))), POLY_ZERO)
+        binom(n, j) * stirling2_prob(model, n - j, k, lam / m)
+        * Fraction(m)**(n - k - j) * rows[j]
+        for j in range(n - k + 1)), POLY_ZERO)
     c = egf_mgf_degen(model, m, lam, n).coeffs
     first = sum((binom(n, j) * c[n - j] / m * rows[j] for j in range(n)),
                 POLY_ZERO)

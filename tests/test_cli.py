@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -312,11 +313,17 @@ GOLDEN_STDOUT = [
       "--m", "2", "--lambda=1/3", "--r", "2", "--max-n", "60",
       "--format", "csv"),
      0, "9fdfc86aeadf43aab3082d1bf4eb0840a7d1bb0412d0a90eae23567512e7d8d8"),
-    # E[Y] = 0: weights of zero in the derivative sums are skipped, which
-    # fixes the length of the reported right side.
+    # E[Y] = 0: rows n >= 1 end in zeros, and every polynomial side is
+    # written in its one canonical form, without them, however it was
+    # summed.
     (("--command", "check", "--model", '{"kind": "bernoulli", "p": "0"}',
       "--m", "2", "--lambda=-1/2", "--max-n", "6"),
-     0, "91a4167eaa208e429386018bda10b099228544781d5d72b7e799d80b589f0d8d"),
+     0, "b37cc4fc660ee857a8e2c730a5cbc786e5a3871cf11d9e9de2578a837234de04"),
+    # The same zero-mean rows as a table: row n keeps its n + 1 entries,
+    # the trailing zeros written out.
+    (("--command", "table", "--model", '{"kind": "bernoulli", "p": "0"}',
+      "--m", "2", "--lambda=-1/2", "--max-n", "6", "--format", "csv"),
+     0, "f8a78a0be1cdf772084d2c94bbbe16b7c2b0876dc1349c41e1fe78da46645515"),
 ]
 
 
@@ -328,12 +335,42 @@ GOLDEN_STDOUT = [
                               "mc-poisson-k3", "mc-geometric-k2",
                               "check-n9", "check-custom-r2-n7",
                               "dobinski-n12", "check-N9", "check-n12",
-                              "table-csv-m2-r2-n60", "check-zero-mean"])
+                              "table-csv-m2-r2-n60", "check-zero-mean",
+                              "table-csv-zero-mean"])
 def test_golden_stdout_bytes(capsys, argv, code, digest):
     # Digests of stdout as first released; any refactor must keep them.
     got_code, out, _ = run(capsys, *argv)
     assert got_code == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class _TruthyZero(Fraction):
+    """A zero weight that a sum skipping falsy weights still adds."""
+
+    def __bool__(self):
+        return True
+
+
+def test_check_bytes_do_not_depend_on_zero_weight_terms(capsys, monkeypatch):
+    # E[Y] = 0 makes every probabilistic Stirling weight of the derivative
+    # sums 0.  Adding those zero terms, or skipping them, must write the
+    # same polynomial sides.
+    argv = ("--command", "check", "--model", '{"kind": "bernoulli", "p": "0"}',
+            "--m", "2", "--lambda=-1/2", "--max-n", "6")
+    code, out, _ = run(capsys, *argv)
+    real = identities.stirling2_prob
+
+    def summed(*args):
+        s = real(*args)
+        return s if s else _TruthyZero(0)
+
+    monkeypatch.setattr(identities, "stirling2_prob", summed)
+    assert run(capsys, *argv) == (code, out, "")
+    sides = [side for r in json.loads(out)["reports"]
+             if r["theorem"] in ("bell_expansion", "recurrence", "derivative")
+             for side in (r["lhs"], r["rhs"])]
+    assert code == 0 and ["0"] in sides
+    assert all(side == ["0"] or side[-1] != "0" for side in sides)
 
 
 def test_mc_point_mass_rounding_noise_passes(capsys):
@@ -605,6 +642,19 @@ def test_input_past_the_digit_limit_exits_2(capsys, flag, value):
     assert err.startswith("configuration error: ")
     assert "is 5001 characters, too long to read" in err
     assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no limit on int digits")
+def test_model_json_integer_past_the_digit_limit_exits_2(capsys):
+    # json.loads refuses the integer with Python's own advice to call
+    # sys.set_int_max_str_digits(); the CLI says what it could not read.
+    model = ('{"kind": "binomial", "trials": 1%s, "p": "1/2"}'
+             % ("0" * 5000))
+    code, out, err = run(capsys, "--command", "table", "--model", model)
+    assert (code, out) == (2, "")
+    assert err == ("configuration error: model JSON holds an integer too "
+                   "long to read\n")
 
 
 def test_json_output_refuses_non_finite_floats():
